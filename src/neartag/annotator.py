@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -157,11 +158,12 @@ def gather_neighbor_words(merged: list[tuple[int, str, float]],
     """Keyword lists for merged neighbors, preserving merged order.
 
     Neighbors missing from their keyword store are dropped and counted.
+    Each run of neighbors from one dataset takes one store lookup.
     """
     entries: list[tuple[str, list[str]]] = []
     missing = 0
-    for pos, image_id, _dist in merged:
-        found, miss = stores[pos].words_for([image_id])
+    for pos, run in groupby(merged, key=lambda t: t[0]):
+        found, miss = stores[pos].words_for([image_id for _pos, image_id, _dist in run])
         missing += miss
         entries.extend(found)
     return entries, missing

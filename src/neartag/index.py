@@ -1,29 +1,27 @@
 """k-nearest-neighbor search over fixed-dimension feature vectors.
 
-Two modes share one query interface:
+Two modes share one query interface and one exact top-k routine:
 
-* ``exact``: full scan. Distances are ranked with the expanded form
-  ``d^2 = |x|^2 - 2 x.q + |q|^2`` computed in float64, then the winning
-  rows are re-scored with a direct float64 subtraction so reported
-  distances carry no cancellation error.
+* ``exact``: full scan. A float32 matrix product over the float32 store
+  ranks rows by ``|x|^2 - 2 x.q``; every row within a proven bound of the
+  k-th score (``_rank_slack``) is re-scored exactly in float64 by direct
+  subtraction, so the answer equals a float64 linear scan. When the
+  bound or the scores would not be finite in float32, every row is kept.
 * ``perm-prefix``: an approximate filter. Each stored vector is
   described by the permutation prefix of its nearest pivots; queries
   scan only the ``candidate_budget`` rows whose prefixes agree most
-  with the query's own, then rank those exactly.
+  with the query's own, then rank those exactly as above.
 
-Vectors are held as float32 (the storage dtype); all distance math runs
-in float64. Results order by (distance, id ascending) so ties are
-stable across runs and platforms.
-
-Indexes are immutable once built; any number of threads may query one
-concurrently.
+Vectors are held only as float32. Results order by (distance, id
+ascending) so ties are stable across runs and platforms. Indexes are
+immutable once built; any number of threads may query one concurrently.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +36,11 @@ NeighborList = list[Neighbor]
 _INDEX_MAGIC = b"NTIX"
 _INDEX_VERSION = 1
 _HEADER = struct.Struct("<4sIBIqIIIQ")  # magic, version, mode, dim, seed, pivots, prefix, budget, count
+
+_U32 = 2.0 ** -24  # float32 unit roundoff
+_U64 = 2.0 ** -53  # float64 unit roundoff
+_TINY32 = 2.0 ** -149  # smallest float32 subnormal
+_F32_SAFE_NORM = float(np.sqrt(np.finfo(np.float32).max, dtype=np.float64)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,41 @@ def distance(a, b) -> float:
     return float(np.sqrt(np.dot(diff, diff)))
 
 
+def _rank_slack(dim: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
+    """Per query, how far above the k-th float32 score a needed row can sit.
+
+    A row's exact score s = |x|^2 - 2 x.q is computed as fl(n + g), with
+    n = fl32(|x|^2), b = -2 fl32(q) and g = fl32(x.b). With u = 2^-24 and
+    gamma_n = nu/(1 - nu), for any summation order: |n - |x|^2| <= gamma_D
+    |x|^2; rounding q moves 2 x.q by at most 2u|x||q|; |g - x.b| <= gamma_D
+    sum|x_j b_j| <= 2 gamma_D (1 + u)|x||q|; the add rounds by u(|n| + |g|).
+    Summed, the error is at most E = gamma_{D+3} (M^2 + 2M|q|) for every
+    row, M being the largest row norm. Underflow adds at most
+    A = (D + 1)(1 + M) 2^-149, and the float64 re-scoring of sum (x - q)^2
+    is off by at most e = gamma64_{D+2} (M + |q|)^2. With t the k-th
+    smallest float32 score, k rows score at most t, so the k-th smallest
+    exact score is at most t + E + A; a row of the re-scored top k (ties
+    included) scores exactly at most 2e above that, so in float32 at most
+    t + 2(E + A + e). The bound assumes no float32 overflow: once M + 2|q|
+    reaches half the root of the float32 maximum, every row is kept.
+    """
+    m, nu32, nu64 = max_norm, (dim + 3) * _U32, (dim + 2) * _U64
+    err32 = nu32 / (1.0 - nu32) * (m * m + 2.0 * m * q_norms)
+    err64 = nu64 / (1.0 - nu64) * (m + q_norms) ** 2
+    slack = 2.0 * (err32 + (dim + 1) * (1.0 + m) * _TINY32 + err64)
+    return np.where((m + 2.0 * q_norms < _F32_SAFE_NORM) & (nu32 < 0.5), slack, np.inf)
+
+
+@dataclass
+class _QueryCache:
+    """Lazy per-row arrays, built once under the lock and shared with budget views."""
+
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    norms: np.ndarray | None = None  # float32 squared row norms, summed in float64
+    max_norm: float = 0.0
+    id_rank: np.ndarray | None = None  # perm-prefix: each row's position in id order
+
+
 class VectorIndex:
     """Immutable id-to-vector collection answering kNN queries."""
 
@@ -89,11 +127,7 @@ class VectorIndex:
         self.config = config
         self.pivots = pivots  # (num_pivots, dim) float32 in perm-prefix mode
         self.assignments = assignments  # (count, prefix_len) int32 pivot indices
-        self._lock = threading.Lock()
-        self._values64: np.ndarray | None = None
-        self._norms64: np.ndarray | None = None
-        self._norm_scale: float = 0.0
-        self._id_rank: np.ndarray | None = None
+        self._cache = _QueryCache()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -103,73 +137,70 @@ class VectorIndex:
         return self.config.dim
 
     def with_candidate_budget(self, candidate_budget: int) -> "VectorIndex":
-        """A view of this index that scans a different number of candidates.
-
-        Shares all arrays with the original; only meaningful in
-        perm-prefix mode, where the budget is a query-time knob.
-        """
-        cfg = IndexConfig(
-            dim=self.config.dim, mode=self.config.mode,
-            num_pivots=self.config.num_pivots, prefix_len=self.config.prefix_len,
-            candidate_budget=candidate_budget, rng_seed=self.config.rng_seed,
-        )
-        return VectorIndex(self.ids, self.vectors, cfg, self.pivots, self.assignments)
+        """A view scanning a different number of candidates (a perm-prefix
+        query-time knob); it shares all arrays and lazy caches with this index."""
+        cfg = replace(self.config, candidate_budget=candidate_budget)
+        view = VectorIndex(self.ids, self.vectors, cfg, self.pivots, self.assignments)
+        view._cache = self._cache
+        return view
 
     # -- query-time caches ------------------------------------------------
 
-    def _ensure_caches(self):
-        if self._values64 is not None:
-            return
-        with self._lock:
-            if self._values64 is not None:
-                return
-            values64 = self.vectors.astype(np.float64)
-            norms = np.einsum("ij,ij->i", values64, values64)
-            self._norm_scale = float(norms.max()) if norms.size else 0.0
-            if self.config.mode == MODE_PERM_PREFIX:
-                order = sorted(range(len(self.ids)), key=lambda i: self.ids[i])
-                rank = np.empty(len(self.ids), dtype=np.int64)
-                rank[order] = np.arange(len(self.ids))
-                self._id_rank = rank
-            self._norms64 = norms
-            self._values64 = values64  # publish last; readers gate on this
+    def _ensure_caches(self) -> _QueryCache:
+        cache = self._cache
+        if cache.norms is not None:
+            return cache
+        with cache.lock:
+            if cache.norms is not None:
+                return cache
+            norms = np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64)
+            cache.max_norm = float(np.sqrt(norms.max()))
+            if self.config.mode == MODE_PERM_PREFIX:  # invert the id order
+                cache.id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
+            with np.errstate(over="ignore"):
+                cache.norms = norms.astype(np.float32)  # publish last; readers gate on this
+        return cache
 
     # -- ranking ----------------------------------------------------------
 
-    def _prepare_query(self, query) -> np.ndarray:
-        q = np.asarray(query, dtype=np.float64)
-        if q.ndim != 1:
-            raise ValueError("query must be a 1-d vector")
-        if q.shape[0] != self.config.dim:
-            raise DimensionMismatch(f"vector lengths differ: {q.shape[0]} vs {self.config.dim}")
-        if not np.isfinite(q).all():
-            raise ValueError("query vector must be finite")
-        return q
-
-    def _topk_rows(self, q: np.ndarray, k: int, rows: np.ndarray | None) -> NeighborList:
-        """Exact top-k by (distance, id) over all rows or a row subset."""
-        base = self._values64 if rows is None else self._values64[rows]
-        norms = self._norms64 if rows is None else self._norms64[rows]
+    def _topk(self, queries: np.ndarray, k: int, rows: np.ndarray | None = None,
+              chunk: int = 64) -> list[NeighborList]:
+        """Exact top-k by (distance, id) per query, over all rows or a row subset,
+        ranked in float32 into scratch buffers this call owns, re-scored in float64."""
+        cache = self._ensure_caches()
+        base = self.vectors if rows is None else self.vectors[rows]
         count = base.shape[0]
         kk = min(k, count)
-        if kk == 0:
-            return []
-        qq = float(q @ q)
-        approx = norms - 2.0 * (base @ q) + qq
         if kk < count:
-            thresh = float(np.partition(approx, kk - 1)[kk - 1])
-            # Margin must dominate the cancellation error of the expanded
-            # form so no true top-k row is filtered out; near-ties ride in
-            # and get settled by the exact re-scoring below.
-            slack = 1e-9 * (abs(thresh) + 1.0) + 1e-12 * (self._norm_scale + qq + 1.0)
-            cand = np.flatnonzero(approx <= thresh + slack)
-        else:
-            cand = np.arange(count)
-        diff = base[cand] - q
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        global_rows = cand if rows is None else rows[cand]
-        order = sorted(range(len(cand)), key=lambda i: (d2[i], self.ids[global_rows[i]]))[:kk]
-        return [(self.ids[global_rows[i]], float(np.sqrt(d2[i]))) for i in order]
+            norms = cache.norms if rows is None else cache.norms[rows]
+            scores = np.empty((min(chunk, len(queries)), count), dtype=np.float32)
+            kth = np.empty(count, dtype=np.float32)
+        out: list[NeighborList] = []
+        for start in range(0, len(queries), chunk):
+            block = queries[start : start + chunk]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if kk < count:
+                    ranked = scores[: len(block)]
+                    np.matmul((block * -2.0).astype(np.float32), base.T, out=ranked)
+                    ranked += norms
+                    slack = _rank_slack(self.config.dim, cache.max_norm,
+                                        np.sqrt(np.einsum("ij,ij->i", block, block)))
+                for r, q in enumerate(block):
+                    limit = np.float32(np.inf)  # inf: keep every row
+                    if kk < count:
+                        np.copyto(kth, ranked[r])
+                        kth.partition(kk - 1)
+                        # Rounding is monotone: a float32 score is at most the
+                        # float64 limit exactly when it is at most its rounding.
+                        limit = np.float32(kth[kk - 1] + slack[r])
+                    cand = np.flatnonzero(ranked[r] <= limit) if np.isfinite(limit) else np.arange(count)
+                    cand = cand if rows is None else rows[cand]
+                    diff = self.vectors[cand] - q
+                    d2 = np.einsum("ij,ij->i", diff, diff)
+                    cand_ids = np.array([self.ids[c] for c in cand.tolist()], dtype=object)
+                    order = np.lexsort((cand_ids, d2))[:kk]
+                    out.append(list(zip(cand_ids[order].tolist(), np.sqrt(d2[order]).tolist())))
+        return out
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
         diff = self.pivots.astype(np.float64) - q
@@ -182,27 +213,33 @@ class VectorIndex:
         # unrelated vectors. Final id tie-break keeps the order total, so a
         # larger budget always extends the candidate list rather than
         # reshuffling it.
-        agree = np.cumprod(self.assignments == q_prefix, axis=1).sum(axis=1)
+        agree = np.logical_and.accumulate(self.assignments == q_prefix, axis=1).sum(axis=1)
         shared = np.isin(self.assignments, q_prefix).sum(axis=1)
-        order = np.lexsort((self._id_rank, -shared, -agree))
+        order = np.lexsort((self._ensure_caches().id_rank, -shared, -agree))
         return order[: min(self.config.candidate_budget, len(self.ids))]
 
-    def knn(self, query, k: int) -> NeighborList:
-        """The k nearest stored vectors, closest first, ties by ascending id."""
+    def _search(self, queries: np.ndarray, k, chunk: int) -> list[NeighborList]:
+        """Validate (num_queries, dim) queries and k, then run the top-k core."""
+        if queries.shape[1] != self.config.dim:
+            raise DimensionMismatch(f"vector lengths differ: {queries.shape[1]} vs {self.config.dim}")
+        if not np.isfinite(queries).all():
+            raise ValueError("query vector must be finite")
         if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
             raise ValueError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        q = self._prepare_query(query)
-        self._ensure_caches()
         if self.config.mode == MODE_PERM_PREFIX:
             if k > self.config.candidate_budget:
-                raise ValueError(
-                    f"k={k} exceeds candidate_budget={self.config.candidate_budget}"
-                )
-            rows = self._perm_candidates(q)
-            return self._topk_rows(q, k, rows)
-        return self._topk_rows(q, int(k), None)
+                raise ValueError(f"k={k} exceeds candidate_budget={self.config.candidate_budget}")
+            return [self._topk(q[None, :], int(k), self._perm_candidates(q))[0] for q in queries]
+        return self._topk(queries, int(k), chunk=chunk)
+
+    def knn(self, query, k: int) -> NeighborList:
+        """The k nearest stored vectors, closest first, ties by ascending id."""
+        q = np.asarray(query, dtype=np.float64)
+        if q.ndim != 1:
+            raise ValueError("query must be a 1-d vector")
+        return self._search(q[None, :], k, 1)[0]
 
     def knn_batch(self, queries: np.ndarray, k: int, chunk: int = 64) -> list[NeighborList]:
         """knn for many queries at once; identical per-query results.
@@ -214,44 +251,7 @@ class VectorIndex:
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
             raise ValueError("knn_batch expects a (num_queries, dim) array")
-        if queries.shape[1] != self.config.dim:
-            raise DimensionMismatch(f"vector lengths differ: {queries.shape[1]} vs {self.config.dim}")
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if not np.isfinite(queries).all():
-            raise ValueError("query vectors must be finite")
-        self._ensure_caches()
-        if self.config.mode == MODE_PERM_PREFIX:
-            if k > self.config.candidate_budget:
-                raise ValueError(f"k={k} exceeds candidate_budget={self.config.candidate_budget}")
-            return [self._topk_rows(q, k, self._perm_candidates(q)) for q in queries]
-
-        count = len(self.ids)
-        kk = min(int(k), count)
-        out: list[NeighborList] = []
-        for start in range(0, queries.shape[0], chunk):
-            block = queries[start : start + chunk]
-            qq = np.einsum("ij,ij->i", block, block)
-            approx = self._norms64[None, :] - 2.0 * (block @ self._values64.T) + qq[:, None]
-            if kk < count:
-                thresh = np.partition(approx, kk - 1, axis=1)[:, kk - 1]
-            else:
-                thresh = None
-            for row in range(block.shape[0]):
-                q = block[row]
-                if thresh is None:
-                    cand = np.arange(count)
-                else:
-                    t = float(thresh[row])
-                    slack = 1e-9 * (abs(t) + 1.0) + 1e-12 * (self._norm_scale + qq[row] + 1.0)
-                    cand = np.flatnonzero(approx[row] <= t + slack)
-                diff = self._values64[cand] - q
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                order = sorted(range(len(cand)), key=lambda i: (d2[i], self.ids[cand[i]]))[:kk]
-                out.append([(self.ids[cand[i]], float(np.sqrt(d2[i]))) for i in order])
-        return out
+        return self._search(queries, k, chunk)
 
 
 def build_index(vectors, config: IndexConfig) -> VectorIndex:
@@ -308,14 +308,13 @@ def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int) ->
 
     Pivot-distance ties resolve to the lower pivot index (stable sort).
     """
-    values = matrix.astype(np.float64)
     piv = pivots.astype(np.float64)
     piv_norms = np.einsum("ij,ij->i", piv, piv)
-    count = values.shape[0]
+    count = matrix.shape[0]
     out = np.empty((count, prefix_len), dtype=np.int32)
     chunk = max(1, (1 << 22) // max(1, piv.shape[0]))
     for start in range(0, count, chunk):
-        block = values[start : start + chunk]
+        block = matrix[start : start + chunk].astype(np.float64)
         d2 = np.einsum("ij,ij->i", block, block)[:, None] - 2.0 * (block @ piv.T) + piv_norms[None, :]
         order = np.argsort(d2, axis=1, kind="stable")
         out[start : start + len(block)] = order[:, :prefix_len]

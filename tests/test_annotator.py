@@ -9,6 +9,7 @@ from neartag.annotator import (
     Query,
     annotate,
     annotate_batch,
+    gather_neighbor_words,
     load_candidate_lists,
     load_concepts,
     merge_neighbor_lists,
@@ -20,7 +21,7 @@ from neartag.annotator import (
 from neartag.analysis import AnalysisConfig
 from neartag.errors import EngineError, FormatError
 from neartag.index import IndexConfig, build_index_from_arrays
-from neartag.keywords import load_keywords
+from neartag.keywords import KeywordStore, load_keywords
 from neartag.lexicon import RelationType, load_lexicon
 
 
@@ -97,6 +98,29 @@ def test_merge_neighbor_lists_orders_by_distance_then_id():
 def test_merge_neighbor_lists_truncates_to_k():
     a = [("x", 0.1), ("y", 0.2)]
     assert len(merge_neighbor_lists([a], 1)) == 1
+
+
+class CountingStore(KeywordStore):
+    def __init__(self, records):
+        super().__init__(records)
+        self.calls = 0
+
+    def words_for(self, image_ids):
+        self.calls += 1
+        return super().words_for(image_ids)
+
+
+def test_gather_neighbor_words_batches_lookups_and_keeps_merged_order():
+    stores = [CountingStore({"a1": ["cat"], "a2": ["dog", "cat"], "a3": ["sky"]}),
+              CountingStore({"b1": ["sea"], "b3": ["sun"]})]
+    merged = [(0, "a1", 0.1), (0, "a2", 0.2), (1, "b1", 0.3), (1, "b2", 0.4),
+              (0, "a3", 0.5), (1, "b3", 0.6)]  # b2 has no keyword record
+    entries, missing = gather_neighbor_words(merged, stores)
+    assert entries == [("a1", ["cat"]), ("a2", ["dog", "cat"]), ("b1", ["sea"]),
+                       ("a3", ["sky"]), ("b3", ["sun"])]
+    assert missing == 1
+    # one lookup per run of same-dataset neighbors, not one per neighbor
+    assert [s.calls for s in stores] == [2, 2]
 
 
 # -- annotate end-to-end ---------------------------------------------------------

@@ -1,0 +1,109 @@
+"""Golden annotations: two fixed synthetic worlds, annotated end to end.
+
+Test 08 shows that reruns agree with each other; this file shows that
+they agree with annotation files committed under ``tests/golden/``, so
+a refactor that moves one score by one printed digit fails here.
+
+* ``exact-two-datasets``: an exact index split over two reference
+  datasets (even and odd rows), with some keyword records withheld, so
+  the merge across datasets and the missing-keyword path are covered.
+* ``perm-prefix``: one perm-prefix index whose budget is well below
+  the collection size, so the approximate filter decides the neighbors.
+
+To regenerate after a deliberate change of output, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import os
+import sys
+import tempfile
+
+from neartag.annotator import (
+    Dataset,
+    EngineParams,
+    Query,
+    annotate_batch,
+    load_candidate_lists,
+    load_concepts,
+    write_annotations,
+)
+from neartag.fvec import read_vectors
+from neartag.index import IndexConfig, build_index_from_arrays
+from neartag.keywords import KeywordStore, load_keywords
+from neartag.lexicon import load_lexicon
+from neartag.synth import SynthConfig, generate_corpus
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+WORLDS = {
+    "exact-two-datasets": dict(
+        synth=SynthConfig(rng_seed=11, dim=16, num_concepts=12, refs_per_concept=40,
+                          num_queries=40, cluster_noise_sigma=0.6, label_noise=0.2,
+                          category_rate=0.1),
+        index=dict(),
+        k=30,
+        split=True,
+    ),
+    "perm-prefix": dict(
+        synth=SynthConfig(rng_seed=12, dim=24, num_concepts=10, refs_per_concept=50,
+                          num_queries=40, cluster_noise_sigma=0.7, label_noise=0.15),
+        index=dict(mode="perm-prefix", num_pivots=16, prefix_len=4,
+                   candidate_budget=60, rng_seed=3),
+        k=20,
+        split=False,
+    ),
+}
+
+
+def annotate_world(name: str, out_path: str) -> None:
+    """Generate world ``name``, annotate all its queries, write the file."""
+    world = WORLDS[name]
+    cfg = world["synth"]
+    with tempfile.TemporaryDirectory() as root:
+        paths = generate_corpus(cfg, root)
+        ids, matrix = read_vectors(paths.refs)
+        store = load_keywords(paths.keywords)
+        lexicon = load_lexicon(paths.lexicon)
+        concepts = load_concepts(paths.concepts, lexicon)
+        qids, qmatrix = read_vectors(paths.queries)
+        candidates = load_candidate_lists(paths.candidates)
+    index_cfg = IndexConfig(dim=cfg.dim, **world["index"])
+    if world["split"]:
+        datasets = []
+        for parity in (0, 1):
+            rows = list(range(parity, len(ids), 2))
+            part_ids = [ids[r] for r in rows]
+            # every seventh id of each half has no keyword record
+            records = {rid: words for (rid, words) in store.words_for(part_ids)[0]
+                       if int(rid[-5:]) % 7 != 3}
+            datasets.append(Dataset(build_index_from_arrays(part_ids, matrix[rows], index_cfg),
+                                    KeywordStore(records)))
+    else:
+        datasets = [Dataset(build_index_from_arrays(ids, matrix, index_cfg), store)]
+    queries = [Query(id=qid, feature=qmatrix[i], candidates=candidates[qid])
+               for i, qid in enumerate(qids)]
+    annotations = annotate_batch(queries, datasets, lexicon, concepts, EngineParams(k=world["k"]))
+    write_annotations(out_path, annotations)
+
+
+def _check(name, tmp_path):
+    out = tmp_path / f"{name}.tsv"
+    annotate_world(name, str(out))
+    with open(os.path.join(GOLDEN_DIR, f"{name}.tsv"), "rb") as fh:
+        golden = fh.read()
+    assert out.read_bytes() == golden
+
+
+def test_golden_exact_two_datasets(tmp_path):
+    _check("exact-two-datasets", tmp_path)
+
+
+def test_golden_perm_prefix(tmp_path):
+    _check("perm-prefix", tmp_path)
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for world_name in WORLDS:
+        annotate_world(world_name, os.path.join(GOLDEN_DIR, f"{world_name}.tsv"))
+        print(f"wrote {world_name}.tsv", file=sys.stderr)

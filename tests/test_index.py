@@ -143,6 +143,14 @@ def test_knn_batch_matches_single_queries():
         assert got == index.knn(q, 12)
 
 
+def test_index_holds_no_float64_copy_of_the_vectors():
+    rng = np.random.default_rng(8)
+    index = make_index([f"v{i}" for i in range(300)], rng.standard_normal((300, 16)))
+    index.knn_batch(rng.standard_normal((5, 16)), 7)
+    held = [v for v in (*vars(index).values(), *vars(index._cache).values()) if isinstance(v, np.ndarray)]
+    assert all(a.dtype != np.float64 or a.size < index.vectors.size for a in held)
+
+
 # -- build ------------------------------------------------------------------
 
 def test_build_duplicate_id_named():
@@ -235,6 +243,26 @@ def test_perm_prefix_budget_growth_gives_candidate_superset():
     big._ensure_caches()
     larger = big._perm_candidates(np.asarray(q, dtype=np.float64))
     assert set(small.tolist()) <= set(larger.tolist())
+
+
+def test_budget_view_shares_caches_and_matches_fresh_index():
+    rng = np.random.default_rng(13)
+    ids, matrix = clustered(rng)
+    cfg = dict(mode="perm-prefix", num_pivots=16, prefix_len=4, rng_seed=3)
+    base = make_index(ids, matrix, candidate_budget=30, **cfg)
+    early = base.with_candidate_budget(60)  # made before any cache exists
+    queries = rng.standard_normal((12, 16))
+    early.knn(queries[0], 5)
+    cache = base._cache
+    norms, rank = cache.norms, cache.id_rank
+    assert norms is not None and rank is not None
+    for budget in (60, 90, 320):
+        view = base.with_candidate_budget(budget)
+        fresh = make_index(ids, matrix, candidate_budget=budget, **cfg)
+        assert view.knn_batch(queries, 10) == fresh.knn_batch(queries, 10)
+        assert [view.knn(q, 10) for q in queries] == [fresh.knn(q, 10) for q in queries]
+        # querying the view built no per-row arrays of its own
+        assert view._cache is cache and cache.norms is norms and cache.id_rank is rank
 
 
 def test_perm_prefix_k_over_budget_rejected():
