@@ -45,13 +45,11 @@ from .evaluation import (
     load_ground_truth,
     sample_prf,
 )
-from .fvec import FeatureVector, read_feature_vectors, read_vectors, write_vectors
+from .fvec import read_vectors, write_vectors
 from .index import (
     IndexConfig,
     VectorIndex,
-    build_index,
     build_index_from_arrays,
-    distance,
     load_index,
     save_index,
 )

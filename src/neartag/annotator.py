@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -27,6 +28,11 @@ from .errors import EngineError, FormatError
 from .index import VectorIndex
 from .keywords import KeywordStore
 from .lexicon import Lexicon
+
+# Phase names: keys of annotate_batch's ``timings`` and rows of the CLI's timing table.
+SIMILARITY_SEARCH = "similarity search"
+KEYWORD_FETCH = "keyword fetch"
+SEMANTIC_ANALYSIS = "semantic analysis"
 
 
 @dataclass(frozen=True)
@@ -232,30 +238,47 @@ def annotate(query: Query, datasets: list[Dataset], lexicon: Lexicon,
 
 def _annotate_from_neighbors(query: Query, per_dataset: list[list[tuple[str, float]]],
                              datasets: list[Dataset], lexicon: Lexicon,
-                             concepts: dict[str, ConceptDef], params: EngineParams) -> Annotation:
+                             concepts: dict[str, ConceptDef], params: EngineParams,
+                             timings: dict[str, list[float]] | None = None) -> Annotation:
+    start = time.perf_counter()
     merged = merge_neighbor_lists(per_dataset, params.k)
     neighbor_words, _missing = gather_neighbor_words(merged, [ds.keywords for ds in datasets])
-    return annotate_from_words(query, neighbor_words, lexicon, concepts, params)
+    fetched = time.perf_counter()
+    annotation = annotate_from_words(query, neighbor_words, lexicon, concepts, params)
+    if timings is not None:
+        timings.setdefault(KEYWORD_FETCH, []).append(fetched - start)
+        timings.setdefault(SEMANTIC_ANALYSIS, []).append(time.perf_counter() - fetched)
+    return annotation
 
 
 def annotate_batch(queries: list[Query], datasets: list[Dataset], lexicon: Lexicon,
                    concepts: dict[str, ConceptDef], params: EngineParams,
-                   search_chunk: int = 64) -> list[Annotation]:
+                   timings: dict[str, list[float]] | None = None) -> list[Annotation]:
     """Annotate many queries; results are collated by ascending query id.
 
     Retrieval runs through the batched kNN path for throughput; the
     per-query semantic stage is unchanged, so results match repeated
     single-query annotate calls exactly.
+
+    When ``timings`` is given, seconds are appended to its lists: the
+    batched search's total under ``SIMILARITY_SEARCH`` (a batch has no
+    per-query search time), and each query's keyword fetch and semantic
+    analysis under ``KEYWORD_FETCH`` and ``SEMANTIC_ANALYSIS``. The
+    annotations do not depend on it.
     """
     if not queries:
         return []
     ordered = sorted(queries, key=lambda q: q.id)
     features = np.stack([np.asarray(q.feature, dtype=np.float64) for q in ordered])
-    neighbor_lists = [ds.index.knn_batch(features, params.k, chunk=search_chunk) for ds in datasets]
+    start = time.perf_counter()
+    neighbor_lists = [ds.index.knn_batch(features, params.k) for ds in datasets]
+    if timings is not None:
+        timings.setdefault(SIMILARITY_SEARCH, []).append(time.perf_counter() - start)
     out = []
     for qi, query in enumerate(ordered):
         per_dataset = [neighbor_lists[d][qi] for d in range(len(datasets))]
-        out.append(_annotate_from_neighbors(query, per_dataset, datasets, lexicon, concepts, params))
+        out.append(_annotate_from_neighbors(query, per_dataset, datasets, lexicon, concepts,
+                                            params, timings))
     return out
 
 

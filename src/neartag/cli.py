@@ -6,6 +6,12 @@ annotation file against ground truth, optionally as a relation-ablation
 sweep), ``generate`` (seeded synthetic corpus), and ``bench``
 (per-phase throughput measurements).
 
+``annotate``, ``bench`` and ``evaluate --ablation`` all annotate through
+``annotator.annotate_batch``, so the timings ``annotate`` and ``bench``
+print are of the code the library runs. Both print one table: index,
+lexicon and feature loading, the batched similarity search, and the
+per-query keyword fetch and semantic analysis with percentiles.
+
 Every command exits nonzero on bad input, without leaving partial
 output files behind.
 """
@@ -21,15 +27,16 @@ import numpy as np
 
 from . import fvec
 from .annotator import (
+    KEYWORD_FETCH,
+    SEMANTIC_ANALYSIS,
+    SIMILARITY_SEARCH,
     Annotation,
     Dataset,
     EngineParams,
     Query,
-    annotate_from_words,
-    gather_neighbor_words,
+    annotate_batch,
     load_candidate_lists,
     load_concepts,
-    merge_neighbor_lists,
     read_annotations,
     write_annotations,
 )
@@ -169,6 +176,8 @@ def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | N
                   all_concept_names: list[str] | None = None) -> list[Query]:
     _check_exists(queries_path, "query feature file")
     ids, matrix = fvec.read_vectors(queries_path)
+    if not ids:
+        raise EngineError(f"no queries in {queries_path}")
     if matrix.shape[1] != cfg.dim:
         raise EngineError(f"query dimensionality {matrix.shape[1]} does not match configured {cfg.dim}")
     if candidates_path is not None:
@@ -186,73 +195,56 @@ def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | N
     return [Query(qid, matrix[i], fallback) for i, qid in enumerate(ids)]
 
 
-def _phase_table(rows: list[tuple[str, float, int]], percentiles: dict[str, tuple[float, float, float]] | None = None) -> str:
-    lines = []
-    if percentiles is None:
-        lines.append(f"{'phase':<20} {'total_s':>9} {'ms/query':>10}")
-        for name, total, count in rows:
-            per = 1000.0 * total / count if count else 0.0
-            lines.append(f"{name:<20} {total:>9.3f} {per:>10.3f}")
-    else:
-        lines.append(f"{'phase':<20} {'total_s':>9} {'ms/query':>10} {'p50_ms':>8} {'p90_ms':>8} {'p99_ms':>8}")
-        for name, total, count in rows:
-            per = 1000.0 * total / count if count else 0.0
-            p50, p90, p99 = percentiles.get(name, (per, per, per))
-            lines.append(f"{name:<20} {total:>9.3f} {per:>10.3f} {p50:>8.3f} {p90:>8.3f} {p99:>8.3f}")
+def _engine_params(cfg: EngineConfig) -> EngineParams:
+    return EngineParams(k=cfg.k, m=cfg.m, analysis=cfg.analysis_config())
+
+
+# A timing row: (phase, total seconds, per-query seconds or None).
+_PhaseRow = tuple[str, float, list[float] | None]
+
+
+def _annotate_timed(cfg: EngineConfig, args: argparse.Namespace
+                    ) -> tuple[list[Annotation], list[_PhaseRow], list[_PhaseRow]]:
+    """Load the inputs and annotate the queries, timing each phase.
+
+    Returns (annotations, setup rows, per-query work rows). Setup is
+    loading (or building) the indexes and loading the lexicon; the work
+    rows are what every query costs, from reading its features on.
+    """
+    t0 = time.perf_counter()
+    datasets = _load_datasets(cfg)
+    t1 = time.perf_counter()
+    lexicon, concepts = _load_semantics(cfg)
+    t2 = time.perf_counter()
+    queries = _load_queries(cfg, args.queries, args.candidates, sorted(concepts))
+    t3 = time.perf_counter()
+    timings: dict[str, list[float]] = {}
+    annotations = annotate_batch(queries, datasets, lexicon, concepts, _engine_params(cfg), timings)
+    setup = [("index load", t1 - t0, None), ("lexicon load", t2 - t1, None)]
+    work: list[_PhaseRow] = [("feature load", t3 - t2, None),
+                            (SIMILARITY_SEARCH, sum(timings[SIMILARITY_SEARCH]), None)]
+    work += [(name, sum(timings[name]), timings[name]) for name in (KEYWORD_FETCH, SEMANTIC_ANALYSIS)]
+    return annotations, setup, work
+
+
+def _phase_table(rows: list[_PhaseRow], num_queries: int) -> str:
+    """Total and mean time per phase, with percentiles where a phase was
+    timed query by query ("-" for loads and for the batched search)."""
+    lines = [f"{'phase':<20} {'total_s':>9} {'ms/query':>10} {'p50_ms':>8} {'p90_ms':>8} {'p99_ms':>8}"]
+    for name, total, samples in rows:
+        line = f"{name:<20} {total:>9.3f} {1000.0 * total / num_queries:>10.3f}"
+        if samples is None:
+            line += f" {'-':>8} {'-':>8} {'-':>8}"
+        else:
+            line += "".join(f" {p:>8.3f}" for p in np.percentile(1000.0 * np.array(samples), (50, 90, 99)))
+        lines.append(line)
     return "\n".join(lines)
 
 
-def _run_pipeline(cfg: EngineConfig, datasets: list[Dataset], lexicon, concepts,
-                  queries: list[Query], search_chunk: int = 64):
-    """Annotate queries, timing each phase. Returns (annotations, rows, samples)."""
-    params = EngineParams(k=cfg.k, m=cfg.m, analysis=cfg.analysis_config())
-    ordered = sorted(queries, key=lambda q: q.id)
-    features = np.stack([np.asarray(q.feature, dtype=np.float64) for q in ordered])
-
-    search_samples: list[float] = []
-    t0 = time.perf_counter()
-    neighbor_lists: list[list] = [[] for _ in datasets]
-    for start in range(0, len(ordered), search_chunk):
-        block = features[start : start + search_chunk]
-        tb = time.perf_counter()
-        for d, ds in enumerate(datasets):
-            neighbor_lists[d].extend(ds.index.knn_batch(block, params.k, chunk=search_chunk))
-        per = (time.perf_counter() - tb) * 1000.0 / len(block)
-        search_samples.extend([per] * len(block))
-    search_total = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    word_samples: list[float] = []
-    all_words = []
-    stores = [ds.keywords for ds in datasets]
-    for qi in range(len(ordered)):
-        tq = time.perf_counter()
-        merged = merge_neighbor_lists([neighbor_lists[d][qi] for d in range(len(datasets))], params.k)
-        words, _missing = gather_neighbor_words(merged, stores)
-        all_words.append(words)
-        word_samples.append((time.perf_counter() - tq) * 1000.0)
-    words_total = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    analysis_samples: list[float] = []
-    annotations: list[Annotation] = []
-    for qi, query in enumerate(ordered):
-        tq = time.perf_counter()
-        annotations.append(annotate_from_words(query, all_words[qi], lexicon, concepts, params))
-        analysis_samples.append((time.perf_counter() - tq) * 1000.0)
-    analysis_total = time.perf_counter() - t0
-
-    rows = [
-        ("similarity search", search_total, len(ordered)),
-        ("keyword fetch", words_total, len(ordered)),
-        ("semantic analysis", analysis_total, len(ordered)),
-    ]
-    samples = {
-        "similarity search": search_samples,
-        "keyword fetch": word_samples,
-        "semantic analysis": analysis_samples,
-    }
-    return annotations, rows, samples
+def _warn_silent(annotations: list[Annotation]) -> None:
+    silent = sum(1 for a in annotations if a.no_keyword_signal)
+    if silent:
+        print(f"warning: {silent} query/queries produced no lexicon-matching keywords")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -284,25 +276,13 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     _require_datasets(cfg)
     if not cfg.output_path:
         raise EngineError("no output path configured (output / --output)")
-    datasets = _load_datasets(cfg)
-    lexicon, concepts = _load_semantics(cfg)
-
-    t0 = time.perf_counter()
-    queries = _load_queries(cfg, args.queries, args.candidates, sorted(concepts))
-    load_total = time.perf_counter() - t0
-
-    annotations, rows, _samples = _run_pipeline(cfg, datasets, lexicon, concepts, queries,
-                                                search_chunk=args.search_chunk)
+    annotations, setup, work = _annotate_timed(cfg, args)
     write_annotations(cfg.output_path, annotations)
-
-    rows = [("feature load", load_total, len(queries))] + rows
-    print(_phase_table(rows))
-    total = sum(r[1] for r in rows)
-    qps = len(queries) / total if total > 0 else float("inf")
-    print(f"annotated {len(queries)} queries -> {cfg.output_path} ({total:.2f}s, {qps:.1f} q/s)")
-    silent = sum(1 for a in annotations if a.no_keyword_signal)
-    if silent:
-        print(f"warning: {silent} query/queries produced no lexicon-matching keywords")
+    print(_phase_table(setup + work, len(annotations)))
+    total = sum(row[1] for row in work)
+    qps = len(annotations) / total if total > 0 else float("inf")
+    print(f"annotated {len(annotations)} queries -> {cfg.output_path} ({total:.2f}s, {qps:.1f} q/s)")
+    _warn_silent(annotations)
     return 0
 
 
@@ -327,7 +307,7 @@ def run_ablation(cfg: EngineConfig, datasets: list[Dataset], lexicon, concepts,
     results = []
     for label, make in _ABLATION_LEVELS:
         level_cfg = replace(cfg, **make(cfg))
-        annotations, _rows, _samples = _run_pipeline(level_cfg, datasets, lexicon, concepts, queries)
+        annotations = annotate_batch(queries, datasets, lexicon, concepts, _engine_params(level_cfg))
         results.append((label, evaluate(annotations, truth, concepts)))
     return results
 
@@ -384,29 +364,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _require_datasets(cfg)
-    datasets = _load_datasets(cfg)
-    lexicon, concepts = _load_semantics(cfg)
-
-    t0 = time.perf_counter()
-    queries = _load_queries(cfg, args.queries, args.candidates, sorted(concepts))
-    load_total = time.perf_counter() - t0
-
-    annotations, rows, samples = _run_pipeline(cfg, datasets, lexicon, concepts, queries,
-                                               search_chunk=args.batch)
-    rows = [("feature load", load_total, len(queries))] + rows
-    percentiles = {}
-    for name, values in samples.items():
-        arr = np.array(values)
-        percentiles[name] = tuple(float(np.percentile(arr, p)) for p in (50, 90, 99))
-    print(_phase_table(rows, percentiles))
-    search_total = next(r[1] for r in rows if r[0] == "similarity search")
-    total = sum(r[1] for r in rows)
-    print(f"search throughput: {len(queries) / search_total:.1f} q/s"
-          f" (batch {args.batch}, {len(queries)} queries)")
-    print(f"end-to-end throughput: {len(queries) / total:.1f} q/s")
-    silent = sum(1 for a in annotations if a.no_keyword_signal)
-    if silent:
-        print(f"warning: {silent} query/queries produced no lexicon-matching keywords")
+    annotations, setup, work = _annotate_timed(cfg, args)
+    print(_phase_table(setup + work, len(annotations)))
+    search_total = next(row[1] for row in work if row[0] == SIMILARITY_SEARCH)
+    total = sum(row[1] for row in work)
+    print(f"search throughput: {len(annotations) / search_total:.1f} q/s ({len(annotations)} queries)")
+    print(f"end-to-end throughput: {len(annotations) / total:.1f} q/s")
+    _warn_silent(annotations)
     return 0
 
 
@@ -423,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p)
     p.add_argument("--queries", required=True, help="query feature file")
     p.add_argument("--candidates", help="per-query candidate concept lists")
-    p.add_argument("--search-chunk", type=int, default=64, help="queries per search batch")
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("evaluate", help="score annotations against ground truth")
@@ -460,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p)
     p.add_argument("--queries", required=True, help="query feature file")
     p.add_argument("--candidates", help="per-query candidate lists (default: all concepts)")
-    p.add_argument("--batch", type=int, default=64, help="queries per search batch")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -1,15 +1,16 @@
-"""Binary feature-vector files.
+"""Binary feature-vector files, and the record codec the index reuses.
 
 Layout: one ASCII header line ``FVEC 1 <dim> <count>\\n`` followed by
 ``count`` records. Each record is a little-endian uint16 giving the byte
 length of the UTF-8 image id, the id bytes themselves, then ``dim``
-float32 components (little endian).
+float32 components (little endian). Saved indexes (``index.py``) hold
+the same records after their own binary header; ``_write_records`` and
+``_read_records`` are the only code that writes or reads them.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +20,7 @@ MAGIC = "FVEC"
 VERSION = 1
 
 _MAX_ID_BYTES = 0xFFFF
-
-
-@dataclass(slots=True)
-class FeatureVector:
-    """One image id paired with its feature components."""
-
-    id: str
-    values: np.ndarray
+_ID_LEN = struct.Struct("<H")
 
 
 def _check_id(image_id: str) -> bytes:
@@ -36,6 +30,52 @@ def _check_id(image_id: str) -> bytes:
     if len(raw) > _MAX_ID_BYTES:
         raise ValueError(f"image id too long ({len(raw)} bytes, limit {_MAX_ID_BYTES})")
     return raw
+
+
+def _write_records(path: str, header: bytes, ids: list[str], matrix: np.ndarray,
+                   trailer: bytes = b"") -> None:
+    """Write ``header``, one record per (id, row), then ``trailer`` to ``path``.
+
+    Every id is checked before the file is opened, so a bad id leaves
+    no file behind.
+    """
+    raw_ids = [_check_id(image_id) for image_id in ids]
+    data = np.ascontiguousarray(matrix, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for raw, row in zip(raw_ids, data):
+            fh.write(_ID_LEN.pack(len(raw)))
+            fh.write(raw)
+            fh.write(row.tobytes())
+        fh.write(trailer)
+
+
+def _read_records(fh, path: str, count: int, dim: int) -> tuple[list[str], np.ndarray]:
+    """Read ``count`` records from ``fh``: (ids, float32 matrix of shape (count, dim)).
+
+    Truncation, empty or non-UTF-8 ids and non-finite components raise
+    FormatError naming ``path``.
+    """
+    ids: list[str] = []
+    matrix = np.empty((count, dim), dtype="<f4")
+    rec_bytes = dim * 4
+    for i in range(count):
+        head = fh.read(2)
+        if len(head) != 2:
+            raise FormatError(f"truncated file in record {i}", path=path)
+        (id_len,) = _ID_LEN.unpack(head)
+        if id_len == 0:
+            raise FormatError(f"record {i} has an empty id", path=path)
+        raw = fh.read(id_len)
+        if len(raw) != id_len or fh.readinto(matrix[i]) != rec_bytes:  # values land in place
+            raise FormatError(f"truncated file in record {i}", path=path)
+        try:
+            ids.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"record {i} id is not valid UTF-8", path=path) from None
+    if count and not np.isfinite(matrix).all():
+        raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
+    return ids, matrix
 
 
 def write_vectors(path: str, ids: list[str], matrix: np.ndarray) -> None:
@@ -51,24 +91,10 @@ def write_vectors(path: str, ids: list[str], matrix: np.ndarray) -> None:
         raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} vectors")
     if not np.isfinite(matrix).all():
         raise ValueError("feature vectors must be finite (found nan or inf)")
-    data = np.ascontiguousarray(matrix, dtype="<f4")
-    count, dim = data.shape
+    count, dim = matrix.shape
     if dim < 1:
         raise ValueError("vector dimensionality must be at least 1")
-    with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {VERSION} {dim} {count}\n".encode("ascii"))
-        for i, image_id in enumerate(ids):
-            raw = _check_id(image_id)
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(data[i].tobytes())
-
-
-def _read_exact(fh, n: int, path: str, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}", path=path)
-    return buf
+    _write_records(path, f"{MAGIC} {VERSION} {dim} {count}\n".encode("ascii"), ids, matrix)
 
 
 def read_vectors(path: str) -> tuple[list[str], np.ndarray]:
@@ -88,29 +114,7 @@ def read_vectors(path: str) -> tuple[list[str], np.ndarray]:
             raise FormatError(f"unsupported format version {version} (expected {VERSION})", path=path)
         if dim < 1 or count < 0:
             raise FormatError(f"invalid header values dim={dim} count={count}", path=path)
-
-        ids: list[str] = []
-        matrix = np.empty((count, dim), dtype=np.float32)
-        rec_bytes = dim * 4
-        for i in range(count):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, f"record {i}"))
-            if id_len == 0:
-                raise FormatError(f"record {i} has an empty id", path=path)
-            raw = _read_exact(fh, id_len, path, f"record {i} id")
-            try:
-                ids.append(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise FormatError(f"record {i} id is not valid UTF-8", path=path) from None
-            vec = _read_exact(fh, rec_bytes, path, f"record {i} values")
-            matrix[i] = np.frombuffer(vec, dtype="<f4")
+        ids, matrix = _read_records(fh, path, count, dim)
         if fh.read(1):
             raise FormatError(f"trailing data after {count} records", path=path)
-    if count and not np.isfinite(matrix).all():
-        raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
     return ids, matrix
-
-
-def read_feature_vectors(path: str) -> list[FeatureVector]:
-    """Read a feature file as FeatureVector records (row views into one array)."""
-    ids, matrix = read_vectors(path)
-    return [FeatureVector(i, matrix[n]) for n, i in enumerate(ids)]

@@ -15,6 +15,12 @@ Two modes share one query interface and one exact top-k routine:
 Vectors are held only as float32. Results order by (distance, id
 ascending) so ties are stable across runs and platforms. Indexes are
 immutable once built; any number of threads may query one concurrently.
+
+``build_index_from_arrays`` builds an index from ids and a (count, dim)
+array, for instance the pair ``fvec.read_vectors`` returns.
+``save_index`` writes a binary header, the vectors as ``.fvec`` records
+(``fvec.py`` holds the one record codec), then, in perm-prefix mode,
+the pivots and prefix assignments; ``load_index`` reads them back.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, EngineError, FormatError
+from .fvec import _read_records, _write_records
 
 MODE_EXACT = "exact"
 MODE_PERM_PREFIX = "perm-prefix"
@@ -68,18 +75,6 @@ class IndexConfig:
                 )
             if self.candidate_budget < 1:
                 raise ValueError(f"candidate_budget must be positive, got {self.candidate_budget}")
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two vectors, accumulated in float64."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.ndim != 1 or bv.ndim != 1:
-        raise ValueError("distance expects 1-d vectors")
-    if av.shape[0] != bv.shape[0]:
-        raise DimensionMismatch(f"vector lengths differ: {av.shape[0]} vs {bv.shape[0]}")
-    diff = av - bv
-    return float(np.sqrt(np.dot(diff, diff)))
 
 
 def _rank_slack(dim: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
@@ -254,23 +249,6 @@ class VectorIndex:
         return self._search(queries, k, chunk)
 
 
-def build_index(vectors, config: IndexConfig) -> VectorIndex:
-    """Build an index from FeatureVector records (or (id, values) pairs)."""
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    for item in vectors:
-        if isinstance(item, tuple):
-            image_id, values = item
-        else:
-            image_id, values = item.id, item.values
-        ids.append(image_id)
-        rows.append(np.asarray(values))
-    if not ids:
-        raise ValueError("cannot build an index from zero vectors")
-    matrix = np.ascontiguousarray(np.stack(rows), dtype=np.float32)
-    return build_index_from_arrays(ids, matrix, config)
-
-
 def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexConfig) -> VectorIndex:
     """Build an index from a pre-assembled (count, dim) array."""
     if len(ids) == 0:
@@ -330,40 +308,40 @@ def save_index(index: VectorIndex, path: str) -> None:
 
     The container embeds dimensionality, mode, build seed, and (in
     perm-prefix mode) the pivot vectors and prefix assignments, so a
-    load needs no rebuild work.
+    load needs no rebuild work. After the binary header come the
+    vectors as ``.fvec`` records (see ``fvec.py``); every id is checked
+    before the file is opened.
     """
     cfg = index.config
     perm = cfg.mode == MODE_PERM_PREFIX
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(
-            _INDEX_MAGIC, _INDEX_VERSION, _MODE_CODES[cfg.mode], cfg.dim, cfg.rng_seed,
-            cfg.num_pivots if perm else 0,
-            cfg.prefix_len if perm else 0,
-            cfg.candidate_budget if perm else 0,
-            len(index.ids),
-        ))
-        data = np.ascontiguousarray(index.vectors, dtype="<f4")
-        for i, image_id in enumerate(index.ids):
-            raw = image_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(data[i].tobytes())
-        if perm:
-            fh.write(np.ascontiguousarray(index.pivots, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(index.assignments, dtype="<i4").tobytes())
+    header = _HEADER.pack(
+        _INDEX_MAGIC, _INDEX_VERSION, _MODE_CODES[cfg.mode], cfg.dim, cfg.rng_seed,
+        cfg.num_pivots if perm else 0,
+        cfg.prefix_len if perm else 0,
+        cfg.candidate_budget if perm else 0,
+        len(index.ids),
+    )
+    trailer = b""
+    if perm:
+        trailer = (np.ascontiguousarray(index.pivots, dtype="<f4").tobytes()
+                   + np.ascontiguousarray(index.assignments, dtype="<i4").tobytes())
+    _write_records(path, header, index.ids, index.vectors, trailer)
 
 
 def load_index(path: str, config: IndexConfig) -> VectorIndex:
     """Load an index saved by save_index, checking it against ``config``.
 
     The stored dimensionality and mode must match the caller's
-    expectation; structural parameters come from the file itself.
+    expectation; structural parameters (pivots, prefix length, build
+    seed) come from the file itself. The candidate budget is a
+    query-time setting and comes from ``config``; the budget stored in
+    the file is not used.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise FormatError("truncated index header", path=path)
-        magic, version, mode_code, dim, seed, num_pivots, prefix_len, budget, count = _HEADER.unpack(raw)
+        magic, version, mode_code, dim, seed, num_pivots, prefix_len, _budget, count = _HEADER.unpack(raw)
         if magic != _INDEX_MAGIC:
             raise FormatError(f"not an index file (magic {magic!r})", path=path)
         if version != _INDEX_VERSION:
@@ -380,23 +358,7 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
         if count < 1:
             raise FormatError(f"index holds no vectors (count={count})", path=path)
 
-        ids: list[str] = []
-        matrix = np.empty((count, dim), dtype=np.float32)
-        rec_bytes = dim * 4
-        for i in range(count):
-            head = fh.read(2)
-            if len(head) != 2:
-                raise FormatError(f"truncated file in record {i}", path=path)
-            (id_len,) = struct.unpack("<H", head)
-            raw_id = fh.read(id_len)
-            vec = fh.read(rec_bytes)
-            if len(raw_id) != id_len or len(vec) != rec_bytes:
-                raise FormatError(f"truncated file in record {i}", path=path)
-            try:
-                ids.append(raw_id.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise FormatError(f"record {i} id is not valid UTF-8", path=path) from None
-            matrix[i] = np.frombuffer(vec, dtype="<f4")
+        ids, matrix = _read_records(fh, path, count, dim)
 
         pivots = None
         assignments = None
@@ -416,7 +378,7 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
         dim=dim, mode=mode,
         num_pivots=num_pivots if mode == MODE_PERM_PREFIX else config.num_pivots,
         prefix_len=prefix_len if mode == MODE_PERM_PREFIX else config.prefix_len,
-        candidate_budget=budget if mode == MODE_PERM_PREFIX else config.candidate_budget,
+        candidate_budget=config.candidate_budget,
         rng_seed=seed,
     )
     return VectorIndex(ids, matrix, loaded_cfg, pivots, assignments)

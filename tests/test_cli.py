@@ -145,11 +145,22 @@ def test_evaluate_ablation_prints_four_rows(corpus, capsys):
     assert len(data_rows) == 4
 
 
+def test_evaluate_ablation_matches_golden(corpus, capsys):
+    rc = main(["evaluate", "--config", conf(corpus), "--k", "10",
+               "--truth", os.path.join(corpus, "truth.tsv"),
+               "--queries", os.path.join(corpus, "queries.fvec"),
+               "--candidates", os.path.join(corpus, "candidates.tsv"),
+               "--ablation"])
+    assert rc == 0
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "ablation.txt")
+    with open(golden, encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_bench_reports_phases_and_throughput(corpus, capsys):
     rc = main(["bench", "--config", conf(corpus), "--k", "10",
                "--queries", os.path.join(corpus, "queries.fvec"),
-               "--candidates", os.path.join(corpus, "candidates.tsv"),
-               "--batch", "8"])
+               "--candidates", os.path.join(corpus, "candidates.tsv")])
     assert rc == 0
     out = capsys.readouterr().out
     for phase in ("feature load", "similarity search", "keyword fetch", "semantic analysis"):
@@ -157,6 +168,24 @@ def test_bench_reports_phases_and_throughput(corpus, capsys):
     assert "p50_ms" in out
     assert "search throughput" in out
     assert "end-to-end throughput" in out
+
+
+def test_timing_table_has_load_rows_and_no_search_percentiles(corpus, capsys):
+    assert main(["bench", "--config", conf(corpus), "--k", "10",
+                 "--queries", os.path.join(corpus, "queries.fvec"),
+                 "--candidates", os.path.join(corpus, "candidates.tsv")]) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        for phase in ("index load", "lexicon load", "feature load", "similarity search",
+                      "keyword fetch", "semantic analysis"):
+            if line.startswith(phase):
+                rows[phase] = line[len(phase):].split()
+    assert len(rows) == 6
+    for phase in ("index load", "lexicon load", "feature load", "similarity search"):
+        assert rows[phase][2:] == ["-", "-", "-"], phase  # not timed query by query
+    for phase in ("keyword fetch", "semantic analysis"):
+        p50, p90, p99 = (float(v) for v in rows[phase][2:])
+        assert 0.0 <= p50 <= p90 <= p99
 
 
 def test_annotate_loads_prebuilt_index(corpus, capsys):
@@ -211,3 +240,33 @@ def test_no_partial_output_on_failure(corpus, tmp_path, capsys):
     assert rc != 0
     capsys.readouterr()
     assert not os.path.exists(out_path)
+
+
+def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):
+    import neartag.cli
+
+    calls = []
+    real = neartag.cli.annotate_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    out_path = os.path.join(corpus, "annotations.tsv")
+    inputs = ["--queries", os.path.join(corpus, "queries.fvec"),
+              "--candidates", os.path.join(corpus, "candidates.tsv")]
+    assert main(["annotate", "--config", conf(corpus), "--k", "10", *inputs]) == 0
+    unpatched = open(out_path, "rb").read()
+    monkeypatch.setattr(neartag.cli, "annotate_batch", counting)
+    assert main(["annotate", "--config", conf(corpus), "--k", "10", *inputs]) == 0
+    assert len(calls) == 1
+    assert open(out_path, "rb").read() == unpatched
+    assert main(["bench", "--config", conf(corpus), "--k", "10", *inputs]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+    assert main(["evaluate", "--config", conf(corpus), "--k", "10", *inputs, "--ablation",
+                 "--truth", os.path.join(corpus, "truth.tsv")]) == 0
+    assert len(calls) == 6
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "ablation.txt")
+    with open(golden, encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -55,7 +55,7 @@ def test_rejects_nan_on_write(tmp_path):
     bad = np.array([[1.0, float("nan")]], dtype=np.float32)
     with pytest.raises(ValueError, match="finite"):
         fvec.write_vectors(path, ["a"], bad)
-    assert not (tmp_path / "v.fvec").exists() or True  # no strict guarantee, write refused before data
+    assert not (tmp_path / "v.fvec").exists()
 
 
 def test_rejects_nan_on_read(tmp_path):
@@ -118,10 +118,18 @@ def test_id_count_must_match_rows(tmp_path):
         fvec.write_vectors(path, ["a", "b"], np.ones((1, 2), dtype=np.float32))
 
 
-def test_read_feature_vectors_records(tmp_path):
-    path = str(tmp_path / "v.fvec")
-    matrix = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-    fvec.write_vectors(path, ["a", "b"], matrix)
-    records = fvec.read_feature_vectors(path)
-    assert [r.id for r in records] == ["a", "b"]
-    assert np.array_equal(records[1].values, matrix[1])
+def test_bad_later_id_leaves_no_file(tmp_path):
+    path = tmp_path / "v.fvec"
+    with pytest.raises(ValueError, match="non-empty"):
+        fvec.write_vectors(str(path), ["a", ""], np.ones((2, 2), dtype=np.float32))
+    assert not path.exists()
+
+
+def test_truncation_at_every_offset_is_a_format_error(tmp_path):
+    path = tmp_path / "v.fvec"
+    fvec.write_vectors(str(path), ["a", "bé"], np.arange(6, dtype=np.float32).reshape(2, 3))
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match="v.fvec"):
+            fvec.read_vectors(str(path))

@@ -9,6 +9,8 @@ a refactor that moves one score by one printed digit fails here.
   the merge across datasets and the missing-keyword path are covered.
 * ``perm-prefix``: one perm-prefix index whose budget is well below
   the collection size, so the approximate filter decides the neighbors.
+  It is also annotated through ``neartag annotate``, with and without a
+  saved index, which must write the same bytes as the library.
 
 To regenerate after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -27,6 +29,7 @@ from neartag.annotator import (
     load_concepts,
     write_annotations,
 )
+from neartag.cli import main
 from neartag.fvec import read_vectors
 from neartag.index import IndexConfig, build_index_from_arrays
 from neartag.keywords import KeywordStore, load_keywords
@@ -100,6 +103,27 @@ def test_golden_exact_two_datasets(tmp_path):
 
 def test_golden_perm_prefix(tmp_path):
     _check("perm-prefix", tmp_path)
+
+
+def test_golden_perm_prefix_through_cli(tmp_path, capsys):
+    """``neartag annotate`` writes the golden file, with no saved index and
+    with one saved at another candidate budget (a query-time setting)."""
+    paths = generate_corpus(WORLDS["perm-prefix"]["synth"], str(tmp_path))
+    index_flags = ["--config", paths.engine_config, "--index-mode", "perm-prefix",
+                   "--pivots", "16", "--prefix-len", "4", "--seed", "3"]
+    out = tmp_path / "out.tsv"
+    annotate = ["annotate", *index_flags, "--k", "20", "--budget", "60",
+                "--queries", paths.queries, "--candidates", paths.candidates, "--output", str(out)]
+    with open(os.path.join(GOLDEN_DIR, "perm-prefix.tsv"), "rb") as fh:
+        golden = fh.read()
+    assert main(annotate) == 0
+    assert out.read_bytes() == golden
+    assert main(["build", *index_flags, "--budget", "500"]) == 0
+    assert (tmp_path / "refs.index").exists()
+    out.unlink()
+    assert main(annotate) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == golden
 
 
 if __name__ == "__main__":

@@ -3,10 +3,9 @@ import pytest
 
 from neartag.errors import DimensionMismatch, EngineError, FormatError
 from neartag.index import (
+    _HEADER,
     IndexConfig,
-    build_index,
     build_index_from_arrays,
-    distance,
     load_index,
     save_index,
 )
@@ -18,38 +17,6 @@ from oracles import brute_force_knn
 def make_index(ids, matrix, **cfg):
     matrix = np.asarray(matrix, dtype=np.float32)
     return build_index_from_arrays(ids, matrix, IndexConfig(dim=matrix.shape[1], **cfg))
-
-
-# -- distance ---------------------------------------------------------------
-
-def test_distance_identical_is_exact_zero():
-    v = np.array([0.1, 0.2, 0.3], dtype=np.float32)
-    assert distance(v, v) == 0.0
-
-
-def test_distance_345():
-    assert distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
-
-
-def test_distance_symmetric_exactly():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        a = rng.standard_normal(5)
-        b = rng.standard_normal(5)
-        assert distance(a, b) == distance(b, a)
-
-
-def test_distance_triangle_inequality():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        a, b, c = rng.standard_normal((3, 8)) * rng.choice([1e-3, 1.0, 1e3])
-        ab, bc, ac = distance(a, b), distance(b, c), distance(a, c)
-        assert ac <= ab + bc + 1e-9 * (ab + bc + 1.0)
-
-
-def test_distance_dim_mismatch_names_both_lengths():
-    with pytest.raises(DimensionMismatch, match="3 vs 2"):
-        distance([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 # -- knn --------------------------------------------------------------------
@@ -161,13 +128,6 @@ def test_build_duplicate_id_named():
 def test_build_empty_rejected():
     with pytest.raises(ValueError, match="zero vectors"):
         build_index_from_arrays([], np.zeros((0, 2), dtype=np.float32), IndexConfig(dim=2))
-
-
-def test_build_from_feature_records():
-    recs = [("b", np.array([1.0, 0.0])), ("a", np.array([0.0, 1.0]))]
-    index = build_index(recs, IndexConfig(dim=2))
-    assert index.ids == ["b", "a"]
-    assert index.knn([1.0, 0.0], 1)[0][0] == "b"
 
 
 def test_build_rejects_nonfinite():
@@ -310,7 +270,7 @@ def test_save_load_round_trip_perm(tmp_path):
                        candidate_budget=60, rng_seed=9)
     path = str(tmp_path / "x.index")
     save_index(index, path)
-    loaded = load_index(path, IndexConfig(dim=16, mode="perm-prefix"))
+    loaded = load_index(path, IndexConfig(dim=16, mode="perm-prefix", candidate_budget=60))
     assert loaded.config.num_pivots == 16
     assert loaded.config.candidate_budget == 60
     assert np.array_equal(loaded.pivots, index.pivots)
@@ -362,3 +322,61 @@ def test_load_bad_magic(tmp_path):
     open(path, "wb").write(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNK")
     with pytest.raises(FormatError, match="magic"):
         load_index(path, IndexConfig(dim=4))
+
+
+def test_load_takes_candidate_budget_from_caller(tmp_path):
+    rng = np.random.default_rng(16)
+    ids, matrix = clustered(rng)
+    cfg = dict(mode="perm-prefix", num_pivots=16, prefix_len=4, rng_seed=9)
+    index = make_index(ids, matrix, candidate_budget=1500, **cfg)
+    path = str(tmp_path / "x.index")
+    save_index(index, path)
+    loaded = load_index(path, IndexConfig(dim=16, candidate_budget=70, **cfg))
+    assert loaded.config.candidate_budget == 70
+    queries = rng.standard_normal((20, 16)) * 3.0
+    view = index.with_candidate_budget(70)
+    assert loaded.knn_batch(queries, 10) == view.knn_batch(queries, 10)
+    assert view.knn_batch(queries, 10) != index.knn_batch(queries, 10)
+
+
+def test_save_overlong_id_raises_value_error_and_leaves_no_file(tmp_path):
+    index = make_index(["a", "x" * 70000], np.ones((2, 2)))
+    path = tmp_path / "x.index"
+    with pytest.raises(ValueError, match="too long"):
+        save_index(index, str(path))
+    assert not path.exists()
+
+
+def _patched(tmp_path, edit):
+    """A saved two-row index, with its raw bytes passed through ``edit``."""
+    path = tmp_path / "x.index"
+    save_index(make_index(["a", "b"], [[1.0, 2.0], [3.0, 4.0]]), str(path))
+    path.write_bytes(edit(path.read_bytes()))
+    return str(path)
+
+
+def test_load_rejects_nonfinite_component(tmp_path):
+    path = _patched(tmp_path, lambda raw: raw[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    with pytest.raises(FormatError, match="finite") as exc:
+        load_index(path, IndexConfig(dim=2))
+    assert path in str(exc.value)
+
+
+def test_load_rejects_empty_id(tmp_path):
+    head = _HEADER.size  # the first record: u16 id length 1, then b"a"
+    path = _patched(tmp_path, lambda raw: raw[:head] + b"\x00\x00" + raw[head + 3:])
+    with pytest.raises(FormatError, match="empty id") as exc:
+        load_index(path, IndexConfig(dim=2))
+    assert path in str(exc.value)
+
+
+@pytest.mark.parametrize("mode", ["exact", "perm-prefix"])
+def test_load_truncation_at_every_offset_is_a_format_error(tmp_path, mode):
+    cfg = IndexConfig(dim=3, mode=mode, num_pivots=2, prefix_len=2, candidate_budget=2)
+    path = tmp_path / "x.index"
+    save_index(build_index_from_arrays(["a", "bé", "c"], np.arange(9.0).reshape(3, 3), cfg), str(path))
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match="x.index"):
+            load_index(str(path), cfg)
