@@ -8,7 +8,6 @@ restart walk, and scores the caller's candidate concepts.
 
 from .analysis import (
     AnalysisConfig,
-    CandidateSynset,
     PropagationResult,
     SynsetGraph,
     build_graph,

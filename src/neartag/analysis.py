@@ -1,21 +1,25 @@
 """Keyword analysis over the synset graph.
 
-Pipeline stages, each a pure function:
+Pipeline stages, each a pure function passing plain data on:
 
-1. ``word_frequencies``: neighbor keywords -> normalized word weights.
-2. ``initial_synsets``: word weights -> candidate synsets. A word with
+1. ``word_frequencies``: neighbor keywords -> (word, weight) pairs.
+2. ``initial_synsets``: word weights -> (synset, p0) pairs. A word with
    q usable senses splits its weight harmonically, sense rank r taking
    share (1/r) / (1 + 1/2 + ... + 1/q).
-3. ``top_n``: keep the n strongest candidates (weights not rescaled).
-4. ``build_graph``: candidates plus, at expansion depth 1, every synset
-   one enabled relation away; edges are all enabled-type lexicon edges
-   between graph nodes.
+3. ``top_n``: the n strongest (synset, p0) pairs (weights not rescaled).
+4. ``build_graph``: a positional ``SynsetGraph``: node ids (candidates,
+   then at expansion depth 1 every synset one enabled relation away),
+   a float64 restart vector aligned with them, and every enabled-type
+   lexicon edge between nodes as (source position, relation, target
+   position).
 5. ``propagate``: a restart walk to the fixed point
    ``p = alpha * restart + (1 - alpha) * (T' p + dangling * restart)``
    where T splits each node's outgoing mass by relation weight and
    dangling nodes return their mass through the restart vector, so the
-   distribution keeps total mass 1 every iteration.
-6. ``rank_synsets``: scored nodes ordered by (score desc, id asc).
+   distribution keeps total mass 1 every iteration. Its scores are
+   aligned with the graph's nodes.
+6. ``rank_synsets``: nodes and scores -> (synset, score) pairs ordered
+   by (score desc, id asc).
 """
 
 from __future__ import annotations
@@ -72,21 +76,19 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
-class CandidateSynset:
-    synset: str
-    p0: float
-    score: float = 0.0
-
-
-@dataclass(frozen=True)
 class SynsetGraph:
-    nodes: tuple[CandidateSynset, ...]
-    edges: tuple[tuple[str, RelationType, str], ...]
+    """Node ids, restart weights aligned with them, and positional edges."""
+
+    nodes: tuple[str, ...]
+    restart: np.ndarray
+    edges: tuple[tuple[int, RelationType, int], ...]
 
 
 @dataclass(frozen=True)
 class PropagationResult:
-    graph: SynsetGraph
+    """Walk scores aligned with ``SynsetGraph.nodes``, plus diagnostics."""
+
+    scores: np.ndarray
     iterations: int
     converged: bool
     max_mass_error: float
@@ -114,8 +116,9 @@ def word_frequencies(neighbor_words: list[tuple[str, list[str]]],
     return sorted(((w, v / total) for w, v in raw.items()), key=lambda e: (-e[1], e[0]))
 
 
-def initial_synsets(word_weights: list[tuple[str, float]], lexicon: Lexicon, s: int) -> list[CandidateSynset]:
-    """Map word weights to candidate synsets via harmonic sense splitting.
+def initial_synsets(word_weights: list[tuple[str, float]], lexicon: Lexicon,
+                    s: int) -> list[tuple[str, float]]:
+    """Map word weights to (synset, p0) pairs via harmonic sense splitting.
 
     Words absent from the lexicon contribute nothing; the surviving
     synset weights are renormalized to sum 1. Ordered (p0 desc, id asc).
@@ -132,90 +135,69 @@ def initial_synsets(word_weights: list[tuple[str, float]], lexicon: Lexicon, s: 
     total = sum(raw.values())
     if total == 0.0:
         return []
-    ordered = sorted(((sid, w / total) for sid, w in raw.items()), key=lambda e: (-e[1], e[0]))
-    return [CandidateSynset(sid, p0) for sid, p0 in ordered]
+    return sorted(((sid, w / total) for sid, w in raw.items()), key=lambda e: (-e[1], e[0]))
 
 
-def top_n(candidates: list[CandidateSynset], n: int) -> list[CandidateSynset]:
-    """The n strongest candidates by (p0 desc, id asc); weights kept as-is."""
+def top_n(candidates: list[tuple[str, float]], n: int) -> list[tuple[str, float]]:
+    """The n strongest (synset, p0) pairs by (p0 desc, id asc); weights kept as-is."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    ordered = sorted(candidates, key=lambda c: (-c.p0, c.synset))
-    return ordered[:n]
+    return sorted(candidates, key=lambda c: (-c[1], c[0]))[:n]
 
 
-def build_graph(candidates: list[CandidateSynset], lexicon: Lexicon, config: AnalysisConfig) -> SynsetGraph:
-    """Assemble the propagation graph around the candidate synsets.
+def build_graph(candidates: list[tuple[str, float]], lexicon: Lexicon,
+                config: AnalysisConfig) -> SynsetGraph:
+    """Assemble the propagation graph around the (synset, p0) candidates.
 
     At expansion depth 1 every synset reachable over one enabled
     relation joins with initial weight 0; depth 0 keeps candidates only.
     The restart distribution is the candidates' p0 renormalized over the
-    final node set.
+    final node set. Each node's relations are looked up once.
     """
-    node_ids: list[str] = []
-    p0: dict[str, float] = {}
-    for cand in candidates:
-        if cand.synset in p0:
-            raise ValueError(f"duplicate candidate synset {cand.synset!r}")
-        node_ids.append(cand.synset)
-        p0[cand.synset] = cand.p0
-
+    position: dict[str, int] = {}
+    for synset_id, _p0 in candidates:
+        if synset_id in position:
+            raise ValueError(f"duplicate candidate synset {synset_id!r}")
+        position[synset_id] = len(position)
+    links = [lexicon.related(synset_id, config.relation_set) for synset_id in position]
     if config.expansion_depth == 1:
-        added: list[str] = []
-        for cand in candidates:
-            for target, _rel in lexicon.related(cand.synset, config.relation_set):
-                if target not in p0 and target not in added:
-                    added.append(target)
-                    p0[target] = 0.0
-        node_ids.extend(sorted(added))
+        added = sorted({target for out in links for target, _rel in out} - position.keys())
+        for synset_id in added:
+            position[synset_id] = len(position)
+            links.append(lexicon.related(synset_id, config.relation_set))
 
-    node_set = set(node_ids)
-    edges: list[tuple[str, RelationType, str]] = []
-    for node in node_ids:
-        for target, rel in lexicon.related(node, config.relation_set):
-            if target in node_set:
-                edges.append((node, rel, target))
-
-    total = sum(p0.values())
-    if node_ids and total <= 0.0:
+    edges = tuple((src, rel, position[target])
+                  for src, out in enumerate(links)
+                  for target, rel in out if target in position)
+    total = sum(p0 for _synset, p0 in candidates)
+    if candidates and total <= 0.0:
         raise ValueError("candidate weights sum to zero; nothing to propagate from")
-    nodes = tuple(CandidateSynset(sid, p0[sid] / total) for sid in node_ids)
-    return SynsetGraph(nodes=nodes, edges=tuple(edges))
+    restart = np.zeros(len(position), dtype=np.float64)
+    restart[:len(candidates)] = [p0 / total for _synset, p0 in candidates]
+    return SynsetGraph(nodes=tuple(position), restart=restart, edges=edges)
 
 
 def propagate(graph: SynsetGraph, config: AnalysisConfig) -> PropagationResult:
     """Iterate the restart walk to its fixed point.
 
     Stops when the L1 change between successive distributions drops
-    below ``config.tol`` or after ``config.max_iters`` updates. The
-    returned graph carries final scores; diagnostics report iteration
+    below ``config.tol`` or after ``config.max_iters`` updates. Returns
+    the final scores, aligned with ``graph.nodes``, and the iteration
     count, convergence, and the worst deviation of total mass from 1
     seen at any iteration.
     """
     n = len(graph.nodes)
     if n == 0:
-        return PropagationResult(graph, 0, True, 0.0)
-    index = {node.synset: i for i, node in enumerate(graph.nodes)}
-    restart = np.array([node.p0 for node in graph.nodes], dtype=np.float64)
-
-    out_weight = np.zeros(n, dtype=np.float64)
-    for src, rel, _dst in graph.edges:
-        out_weight[index[src]] += config.lambdas.get(rel, 0.0)
-
-    src_idx: list[int] = []
-    dst_idx: list[int] = []
-    weights: list[float] = []
-    for src, rel, dst in graph.edges:
-        lam = config.lambdas.get(rel, 0.0)
-        si = index[src]
-        if lam > 0.0 and out_weight[si] > 0.0:
-            src_idx.append(si)
-            dst_idx.append(index[dst])
-            weights.append(lam / out_weight[si])
-    src_arr = np.array(src_idx, dtype=np.intp)
-    dst_arr = np.array(dst_idx, dtype=np.intp)
-    w_arr = np.array(weights, dtype=np.float64)
+        return PropagationResult(np.zeros(0), 0, True, 0.0)
+    restart = graph.restart
+    src = np.array([e[0] for e in graph.edges], dtype=np.intp)
+    dst = np.array([e[2] for e in graph.edges], dtype=np.intp)
+    lam = np.array([config.lambdas.get(e[1], 0.0) for e in graph.edges], dtype=np.float64)
+    out_weight = np.bincount(src, weights=lam, minlength=n)
     dangling = out_weight == 0.0
+    keep = lam > 0.0  # a zero-weight edge carries nothing
+    src, dst = src[keep], dst[keep]
+    weights = lam[keep] / out_weight[src]
 
     alpha = config.alpha
     p = restart.copy()
@@ -223,9 +205,7 @@ def propagate(graph: SynsetGraph, config: AnalysisConfig) -> PropagationResult:
     converged = False
     max_mass_error = abs(float(p.sum()) - 1.0)
     for _ in range(config.max_iters):
-        flow = np.zeros(n, dtype=np.float64)
-        if src_arr.size:
-            np.add.at(flow, dst_arr, w_arr * p[src_arr])
+        flow = np.bincount(dst, weights=weights * p[src], minlength=n)
         dangling_mass = float(p[dangling].sum())
         new_p = alpha * restart + (1.0 - alpha) * (flow + dangling_mass * restart)
         iterations += 1
@@ -235,18 +215,10 @@ def propagate(graph: SynsetGraph, config: AnalysisConfig) -> PropagationResult:
         if change < config.tol:
             converged = True
             break
-
-    scored = tuple(
-        CandidateSynset(node.synset, node.p0, float(p[i]))
-        for i, node in enumerate(graph.nodes)
-    )
-    return PropagationResult(
-        SynsetGraph(nodes=scored, edges=graph.edges),
-        iterations, converged, max_mass_error,
-    )
+    return PropagationResult(p, iterations, converged, max_mass_error)
 
 
-def rank_synsets(graph: SynsetGraph) -> list[tuple[str, float]]:
-    """(synset, score) pairs ordered by (score desc, id asc)."""
-    return sorted(((node.synset, node.score) for node in graph.nodes),
-                  key=lambda e: (-e[1], e[0]))
+def rank_synsets(graph: SynsetGraph, scores: np.ndarray) -> list[tuple[str, float]]:
+    """(synset, score) pairs ordered by (score desc, id asc); ``scores``
+    is aligned with ``graph.nodes``."""
+    return sorted(zip(graph.nodes, scores.tolist()), key=lambda e: (-e[1], e[0]))

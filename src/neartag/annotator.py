@@ -54,11 +54,14 @@ class Annotation:
 
     ``no_keyword_signal`` marks queries whose neighborhood produced no
     lexicon-matching keywords, in which case every candidate scored 0.
+    ``converged`` is False when the walk stopped at ``max_iters`` first.
+    Neither is written to annotation files.
     """
 
     id: str
     ranked: tuple[tuple[str, float], ...]
     no_keyword_signal: bool = False
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -224,9 +227,8 @@ def annotate_from_words(query: Query, neighbor_words: list[tuple[str, list[str]]
     kept = top_n(candidates, params.analysis.n)
     graph = build_graph(kept, lexicon, params.analysis)
     result = propagate(graph, params.analysis)
-    ranked = rank_synsets(result.graph)
-    scored = score_concepts(ranked, concepts, query.candidates)
-    return Annotation(query.id, tuple(select_top(scored, params.m)))
+    scored = score_concepts(rank_synsets(graph, result.scores), concepts, query.candidates)
+    return Annotation(query.id, tuple(select_top(scored, params.m)), converged=result.converged)
 
 
 def annotate(query: Query, datasets: list[Dataset], lexicon: Lexicon,

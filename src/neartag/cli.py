@@ -241,10 +241,13 @@ def _phase_table(rows: list[_PhaseRow], num_queries: int) -> str:
     return "\n".join(lines)
 
 
-def _warn_silent(annotations: list[Annotation]) -> None:
+def _print_warnings(annotations: list[Annotation]) -> None:
     silent = sum(1 for a in annotations if a.no_keyword_signal)
     if silent:
         print(f"warning: {silent} query/queries produced no lexicon-matching keywords")
+    unconverged = sum(1 for a in annotations if not a.converged)
+    if unconverged:
+        print(f"warning: {unconverged} walk(s) stopped at max_iters before converging")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -282,7 +285,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     total = sum(row[1] for row in work)
     qps = len(annotations) / total if total > 0 else float("inf")
     print(f"annotated {len(annotations)} queries -> {cfg.output_path} ({total:.2f}s, {qps:.1f} q/s)")
-    _warn_silent(annotations)
+    _print_warnings(annotations)
     return 0
 
 
@@ -370,7 +373,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     total = sum(row[1] for row in work)
     print(f"search throughput: {len(annotations) / search_total:.1f} q/s ({len(annotations)} queries)")
     print(f"end-to-end throughput: {len(annotations) / total:.1f} q/s")
-    _warn_silent(annotations)
+    _print_warnings(annotations)
     return 0
 
 

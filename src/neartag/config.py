@@ -85,11 +85,6 @@ def parse_relations(text: str) -> frozenset[RelationType]:
     return frozenset(out)
 
 
-def relations_to_text(relations) -> str:
-    names = [r.value for r in RelationType if r in relations]
-    return ",".join(names) if names else "none"
-
-
 def parse_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blanks ignored."""
     values: dict[str, str] = {}

@@ -10,6 +10,7 @@ the same records after their own binary header; ``_write_records`` and
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -50,12 +51,25 @@ def _write_records(path: str, header: bytes, ids: list[str], matrix: np.ndarray,
         fh.write(trailer)
 
 
+def _bytes_left(fh) -> int:
+    """Bytes between the read position of ``fh`` and the end of its file."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_records(fh, path: str, count: int, dim: int) -> tuple[list[str], np.ndarray]:
     """Read ``count`` records from ``fh``: (ids, float32 matrix of shape (count, dim)).
 
     Truncation, empty or non-UTF-8 ids and non-finite components raise
-    FormatError naming ``path``.
+    FormatError naming ``path``. A count or dim the rest of the file
+    cannot hold is refused before anything is allocated.
     """
+    # An id length and the values, the least a record can hold; an empty
+    # id is then reported as such below, not as a short file.
+    need = count * (_ID_LEN.size + 4 * dim)
+    left = _bytes_left(fh)
+    if need > left:
+        raise FormatError(f"truncated file: {count} records of dim {dim} need at least {need} bytes, "
+                          f"{left} remain", path=path)
     ids: list[str] = []
     matrix = np.empty((count, dim), dtype="<f4")
     rec_bytes = dim * 4

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, EngineError, FormatError
-from .fvec import _read_records, _write_records
+from .fvec import _bytes_left, _read_records, _write_records
 
 MODE_EXACT = "exact"
 MODE_PERM_PREFIX = "perm-prefix"
@@ -357,15 +357,20 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
             raise EngineError(f"{path}: index mode {mode!r} does not match configured {config.mode!r}")
         if count < 1:
             raise FormatError(f"index holds no vectors (count={count})", path=path)
+        perm = mode == MODE_PERM_PREFIX
+        pbytes = num_pivots * dim * 4 if perm else 0
+        abytes = count * prefix_len * 4 if perm else 0
+        left = _bytes_left(fh)
+        for what, size in (("pivots", pbytes), ("prefix assignments", abytes)):
+            if size > left:
+                raise FormatError(f"truncated file: {what} need {size} bytes, {left} remain", path=path)
 
         ids, matrix = _read_records(fh, path, count, dim)
 
         pivots = None
         assignments = None
-        if mode == MODE_PERM_PREFIX:
-            pbytes = num_pivots * dim * 4
+        if perm:
             raw_piv = fh.read(pbytes)
-            abytes = count * prefix_len * 4
             raw_asn = fh.read(abytes)
             if len(raw_piv) != pbytes or len(raw_asn) != abytes:
                 raise FormatError("truncated pivot data", path=path)
@@ -376,8 +381,8 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
 
     loaded_cfg = IndexConfig(
         dim=dim, mode=mode,
-        num_pivots=num_pivots if mode == MODE_PERM_PREFIX else config.num_pivots,
-        prefix_len=prefix_len if mode == MODE_PERM_PREFIX else config.prefix_len,
+        num_pivots=num_pivots if perm else config.num_pivots,
+        prefix_len=prefix_len if perm else config.prefix_len,
         candidate_budget=config.candidate_budget,
         rng_seed=seed,
     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from neartag.analysis import AnalysisConfig, CandidateSynset, SynsetGraph
+from neartag.analysis import AnalysisConfig, SynsetGraph
 from neartag.lexicon import RelationType
 
 
@@ -28,17 +28,16 @@ def dense_fixed_point(graph: SynsetGraph, config: AnalysisConfig) -> np.ndarray:
         (I - (1 - alpha) (M^T + r d^T)) p = alpha r
     """
     n = len(graph.nodes)
-    index = {node.synset: i for i, node in enumerate(graph.nodes)}
-    restart = np.array([node.p0 for node in graph.nodes])
+    restart = np.array(graph.restart, dtype=float)
 
     out_weight = np.zeros(n)
     for src, rel, _dst in graph.edges:
-        out_weight[index[src]] += config.lambdas.get(rel, 0.0)
+        out_weight[src] += config.lambdas.get(rel, 0.0)
     m = np.zeros((n, n))
     for src, rel, dst in graph.edges:
         lam = config.lambdas.get(rel, 0.0)
-        if lam > 0.0 and out_weight[index[src]] > 0.0:
-            m[index[src], index[dst]] += lam / out_weight[index[src]]
+        if lam > 0.0 and out_weight[src] > 0.0:
+            m[src, dst] += lam / out_weight[src]
     dangling = (out_weight == 0.0).astype(float)
 
     a = m.T + np.outer(restart, dangling)
@@ -53,7 +52,6 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 6, connected: bool =
     extra edges, so the graph is connected as criterion tests require.
     """
     n = int(rng.integers(1, max_nodes + 1))
-    names = [f"s{i}" for i in range(n)]
     relations = list(RelationType)
     edges = []
     if connected and n > 1:
@@ -63,19 +61,19 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 6, connected: bool =
             b = int(order[int(rng.integers(0, i))])
             if rng.random() < 0.5:
                 a, b = b, a
-            edges.append((names[a], relations[int(rng.integers(0, 4))], names[b]))
+            edges.append((a, relations[int(rng.integers(0, 4))], b))
     extra = int(rng.integers(0, n * 2 + 1))
     for _ in range(extra):
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
         if a != b:
-            edges.append((names[a], relations[int(rng.integers(0, 4))], names[b]))
+            edges.append((a, relations[int(rng.integers(0, 4))], b))
     edges = list(dict.fromkeys(edges))
 
     raw = rng.random(n) + 1e-3
     restart = raw / raw.sum()
-    nodes = tuple(CandidateSynset(names[i], float(restart[i])) for i in range(n))
+    nodes = tuple(f"s{i}" for i in range(n))
 
     lambdas = {rel: float(rng.choice([0.0, 0.5, 1.0, 2.0], p=[0.1, 0.3, 0.4, 0.2])) for rel in RelationType}
     alpha = float(rng.uniform(0.1, 1.0))
     config = AnalysisConfig(alpha=alpha, lambdas=lambdas, tol=1e-12, max_iters=2000)
-    return SynsetGraph(nodes=nodes, edges=tuple(edges)), config
+    return SynsetGraph(nodes=nodes, restart=restart, edges=tuple(edges)), config

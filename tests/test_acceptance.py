@@ -16,7 +16,6 @@ from oracles import brute_force_knn, dense_fixed_point, random_graph
 
 from neartag.analysis import (
     AnalysisConfig,
-    CandidateSynset,
     SynsetGraph,
     initial_synsets,
     propagate,
@@ -109,8 +108,7 @@ def test_02_propagation_matches_dense_fixed_point():
         graph, cfg = random_graph(np.random.default_rng(9000 + i))
         result = propagate(graph, cfg)
         want = dense_fixed_point(graph, cfg)
-        got = np.array([node.score for node in result.graph.nodes])
-        worst_gap = max(worst_gap, float(np.max(np.abs(got - want))))
+        worst_gap = max(worst_gap, float(np.max(np.abs(result.scores - want))))
         worst_mass = max(worst_mass, result.max_mass_error)
     print(f"propagation-vs-dense: 500 graphs, worst gap {worst_gap:.2e}, "
           f"worst mass error {worst_mass:.2e}")
@@ -130,10 +128,10 @@ def test_03_hand_computed_suite():
     ap = average_precision(["t1", "x", "t2"], {"t1", "t2"})
     assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-9)
 
-    graph = SynsetGraph(nodes=(CandidateSynset("a", 1.0), CandidateSynset("b", 0.0)),
-                        edges=(("a", RelationType.HYPERNYM, "b"),))
+    graph = SynsetGraph(nodes=("a", "b"), restart=np.array([1.0, 0.0]),
+                        edges=((0, RelationType.HYPERNYM, 1),))
     result = propagate(graph, AnalysisConfig(alpha=0.5, tol=1e-12, max_iters=2000))
-    scores = {n.synset: n.score for n in result.graph.nodes}
+    scores = dict(zip(graph.nodes, result.scores))
     assert scores["a"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert scores["b"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
@@ -143,7 +141,7 @@ def test_03_hand_computed_suite():
             fh.write("S\ta\tword\nS\tb\tword\nS\tc\tword\n"
                      "W\tword\ta\t1\nW\tword\tb\t2\nW\tword\tc\t3\n")
         lexicon = load_lexicon(path)
-    shares = {c.synset: c.p0 for c in initial_synsets([("word", 1.0)], lexicon, s=7)}
+    shares = dict(initial_synsets([("word", 1.0)], lexicon, s=7))
     assert shares["a"] == pytest.approx(6.0 / 11.0, abs=1e-9)
     assert shares["b"] == pytest.approx(3.0 / 11.0, abs=1e-9)
     assert shares["c"] == pytest.approx(2.0 / 11.0, abs=1e-9)

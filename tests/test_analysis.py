@@ -5,7 +5,6 @@ from oracles import dense_fixed_point, random_graph
 
 from neartag.analysis import (
     AnalysisConfig,
-    CandidateSynset,
     SynsetGraph,
     build_graph,
     initial_synsets,
@@ -79,7 +78,7 @@ W\tword\tc\t3
 def test_harmonic_shares_three_senses(tmp_path):
     lex = load(tmp_path, THREE_SENSES)
     got = initial_synsets([("word", 1.0)], lex, s=7)
-    shares = {c.synset: c.p0 for c in got}
+    shares = dict(got)
     assert shares["a"] == pytest.approx(6.0 / 11.0, abs=1e-9)
     assert shares["b"] == pytest.approx(3.0 / 11.0, abs=1e-9)
     assert shares["c"] == pytest.approx(2.0 / 11.0, abs=1e-9)
@@ -88,7 +87,7 @@ def test_harmonic_shares_three_senses(tmp_path):
 def test_truncation_to_s_changes_denominator(tmp_path):
     lex = load(tmp_path, THREE_SENSES)
     got = initial_synsets([("word", 1.0)], lex, s=2)
-    shares = {c.synset: c.p0 for c in got}
+    shares = dict(got)
     assert set(shares) == {"a", "b"}
     assert shares["a"] == pytest.approx((1.0 / 1.0) / 1.5, abs=1e-12)
     assert shares["b"] == pytest.approx((1.0 / 2.0) / 1.5, abs=1e-12)
@@ -97,19 +96,19 @@ def test_truncation_to_s_changes_denominator(tmp_path):
 def test_single_sense_word_gets_full_weight(tmp_path):
     lex = load(tmp_path, "S\tonly\tword\nW\tword\tonly\t1\n")
     got = initial_synsets([("word", 1.0)], lex, s=7)
-    assert got == [CandidateSynset("only", 1.0)]
+    assert got == [("only", 1.0)]
 
 
 def test_two_words_sharing_a_synset_accumulate(tmp_path):
     lex = load(tmp_path, "S\tshared\tcat,kitty\nW\tcat\tshared\t1\nW\tkitty\tshared\t1\n")
     got = initial_synsets([("cat", 0.6), ("kitty", 0.4)], lex, s=7)
-    assert got == [CandidateSynset("shared", pytest.approx(1.0, abs=1e-12))]
+    assert got == [("shared", pytest.approx(1.0, abs=1e-12))]
 
 
 def test_unknown_words_drop_and_renormalize(tmp_path):
     lex = load(tmp_path, "S\tonly\tword\nW\tword\tonly\t1\n")
     got = initial_synsets([("word", 0.25), ("zzz", 0.75)], lex, s=7)
-    assert got[0].p0 == pytest.approx(1.0, abs=1e-12)
+    assert got[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_all_unknown_words_give_empty(tmp_path):
@@ -120,25 +119,25 @@ def test_all_unknown_words_give_empty(tmp_path):
 def test_initial_synsets_sum_to_one(tmp_path):
     lex = load(tmp_path, THREE_SENSES + "S\td\tother\nW\tother\td\t1\n")
     got = initial_synsets([("word", 0.5), ("other", 0.3), ("gone", 0.2)], lex, s=3)
-    assert sum(c.p0 for c in got) == pytest.approx(1.0, abs=1e-12)
+    assert sum(p0 for _, p0 in got) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- top_n ----------------------------------------------------------------------
 
 def test_top_n_truncates_without_renormalizing():
-    cands = [CandidateSynset("a", 0.5), CandidateSynset("b", 0.3), CandidateSynset("c", 0.2)]
+    cands = [("a", 0.5), ("b", 0.3), ("c", 0.2)]
     got = top_n(cands, 2)
-    assert got == [CandidateSynset("a", 0.5), CandidateSynset("b", 0.3)]
+    assert got == [("a", 0.5), ("b", 0.3)]
 
 
 def test_top_n_ties_break_by_id():
-    cands = [CandidateSynset("z", 0.4), CandidateSynset("a", 0.4), CandidateSynset("m", 0.2)]
-    assert [c.synset for c in top_n(cands, 2)] == ["a", "z"]
+    cands = [("z", 0.4), ("a", 0.4), ("m", 0.2)]
+    assert [sid for sid, _ in top_n(cands, 2)] == ["a", "z"]
 
 
 def test_top_n_one():
-    cands = [CandidateSynset("a", 0.6), CandidateSynset("b", 0.4)]
-    assert top_n(cands, 1) == [CandidateSynset("a", 0.6)]
+    cands = [("a", 0.6), ("b", 0.4)]
+    assert top_n(cands, 1) == [("a", 0.6)]
 
 
 def test_top_n_invalid():
@@ -161,41 +160,41 @@ R\tmero\tcat.n.1\tpaw.n.1
 def test_build_graph_depth_zero_has_no_expansion(tmp_path):
     lex = load(tmp_path, CAT_WORLD)
     cfg = AnalysisConfig(expansion_depth=0)
-    graph = build_graph([CandidateSynset("cat.n.1", 1.0)], lex, cfg)
-    assert [n.synset for n in graph.nodes] == ["cat.n.1"]
+    graph = build_graph([("cat.n.1", 1.0)], lex, cfg)
+    assert graph.nodes == ("cat.n.1",)
     assert graph.edges == ()
 
 
 def test_build_graph_depth_one_adds_neighbors_with_zero_weight(tmp_path):
     lex = load(tmp_path, CAT_WORLD)
     cfg = AnalysisConfig(expansion_depth=1)
-    graph = build_graph([CandidateSynset("cat.n.1", 1.0)], lex, cfg)
-    nodes = {n.synset: n.p0 for n in graph.nodes}
-    assert nodes == {"cat.n.1": 1.0, "canine.n.1": 0.0, "paw.n.1": 0.0}
-    # inverse edges back into the candidate are included
-    assert ("canine.n.1", RelationType.HYPONYM, "cat.n.1") in graph.edges
-    assert ("paw.n.1", RelationType.HOLONYM, "cat.n.1") in graph.edges
+    graph = build_graph([("cat.n.1", 1.0)], lex, cfg)
+    # candidates first, then the expansion in id order
+    assert graph.nodes == ("cat.n.1", "canine.n.1", "paw.n.1")
+    assert graph.restart.tolist() == [1.0, 0.0, 0.0]
+    # inverse edges back into the candidate are included, by position
+    assert (1, RelationType.HYPONYM, 0) in graph.edges
+    assert (2, RelationType.HOLONYM, 0) in graph.edges
 
 
 def test_build_graph_relation_filter(tmp_path):
     lex = load(tmp_path, CAT_WORLD)
     cfg = AnalysisConfig(relation_set=frozenset({RelationType.HYPERNYM, RelationType.HYPONYM}))
-    graph = build_graph([CandidateSynset("cat.n.1", 1.0)], lex, cfg)
-    nodes = {n.synset for n in graph.nodes}
-    assert "paw.n.1" not in nodes
+    graph = build_graph([("cat.n.1", 1.0)], lex, cfg)
+    assert "paw.n.1" not in graph.nodes
     assert all(rel in (RelationType.HYPERNYM, RelationType.HYPONYM) for _, rel, _ in graph.edges)
 
 
 def test_build_graph_restart_sums_to_one(tmp_path):
     lex = load(tmp_path, CAT_WORLD)
-    graph = build_graph([CandidateSynset("cat.n.1", 0.4)], lex, AnalysisConfig())
-    assert sum(n.p0 for n in graph.nodes) == pytest.approx(1.0, abs=1e-12)
+    graph = build_graph([("cat.n.1", 0.4)], lex, AnalysisConfig())
+    assert graph.restart.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_graph_zero_weights_rejected(tmp_path):
     lex = load(tmp_path, CAT_WORLD)
     with pytest.raises(ValueError, match="sum to zero"):
-        build_graph([CandidateSynset("cat.n.1", 0.0)], lex, AnalysisConfig())
+        build_graph([("cat.n.1", 0.0)], lex, AnalysisConfig())
 
 
 def test_build_graph_empty_candidates(tmp_path):
@@ -206,25 +205,30 @@ def test_build_graph_empty_candidates(tmp_path):
 
 # -- propagate ----------------------------------------------------------------------
 
+def graph_of(restart, edges):
+    """A SynsetGraph from {synset: restart weight} and (source, relation, target) ids."""
+    position = {sid: i for i, sid in enumerate(restart)}
+    return SynsetGraph(nodes=tuple(restart), restart=np.array(list(restart.values()), dtype=float),
+                       edges=tuple((position[a], rel, position[b]) for a, rel, b in edges))
+
+
 def two_node_graph():
-    nodes = (CandidateSynset("a", 1.0), CandidateSynset("b", 0.0))
-    edges = (("a", RelationType.HYPERNYM, "b"),)
-    return SynsetGraph(nodes=nodes, edges=edges)
+    return graph_of({"a": 1.0, "b": 0.0}, [("a", RelationType.HYPERNYM, "b")])
 
 
 def test_two_node_fixed_point():
     cfg = AnalysisConfig(alpha=0.5, tol=1e-12, max_iters=2000)
-    result = propagate(two_node_graph(), cfg)
-    scores = {n.synset: n.score for n in result.graph.nodes}
+    graph = two_node_graph()
+    result = propagate(graph, cfg)
+    scores = dict(zip(graph.nodes, result.scores))
     assert scores["a"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert scores["b"] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert result.converged
 
 
 def test_single_node_stays_at_one():
-    graph = SynsetGraph(nodes=(CandidateSynset("a", 1.0),), edges=())
-    result = propagate(graph, AnalysisConfig(alpha=0.3))
-    assert result.graph.nodes[0].score == pytest.approx(1.0, abs=1e-12)
+    result = propagate(graph_of({"a": 1.0}, []), AnalysisConfig(alpha=0.3))
+    assert result.scores[0] == pytest.approx(1.0, abs=1e-12)
     assert result.max_mass_error <= 1e-12
 
 
@@ -232,8 +236,7 @@ def test_alpha_one_returns_restart_exactly():
     graph, _ = random_graph(np.random.default_rng(1))
     cfg = AnalysisConfig(alpha=1.0)
     result = propagate(graph, cfg)
-    for node in result.graph.nodes:
-        assert node.score == node.p0
+    assert result.scores.tolist() == graph.restart.tolist()
 
 
 def test_mass_conserved_every_iteration():
@@ -250,8 +253,7 @@ def test_matches_dense_fixed_point():
         graph, cfg = random_graph(rng)
         result = propagate(graph, cfg)
         expected = dense_fixed_point(graph, cfg)
-        got = np.array([n.score for n in result.graph.nodes])
-        assert np.max(np.abs(got - expected)) <= 1e-8
+        assert np.max(np.abs(result.scores - expected)) <= 1e-8
 
 
 def test_converges_within_100_iterations_for_alpha_at_least_point2():
@@ -269,9 +271,8 @@ def test_converges_within_100_iterations_for_alpha_at_least_point2():
 def test_small_alpha_converges_eventually():
     # alpha in [0.1, 0.2) can legitimately need more than 100 iterations
     # (a 2-cycle at alpha=0.1 takes about 200); it still converges.
-    nodes = (CandidateSynset("a", 1.0), CandidateSynset("b", 0.0))
-    edges = (("a", RelationType.HYPERNYM, "b"), ("b", RelationType.HYPONYM, "a"))
-    graph = SynsetGraph(nodes=nodes, edges=edges)
+    graph = graph_of({"a": 1.0, "b": 0.0},
+                     [("a", RelationType.HYPERNYM, "b"), ("b", RelationType.HYPONYM, "a")])
     cfg = AnalysisConfig(alpha=0.1, tol=1e-9, max_iters=500)
     result = propagate(graph, cfg)
     assert result.converged
@@ -279,32 +280,31 @@ def test_small_alpha_converges_eventually():
 
 
 def test_zero_lambda_out_edges_make_node_dangling():
-    nodes = (CandidateSynset("a", 1.0), CandidateSynset("b", 0.0))
-    edges = (("a", RelationType.MERONYM, "b"),)
+    graph = graph_of({"a": 1.0, "b": 0.0}, [("a", RelationType.MERONYM, "b")])
     cfg = AnalysisConfig(alpha=0.5, lambdas={RelationType.MERONYM: 0.0,
                                              RelationType.HYPERNYM: 1.0,
                                              RelationType.HYPONYM: 1.0,
                                              RelationType.HOLONYM: 1.0})
-    result = propagate(SynsetGraph(nodes=nodes, edges=edges), cfg)
+    result = propagate(graph, cfg)
     # all of a's outgoing weight is zero, so its mass recycles via restart
-    scores = {n.synset: n.score for n in result.graph.nodes}
+    scores = dict(zip(graph.nodes, result.scores))
     assert scores["a"] == pytest.approx(1.0, abs=1e-9)
     assert scores["b"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_empty_graph():
-    result = propagate(SynsetGraph(nodes=(), edges=()), AnalysisConfig())
-    assert result.graph.nodes == ()
+    result = propagate(graph_of({}, []), AnalysisConfig())
+    assert result.scores.size == 0
     assert result.converged
 
 
 def test_lambda_weights_shift_mass():
-    nodes = (CandidateSynset("a", 1.0), CandidateSynset("b", 0.0), CandidateSynset("c", 0.0))
-    edges = (("a", RelationType.HYPERNYM, "b"), ("a", RelationType.MERONYM, "c"))
+    graph = graph_of({"a": 1.0, "b": 0.0, "c": 0.0},
+                     [("a", RelationType.HYPERNYM, "b"), ("a", RelationType.MERONYM, "c")])
     heavy_hyper = AnalysisConfig(lambdas={RelationType.HYPERNYM: 3.0, RelationType.HYPONYM: 1.0,
                                           RelationType.MERONYM: 1.0, RelationType.HOLONYM: 1.0})
-    result = propagate(SynsetGraph(nodes=nodes, edges=edges), heavy_hyper)
-    scores = {n.synset: n.score for n in result.graph.nodes}
+    result = propagate(graph, heavy_hyper)
+    scores = dict(zip(graph.nodes, result.scores))
     assert scores["b"] > scores["c"]
     assert scores["b"] == pytest.approx(3.0 * scores["c"], rel=1e-9)
 
@@ -312,18 +312,15 @@ def test_lambda_weights_shift_mass():
 # -- rank_synsets -----------------------------------------------------------------
 
 def test_rank_synsets_order_and_ties():
-    graph = SynsetGraph(
-        nodes=(CandidateSynset("z", 0.0, 0.25), CandidateSynset("a", 0.0, 0.25),
-               CandidateSynset("m", 0.0, 0.5)),
-        edges=(),
-    )
-    assert rank_synsets(graph) == [("m", 0.5), ("a", 0.25), ("z", 0.25)]
+    graph = graph_of({"z": 0.5, "a": 0.5, "m": 0.0}, [])
+    scores = np.array([0.25, 0.25, 0.5])
+    assert rank_synsets(graph, scores) == [("m", 0.5), ("a", 0.25), ("z", 0.25)]
 
 
 def test_two_node_ranking():
     cfg = AnalysisConfig(alpha=0.5, tol=1e-12, max_iters=2000)
-    result = propagate(two_node_graph(), cfg)
-    ranked = rank_synsets(result.graph)
+    graph = two_node_graph()
+    ranked = rank_synsets(graph, propagate(graph, cfg).scores)
     assert [r[0] for r in ranked] == ["a", "b"]
 
 
@@ -339,8 +336,11 @@ def test_pipeline_scale_invariance(tmp_path):
     for weights in (base, scaled):
         total = sum(w for _, w in weights)
         weights[:] = [(w, v / total) for w, v in weights]
-    a = rank_synsets(propagate(build_graph(top_n(initial_synsets(base, lex, 7), 10), lex, cfg), cfg).graph)
-    b = rank_synsets(propagate(build_graph(top_n(initial_synsets(scaled, lex, 7), 10), lex, cfg), cfg).graph)
+    def ranked(weights):
+        graph = build_graph(top_n(initial_synsets(weights, lex, 7), 10), lex, cfg)
+        return rank_synsets(graph, propagate(graph, cfg).scores)
+
+    a, b = ranked(base), ranked(scaled)
     assert [x[0] for x in a] == [x[0] for x in b]
     for (_, sa), (_, sb) in zip(a, b):
         assert sa == pytest.approx(sb, abs=1e-12)

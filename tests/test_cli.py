@@ -242,6 +242,29 @@ def test_no_partial_output_on_failure(corpus, tmp_path, capsys):
     assert not os.path.exists(out_path)
 
 
+def test_annotate_query_file_with_absurd_count_exits_2(corpus, tmp_path, capsys):
+    queries = tmp_path / "q.fvec"
+    queries.write_bytes(b"FVEC 1 8 1000000000000000\n")
+    rc = main(["annotate", "--config", conf(corpus), "--queries", str(queries),
+               "--output", str(tmp_path / "out.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(queries) in err
+    assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["annotate", "bench"])
+def test_unconverged_walks_are_reported(corpus, tmp_path, capsys, command):
+    inputs = [command, "--config", conf(corpus), "--k", "10",
+              "--queries", os.path.join(corpus, "queries.fvec"),
+              "--candidates", os.path.join(corpus, "candidates.tsv"),
+              "--output", str(tmp_path / "out.tsv")]
+    assert main(inputs) == 0
+    assert "before converging" not in capsys.readouterr().out
+    assert main(inputs + ["--max-iters", "1"]) == 0
+    assert "warning: 12 walk(s) stopped at max_iters before converging" in capsys.readouterr().out
+
+
 def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):
     import neartag.cli
 

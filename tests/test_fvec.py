@@ -133,3 +133,12 @@ def test_truncation_at_every_offset_is_a_format_error(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError, match="v.fvec"):
             fvec.read_vectors(str(path))
+
+
+def test_record_count_beyond_the_file_is_a_format_error(tmp_path):
+    # 26 bytes whose header declares 10^15 four-dimensional records
+    path = tmp_path / "v.fvec"
+    path.write_bytes(b"FVEC 1 4 1000000000000000\n")
+    with pytest.raises(FormatError, match="truncated") as exc:
+        fvec.read_vectors(str(path))
+    assert str(path) in str(exc.value)

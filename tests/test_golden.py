@@ -1,4 +1,4 @@
-"""Golden annotations: two fixed synthetic worlds, annotated end to end.
+"""Golden annotations: three fixed synthetic worlds, annotated end to end.
 
 Test 08 shows that reruns agree with each other; this file shows that
 they agree with annotation files committed under ``tests/golden/``, so
@@ -11,15 +11,21 @@ a refactor that moves one score by one printed digit fails here.
   the collection size, so the approximate filter decides the neighbors.
   It is also annotated through ``neartag annotate``, with and without a
   saved index, which must write the same bytes as the library.
+* ``analysis``: one exact index annotated under two non-default
+  analysis settings, one file each: reciprocal-rank weighting with
+  uneven and zero relation weights and a low restart probability, and
+  expansion depth 0 with few senses and candidates.
 
 To regenerate after a deliberate change of output, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py [WORLD...]`` (every world
+when none is named) and review the diff.
 """
 
 import os
 import sys
 import tempfile
 
+from neartag.analysis import AnalysisConfig
 from neartag.annotator import (
     Dataset,
     EngineParams,
@@ -33,7 +39,7 @@ from neartag.cli import main
 from neartag.fvec import read_vectors
 from neartag.index import IndexConfig, build_index_from_arrays
 from neartag.keywords import KeywordStore, load_keywords
-from neartag.lexicon import load_lexicon
+from neartag.lexicon import RelationType, load_lexicon
 from neartag.synth import SynthConfig, generate_corpus
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -55,11 +61,40 @@ WORLDS = {
         k=20,
         split=False,
     ),
+    "analysis": dict(
+        synth=SynthConfig(rng_seed=13, dim=16, num_concepts=12, refs_per_concept=30,
+                          num_queries=40, cluster_noise_sigma=0.6, label_noise=0.2,
+                          part_rate=0.3, category_rate=0.1),
+        index=dict(),
+        k=25,
+        split=False,
+        settings={
+            "reciprocal-lambdas": AnalysisConfig(
+                neighbor_weighting="reciprocal-rank", alpha=0.3,
+                lambdas={RelationType.HYPERNYM: 2.0, RelationType.HYPONYM: 0.5,
+                         RelationType.MERONYM: 0.0, RelationType.HOLONYM: 1.0}),
+            "depth0": AnalysisConfig(expansion_depth=0, s=2, n=5),
+        },
+    ),
 }
 
 
-def annotate_world(name: str, out_path: str) -> None:
-    """Generate world ``name``, annotate all its queries, write the file."""
+def golden_files(name: str) -> dict[str, AnalysisConfig]:
+    """File name -> analysis setting for every golden file of world ``name``."""
+    settings = WORLDS[name].get("settings")
+    if settings is None:
+        return {f"{name}.tsv": AnalysisConfig()}
+    return {f"{name}-{label}.tsv": cfg for label, cfg in settings.items()}
+
+
+def annotate_world(name: str, out_dir: str,
+                   files: dict[str, AnalysisConfig] | None = None) -> None:
+    """Generate world ``name`` and annotate all its queries once per
+    analysis setting, writing each file into ``out_dir``.
+
+    ``files`` maps file name to setting; it defaults to the world's
+    golden files.
+    """
     world = WORLDS[name]
     cfg = world["synth"]
     with tempfile.TemporaryDirectory() as root:
@@ -85,16 +120,21 @@ def annotate_world(name: str, out_path: str) -> None:
         datasets = [Dataset(build_index_from_arrays(ids, matrix, index_cfg), store)]
     queries = [Query(id=qid, feature=qmatrix[i], candidates=candidates[qid])
                for i, qid in enumerate(qids)]
-    annotations = annotate_batch(queries, datasets, lexicon, concepts, EngineParams(k=world["k"]))
-    write_annotations(out_path, annotations)
+    for file_name, analysis in (files or golden_files(name)).items():
+        params = EngineParams(k=world["k"], analysis=analysis)
+        annotations = annotate_batch(queries, datasets, lexicon, concepts, params)
+        write_annotations(os.path.join(out_dir, file_name), annotations)
+
+
+def _golden(file_name):
+    with open(os.path.join(GOLDEN_DIR, file_name), "rb") as fh:
+        return fh.read()
 
 
 def _check(name, tmp_path):
-    out = tmp_path / f"{name}.tsv"
-    annotate_world(name, str(out))
-    with open(os.path.join(GOLDEN_DIR, f"{name}.tsv"), "rb") as fh:
-        golden = fh.read()
-    assert out.read_bytes() == golden
+    annotate_world(name, str(tmp_path))
+    for file_name in golden_files(name):
+        assert (tmp_path / file_name).read_bytes() == _golden(file_name), file_name
 
 
 def test_golden_exact_two_datasets(tmp_path):
@@ -103,6 +143,19 @@ def test_golden_exact_two_datasets(tmp_path):
 
 def test_golden_perm_prefix(tmp_path):
     _check("perm-prefix", tmp_path)
+
+
+def test_golden_analysis_settings(tmp_path):
+    _check("analysis", tmp_path)
+
+
+def test_golden_analysis_settings_differ_from_default(tmp_path):
+    """Each setting of the ``analysis`` world changes the output, so its
+    golden files check code that the default parameters do not reach."""
+    annotate_world("analysis", str(tmp_path), {"default.tsv": AnalysisConfig()})
+    default = (tmp_path / "default.tsv").read_bytes()
+    for file_name in golden_files("analysis"):
+        assert _golden(file_name) != default, file_name
 
 
 def test_golden_perm_prefix_through_cli(tmp_path, capsys):
@@ -114,8 +167,7 @@ def test_golden_perm_prefix_through_cli(tmp_path, capsys):
     out = tmp_path / "out.tsv"
     annotate = ["annotate", *index_flags, "--k", "20", "--budget", "60",
                 "--queries", paths.queries, "--candidates", paths.candidates, "--output", str(out)]
-    with open(os.path.join(GOLDEN_DIR, "perm-prefix.tsv"), "rb") as fh:
-        golden = fh.read()
+    golden = _golden("perm-prefix.tsv")
     assert main(annotate) == 0
     assert out.read_bytes() == golden
     assert main(["build", *index_flags, "--budget", "500"]) == 0
@@ -127,7 +179,12 @@ def test_golden_perm_prefix_through_cli(tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(WORLDS)
+    unknown = [world_name for world_name in names if world_name not in WORLDS]
+    if unknown:
+        sys.exit(f"unknown world(s) {', '.join(unknown)}; expected some of {', '.join(WORLDS)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for world_name in WORLDS:
-        annotate_world(world_name, os.path.join(GOLDEN_DIR, f"{world_name}.tsv"))
-        print(f"wrote {world_name}.tsv", file=sys.stderr)
+    for world_name in names:
+        annotate_world(world_name, GOLDEN_DIR)
+        for file_name in golden_files(world_name):
+            print(f"wrote {file_name}", file=sys.stderr)

@@ -380,3 +380,17 @@ def test_load_truncation_at_every_offset_is_a_format_error(tmp_path, mode):
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError, match="x.index"):
             load_index(str(path), cfg)
+
+
+@pytest.mark.parametrize("field", ["num_pivots", "prefix_len"])
+def test_load_rejects_pivot_sizes_beyond_the_file(tmp_path, field):
+    cfg = IndexConfig(dim=3, mode="perm-prefix", num_pivots=2, prefix_len=2, candidate_budget=2)
+    path = tmp_path / "x.index"
+    save_index(build_index_from_arrays(["a", "b", "c"], np.arange(9.0).reshape(3, 3), cfg), str(path))
+    raw = path.read_bytes()
+    header = list(_HEADER.unpack(raw[:_HEADER.size]))
+    header[{"num_pivots": 5, "prefix_len": 6}[field]] = 2 ** 32 - 1  # positions in _HEADER
+    path.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size:])
+    with pytest.raises(FormatError, match="truncated") as exc:
+        load_index(str(path), cfg)
+    assert str(path) in str(exc.value)
