@@ -28,6 +28,7 @@ from .errors import EngineError, FormatError
 from .index import VectorIndex
 from .keywords import KeywordStore
 from .lexicon import Lexicon
+from .tsv import id_error, read_id_lists, records
 
 # Phase names: keys of annotate_batch's ``timings`` and rows of the CLI's timing table.
 SIMILARITY_SEARCH = "similarity search"
@@ -94,56 +95,34 @@ def load_concepts(path: str, lexicon: Lexicon) -> dict[str, ConceptDef]:
     the lexicon.
     """
     concepts: dict[str, ConceptDef] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if parts[0] != "C" or len(parts) != 3:
-                raise FormatError("expected 'C\\t<name>\\t<synset,synset,...>'", path=path, line=lineno)
-            name = parts[1].strip().lower()
-            if not name:
-                raise FormatError("empty concept name", path=path, line=lineno)
-            if name in concepts:
-                raise FormatError(f"duplicate concept {name!r}", path=path, line=lineno)
-            synsets = []
-            for token in parts[2].split(","):
-                token = token.strip()
-                if not token:
-                    raise FormatError("empty synset id", path=path, line=lineno)
-                if token not in lexicon:
-                    raise FormatError(f"concept {name!r} references undeclared synset {token!r}",
-                                      path=path, line=lineno)
-                synsets.append(token)
-            concepts[name] = ConceptDef(name, tuple(dict.fromkeys(synsets)))
+    layout = "'C\\t<name>\\t<synset,synset,...>'"
+    for lineno, (kind, name, synsets_field) in records(path, 3, layout):
+        if kind != "C":
+            raise FormatError(f"expected {layout}, got record type {kind!r}", path=path, line=lineno)
+        name = name.strip().lower()
+        if not name:
+            raise FormatError("empty concept name", path=path, line=lineno)
+        if name in concepts:
+            raise FormatError(f"duplicate concept {name!r}", path=path, line=lineno)
+        synsets = []
+        for token in synsets_field.split(","):
+            token = token.strip()
+            if not token:
+                raise FormatError("empty synset id", path=path, line=lineno)
+            if token not in lexicon:
+                raise FormatError(f"concept {name!r} references undeclared synset {token!r}",
+                                  path=path, line=lineno)
+            synsets.append(token)
+        concepts[name] = ConceptDef(name, tuple(dict.fromkeys(synsets)))
     return concepts
 
 
-def load_candidate_lists(path: str) -> dict[str, tuple[str, ...]]:
-    """Per-query candidate concept names: lines ``<id>\\t<name>(,<name>)*``."""
-    lists: dict[str, tuple[str, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected '<id>\\t<name,name,...>'", path=path, line=lineno)
-            image_id, names_field = parts
-            if not image_id:
-                raise FormatError("empty image id", path=path, line=lineno)
-            if image_id in lists:
-                raise FormatError(f"duplicate image id {image_id!r}", path=path, line=lineno)
-            names = []
-            for name in names_field.split(","):
-                name = name.strip().lower()
-                if not name:
-                    raise FormatError("empty concept name", path=path, line=lineno)
-                names.append(name)
-            lists[image_id] = tuple(dict.fromkeys(names))
-    return lists
+def load_candidate_lists(path: str, concepts: dict[str, ConceptDef] | None = None) -> dict[str, tuple[str, ...]]:
+    """Per-query candidate concept names: lines ``<id>\\t<name>(,<name>)*``.
+
+    When ``concepts`` is given, every name must be one of its keys.
+    """
+    return {qid: tuple(names) for qid, names in read_id_lists(path, "concept", concepts).items()}
 
 
 def merge_neighbor_lists(per_dataset: list[list[tuple[str, float]]], k: int) -> list[tuple[int, str, float]]:
@@ -308,29 +287,19 @@ def read_annotations(path: str) -> list[Annotation]:
     """Parse a file written by write_annotations."""
     annotations: list[Annotation] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected '<id>\\t<name>:<score>,...'", path=path, line=lineno)
-            image_id, ranked_field = parts
-            if not image_id:
-                raise FormatError("empty image id", path=path, line=lineno)
-            if image_id in seen:
-                raise FormatError(f"duplicate image id {image_id!r}", path=path, line=lineno)
-            seen.add(image_id)
-            ranked = []
-            for token in ranked_field.split(","):
-                name, sep, score_text = token.rpartition(":")
-                if not sep or not name:
-                    raise FormatError(f"malformed entry {token!r}", path=path, line=lineno)
-                try:
-                    score = float(score_text)
-                except ValueError:
-                    raise FormatError(f"malformed score in entry {token!r}", path=path, line=lineno) from None
-                ranked.append((name, score))
-            annotations.append(Annotation(image_id, tuple(ranked)))
+    for lineno, (image_id, ranked_field) in records(path, 2, "'<id>\\t<name>:<score>,...'"):
+        if not image_id or image_id in seen:
+            raise id_error(image_id, path, lineno)
+        seen.add(image_id)
+        ranked = []
+        for token in ranked_field.split(","):
+            name, sep, score_text = token.rpartition(":")
+            if not sep or not name:
+                raise FormatError(f"malformed entry {token!r}", path=path, line=lineno)
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise FormatError(f"malformed score in entry {token!r}", path=path, line=lineno) from None
+            ranked.append((name, score))
+        annotations.append(Annotation(image_id, tuple(ranked)))
     return annotations

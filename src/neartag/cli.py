@@ -31,6 +31,7 @@ from .annotator import (
     SEMANTIC_ANALYSIS,
     SIMILARITY_SEARCH,
     Annotation,
+    ConceptDef,
     Dataset,
     EngineParams,
     Query,
@@ -173,7 +174,7 @@ def _load_semantics(cfg: EngineConfig):
 
 
 def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | None,
-                  all_concept_names: list[str] | None = None) -> list[Query]:
+                  concepts: dict[str, ConceptDef]) -> list[Query]:
     _check_exists(queries_path, "query feature file")
     ids, matrix = fvec.read_vectors(queries_path)
     if not ids:
@@ -182,16 +183,16 @@ def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | N
         raise EngineError(f"query dimensionality {matrix.shape[1]} does not match configured {cfg.dim}")
     if candidates_path is not None:
         _check_exists(candidates_path, "candidate list file")
-        lists = load_candidate_lists(candidates_path)
+        lists = load_candidate_lists(candidates_path, concepts)
         queries = []
         for i, qid in enumerate(ids):
             if qid not in lists:
                 raise EngineError(f"query {qid!r} has no candidate list in {candidates_path}")
             queries.append(Query(qid, matrix[i], lists[qid]))
         return queries
-    if not all_concept_names:
+    if not concepts:
         raise EngineError("no candidate lists given and no concepts to fall back on")
-    fallback = tuple(sorted(all_concept_names))
+    fallback = tuple(sorted(concepts))
     return [Query(qid, matrix[i], fallback) for i, qid in enumerate(ids)]
 
 
@@ -216,7 +217,7 @@ def _annotate_timed(cfg: EngineConfig, args: argparse.Namespace
     t1 = time.perf_counter()
     lexicon, concepts = _load_semantics(cfg)
     t2 = time.perf_counter()
-    queries = _load_queries(cfg, args.queries, args.candidates, sorted(concepts))
+    queries = _load_queries(cfg, args.queries, args.candidates, concepts)
     t3 = time.perf_counter()
     timings: dict[str, list[float]] = {}
     annotations = annotate_batch(queries, datasets, lexicon, concepts, _engine_params(cfg), timings)
@@ -326,7 +327,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise EngineError("--ablation needs --queries (and usually --candidates)")
         _require_datasets(cfg)
         datasets = _load_datasets(cfg)
-        queries = _load_queries(cfg, args.queries, args.candidates, sorted(concepts))
+        queries = _load_queries(cfg, args.queries, args.candidates, concepts)
         results = run_ablation(cfg, datasets, lexicon, concepts, queries, truth)
         print(f"{'level':<40} {'MP-s%':>7} {'MR-s%':>7} {'MF-s%':>7} {'MAP-s%':>7}")
         for label, report in results:

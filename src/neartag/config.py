@@ -15,6 +15,7 @@ from .analysis import WEIGHTING_RECIPROCAL, WEIGHTING_UNIFORM, AnalysisConfig
 from .errors import EngineError, FormatError
 from .index import MODE_EXACT, MODE_PERM_PREFIX, IndexConfig
 from .lexicon import ALL_RELATIONS, RelationType
+from .tsv import decode_error
 
 
 @dataclass(frozen=True)
@@ -88,21 +89,24 @@ def parse_relations(text: str) -> frozenset[RelationType]:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blanks ignored."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"expected 'key = value', got {line!r}", path=path, line=lineno)
-            key, value = line.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise FormatError("empty key", path=path, line=lineno)
-            if key in values:
-                raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
-            values[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise FormatError(f"expected 'key = value', got {line!r}", path=path, line=lineno)
+                key, value = line.split("=", 1)
+                key = key.strip()
+                value = value.strip()
+                if not key:
+                    raise FormatError("empty key", path=path, line=lineno)
+                if key in values:
+                    raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
+                values[key] = value
+    except UnicodeDecodeError:
+        raise decode_error(path) from None
     return values
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .annotator import Annotation, ConceptDef
-from .errors import EngineError, FormatError
+from .errors import EngineError
+from .tsv import read_id_lists
 
 
 @dataclass(frozen=True)
@@ -96,30 +97,7 @@ def concept_prf(predictions: dict[str, set[str]], truth: dict[str, set[str]],
 
 def load_ground_truth(path: str, concepts: dict[str, ConceptDef]) -> dict[str, set[str]]:
     """Truth file: ``<id>\\t<name>(,<name>)*`` with known concept names."""
-    truth: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected '<id>\\t<name,name,...>'", path=path, line=lineno)
-            image_id, names_field = parts
-            if not image_id:
-                raise FormatError("empty image id", path=path, line=lineno)
-            if image_id in truth:
-                raise FormatError(f"duplicate image id {image_id!r}", path=path, line=lineno)
-            names = set()
-            for name in names_field.split(","):
-                name = name.strip().lower()
-                if not name:
-                    raise FormatError("empty concept name", path=path, line=lineno)
-                if name not in concepts:
-                    raise FormatError(f"unknown concept {name!r}", path=path, line=lineno)
-                names.add(name)
-            truth[image_id] = names
-    return truth
+    return {sid: set(names) for sid, names in read_id_lists(path, "concept", concepts).items()}
 
 
 def evaluate(annotations: list[Annotation], truth: dict[str, set[str]],

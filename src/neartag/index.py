@@ -364,6 +364,8 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
         for what, size in (("pivots", pbytes), ("prefix assignments", abytes)):
             if size > left:
                 raise FormatError(f"truncated file: {what} need {size} bytes, {left} remain", path=path)
+        if perm and not 1 <= prefix_len <= num_pivots:
+            raise FormatError(f"prefix length {prefix_len} outside [1, num_pivots={num_pivots}]", path=path)
 
         ids, matrix = _read_records(fh, path, count, dim)
 
@@ -376,6 +378,8 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
                 raise FormatError("truncated pivot data", path=path)
             pivots = np.frombuffer(raw_piv, dtype="<f4").reshape(num_pivots, dim).copy()
             assignments = np.frombuffer(raw_asn, dtype="<i4").reshape(count, prefix_len).copy()
+            if assignments.min() < 0 or assignments.max() >= num_pivots:
+                raise FormatError(f"prefix assignment outside [0, num_pivots={num_pivots})", path=path)
         if fh.read(1):
             raise FormatError("trailing data after index payload", path=path)
 

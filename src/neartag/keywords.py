@@ -1,13 +1,13 @@
 """Image-id to keyword mapping loaded from tab-separated text.
 
-One line per image: ``<image_id>\\t<word>(,<word>)*``. Lines that are
-blank or start with ``#`` are ignored. Words are lowercased and
-deduplicated per image, keeping first-occurrence order.
+One line per image: ``<image_id>\\t<word>(,<word>)*``, read by
+``tsv.read_id_lists``: words are lowercased and deduplicated per image,
+keeping first-occurrence order.
 """
 
 from __future__ import annotations
 
-from .errors import FormatError
+from .tsv import read_id_lists
 
 
 class KeywordStore:
@@ -43,28 +43,4 @@ class KeywordStore:
 
 
 def load_keywords(path: str) -> KeywordStore:
-    records: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(
-                    f"expected '<id>\\t<word,word,...>', got {len(parts)} tab-separated fields",
-                    path=path, line=lineno,
-                )
-            image_id, word_field = parts
-            if not image_id:
-                raise FormatError("empty image id", path=path, line=lineno)
-            if image_id in records:
-                raise FormatError(f"duplicate image id {image_id!r}", path=path, line=lineno)
-            words = []
-            for word in word_field.split(","):
-                word = word.strip().lower()
-                if not word:
-                    raise FormatError("empty keyword", path=path, line=lineno)
-                words.append(word)
-            records[image_id] = list(dict.fromkeys(words))
-    return KeywordStore(records)
+    return KeywordStore(read_id_lists(path, "keyword"))

@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import pytest
 
@@ -250,6 +251,37 @@ def test_annotate_query_file_with_absurd_count_exits_2(corpus, tmp_path, capsys)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(queries) in err
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_annotate_non_utf8_keyword_file_exits_2_naming_it(corpus, tmp_path, capsys):
+    lines = pathlib.Path(corpus, "keywords.tsv").read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b"\t", b"\t\xff", 1)
+    keywords = tmp_path / "keywords.tsv"
+    keywords.write_bytes(b"\n".join(lines))
+    rc = main(["annotate", "--config", conf(corpus), "--keywords", str(keywords),
+               "--queries", os.path.join(corpus, "queries.fvec"),
+               "--output", str(tmp_path / "out.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {keywords}: line 5: not UTF-8")
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_unknown_candidate_concept_fails_before_the_search(corpus, tmp_path, monkeypatch, capsys):
+    import neartag.cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before the candidate lists were checked")
+
+    lines = pathlib.Path(corpus, "candidates.tsv").read_text(encoding="utf-8").splitlines()
+    lines[2] += ",unicorn"
+    candidates = tmp_path / "candidates.tsv"
+    candidates.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(neartag.cli, "annotate_batch", no_search)
+    rc = main(["annotate", "--config", conf(corpus), "--queries", os.path.join(corpus, "queries.fvec"),
+               "--candidates", str(candidates), "--output", str(tmp_path / "out.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {candidates}: line 3: unknown concept 'unicorn'\n"
     assert not (tmp_path / "out.tsv").exists()
 
 

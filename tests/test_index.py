@@ -394,3 +394,30 @@ def test_load_rejects_pivot_sizes_beyond_the_file(tmp_path, field):
     with pytest.raises(FormatError, match="truncated") as exc:
         load_index(str(path), cfg)
     assert str(path) in str(exc.value)
+
+
+def _perm_index_bytes(tmp_path):
+    cfg = IndexConfig(dim=3, mode="perm-prefix", num_pivots=2, prefix_len=2, candidate_budget=2)
+    path = tmp_path / "x.index"
+    save_index(build_index_from_arrays(["a", "b", "c"], np.arange(9.0).reshape(3, 3), cfg), str(path))
+    return cfg, path, path.read_bytes()
+
+
+@pytest.mark.parametrize("value", [99, 2, -1])
+def test_load_rejects_prefix_assignment_outside_the_pivots(tmp_path, value):
+    cfg, path, raw = _perm_index_bytes(tmp_path)
+    path.write_bytes(raw[:-4] + np.array([value], dtype="<i4").tobytes())  # the last assignment
+    with pytest.raises(FormatError, match="prefix assignment") as exc:
+        load_index(str(path), cfg)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("prefix_len", [0, 3])
+def test_load_rejects_prefix_len_outside_the_pivots(tmp_path, prefix_len):
+    cfg, path, raw = _perm_index_bytes(tmp_path)
+    header = list(_HEADER.unpack(raw[:_HEADER.size]))
+    header[6] = prefix_len  # position of prefix_len in _HEADER
+    path.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size:])
+    with pytest.raises(FormatError, match="prefix length") as exc:
+        load_index(str(path), cfg)
+    assert str(path) in str(exc.value)
