@@ -7,8 +7,6 @@ ever scores the given candidates (closed world).
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -25,6 +23,7 @@ from .analysis import (
     word_frequencies,
 )
 from .errors import EngineError, FormatError
+from .fvec import _replacing
 from .index import VectorIndex
 from .keywords import KeywordStore
 from .lexicon import Lexicon
@@ -269,18 +268,10 @@ def write_annotations(path: str, annotations: list[Annotation]) -> None:
     Output goes through a temp file and an atomic rename so a failure
     never leaves a partial file behind.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".annotations-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for ann in annotations:
-                ranked = ",".join(f"{name}:{score:.6f}" for name, score in ann.ranked)
-                fh.write(f"{ann.id}\t{ranked}\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with _replacing(path, binary=False) as fh:
+        for ann in annotations:
+            ranked = ",".join(f"{name}:{score:.6f}" for name, score in ann.ranked)
+            fh.write(f"{ann.id}\t{ranked}\n")
 
 
 def read_annotations(path: str) -> list[Annotation]:

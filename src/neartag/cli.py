@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .annotator import (
     Annotation,
     ConceptDef,
     Dataset,
-    EngineParams,
     Query,
     annotate_batch,
     load_candidate_lists,
@@ -42,6 +42,7 @@ from .annotator import (
     write_annotations,
 )
 from .config import (
+    KEYS,
     PRESETS,
     EngineConfig,
     apply_config_values,
@@ -58,70 +59,57 @@ from .index import (
     save_index,
 )
 from .keywords import load_keywords
-from .lexicon import RelationType, load_lexicon
+from .lexicon import load_lexicon
 from .synth import SynthConfig, generate_corpus
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    """The engine flags. Each one's ``dest`` is the config key it sets, and
+    its text is parsed and checked as that key's config value."""
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
-    p.add_argument("--features", action="append", help="reference feature file (repeatable)")
-    p.add_argument("--keywords", action="append", help="reference keyword file (repeatable)")
-    p.add_argument("--index", action="append", help="index file per dataset (repeatable)")
+    p.add_argument("--features", dest="dataset.features", action="append",
+                   help="reference feature file (repeatable)")
+    p.add_argument("--keywords", dest="dataset.keywords", action="append",
+                   help="reference keyword file (repeatable)")
+    p.add_argument("--index", dest="dataset.index", action="append",
+                   help="index file per dataset (repeatable)")
     p.add_argument("--lexicon", help="lexicon file")
     p.add_argument("--concepts", help="concept definition file")
     p.add_argument("--output", help="annotation output file")
-    p.add_argument("--dim", type=int, help="feature dimensionality")
-    p.add_argument("--k", type=int, help="neighbors per query")
-    p.add_argument("--m", type=int, help="concepts per annotation")
-    p.add_argument("--s", type=int, help="senses per word")
-    p.add_argument("--n", type=int, help="candidate synsets kept")
+    p.add_argument("--dim", help="feature dimensionality")
+    p.add_argument("--k", help="neighbors per query")
+    p.add_argument("--m", help="concepts per annotation")
+    p.add_argument("--s", help="senses per word")
+    p.add_argument("--n", help="candidate synsets kept")
     p.add_argument("--weighting", choices=["uniform", "reciprocal-rank"], help="neighbor weighting")
     p.add_argument("--relations", help="comma list of relation types, or 'none'")
     p.add_argument("--lam", action="append", metavar="REL=W",
-                   help="relation weight, e.g. hypernym=2.0 (repeatable)")
-    p.add_argument("--alpha", type=float, help="restart probability")
-    p.add_argument("--expansion-depth", type=int, choices=[0, 1], help="graph expansion depth")
-    p.add_argument("--max-iters", type=int, help="propagation iteration cap")
-    p.add_argument("--tol", type=float, help="propagation L1 stop tolerance")
-    p.add_argument("--index-mode", choices=[MODE_EXACT, MODE_PERM_PREFIX], help="search mode")
-    p.add_argument("--pivots", type=int, help="pivot count (perm-prefix)")
-    p.add_argument("--prefix-len", type=int, help="permutation prefix length (perm-prefix)")
-    p.add_argument("--budget", type=int, help="candidate budget (perm-prefix)")
-    p.add_argument("--seed", type=int, help="rng seed for index builds")
+                   help="relation weight, e.g. hypernym=2.0 (repeatable; sets lambda.REL)")
+    p.add_argument("--alpha", help="restart probability")
+    p.add_argument("--expansion-depth", help="graph expansion depth (0 or 1)")
+    p.add_argument("--max-iters", help="propagation iteration cap")
+    p.add_argument("--tol", help="propagation L1 stop tolerance")
+    p.add_argument("--index-mode", dest="index.mode", choices=[MODE_EXACT, MODE_PERM_PREFIX],
+                   help="search mode")
+    p.add_argument("--pivots", dest="index.pivots", help="pivot count (perm-prefix)")
+    p.add_argument("--prefix-len", dest="index.prefix_len", help="permutation prefix length (perm-prefix)")
+    p.add_argument("--budget", dest="index.budget", help="candidate budget (perm-prefix)")
+    p.add_argument("--seed", help="rng seed for index builds")
 
 
 def _resolve_config(args: argparse.Namespace) -> EngineConfig:
-    cfg = EngineConfig()
-    if args.config:
-        cfg = load_engine_config(args.config)
+    cfg = load_engine_config(args.config) if args.config else EngineConfig()
     if args.preset:
         cfg = apply_preset(cfg, args.preset)
-    overrides: dict[str, str] = {}
-    flag_map = {
-        "dim": "dim", "k": "k", "m": "m", "s": "s", "n": "n",
-        "weighting": "weighting", "relations": "relations", "alpha": "alpha",
-        "expansion_depth": "expansion_depth", "max_iters": "max_iters", "tol": "tol",
-        "index_mode": "index.mode", "pivots": "index.pivots",
-        "prefix_len": "index.prefix_len", "budget": "index.budget", "seed": "seed",
-        "lexicon": "lexicon", "concepts": "concepts", "output": "output",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if getattr(args, "features", None):
-        overrides["dataset.features"] = ",".join(args.features)
-    if getattr(args, "keywords", None):
-        overrides["dataset.keywords"] = ",".join(args.keywords)
-    if getattr(args, "index", None):
-        overrides["dataset.index"] = ",".join(args.index)
-    for item in getattr(args, "lam", None) or []:
+    given = {key: getattr(args, key) for key in KEYS if getattr(args, key, None) is not None}
+    flags = {key: value if isinstance(value, str) else ",".join(value) for key, value in given.items()}
+    for item in args.lam or []:
         if "=" not in item:
             raise EngineError(f"--lam expects REL=WEIGHT, got {item!r}")
         rel, weight = item.split("=", 1)
-        overrides[f"lambda.{rel.strip()}"] = weight.strip()
-    return apply_config_values(cfg, overrides, base_dir=os.getcwd(), source="flag")
+        flags[f"lambda.{rel.strip()}"] = weight.strip()
+    return apply_config_values(cfg, flags, base_dir=os.getcwd(), source="flag")
 
 
 def _check_exists(path: str, what: str) -> None:
@@ -196,10 +184,6 @@ def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | N
     return [Query(qid, matrix[i], fallback) for i, qid in enumerate(ids)]
 
 
-def _engine_params(cfg: EngineConfig) -> EngineParams:
-    return EngineParams(k=cfg.k, m=cfg.m, analysis=cfg.analysis_config())
-
-
 # A timing row: (phase, total seconds, per-query seconds or None).
 _PhaseRow = tuple[str, float, list[float] | None]
 
@@ -220,7 +204,7 @@ def _annotate_timed(cfg: EngineConfig, args: argparse.Namespace
     queries = _load_queries(cfg, args.queries, args.candidates, concepts)
     t3 = time.perf_counter()
     timings: dict[str, list[float]] = {}
-    annotations = annotate_batch(queries, datasets, lexicon, concepts, _engine_params(cfg), timings)
+    annotations = annotate_batch(queries, datasets, lexicon, concepts, cfg.params, timings)
     setup = [("index load", t1 - t0, None), ("lexicon load", t2 - t1, None)]
     work: list[_PhaseRow] = [("feature load", t3 - t2, None),
                             (SIMILARITY_SEARCH, sum(timings[SIMILARITY_SEARCH]), None)]
@@ -261,14 +245,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         ids, matrix = fvec.read_vectors(feat_path)
         index = build_index_from_arrays(ids, matrix, cfg.index_config())
-        tmp = cfg.index_paths[pos] + ".tmp"
-        try:
-            save_index(index, tmp)
-            os.replace(tmp, cfg.index_paths[pos])
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        save_index(index, cfg.index_paths[pos])
         elapsed = time.perf_counter() - t0
         print(f"dataset {pos + 1}: {len(ids)} vectors, dim {matrix.shape[1]}, "
               f"built in {elapsed:.2f}s -> {cfg.index_paths[pos]}")
@@ -290,28 +267,22 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each level is a ``key = value`` overlay on the resolved settings.
 _ABLATION_LEVELS = [
-    ("frequency only (s=1, relations off)",
-     lambda cfg: {"s": 1, "relations": frozenset()}),
-    ("multi-sense (relations off)",
-     lambda cfg: {"relations": frozenset()}),
-    ("+ hierarchy (hypernym, hyponym)",
-     lambda cfg: {"relations": frozenset({RelationType.HYPERNYM, RelationType.HYPONYM})}),
-    ("+ parts (meronym, holonym)",
-     lambda cfg: {"relations": frozenset({RelationType.HYPERNYM, RelationType.HYPONYM,
-                                          RelationType.MERONYM, RelationType.HOLONYM})}),
+    ("frequency only (s=1, relations off)", {"s": "1", "relations": "none"}),
+    ("multi-sense (relations off)", {"relations": "none"}),
+    ("+ hierarchy (hypernym, hyponym)", {"relations": "hypernym,hyponym"}),
+    ("+ parts (meronym, holonym)", {"relations": "hypernym,hyponym,meronym,holonym"}),
 ]
 
 
 def run_ablation(cfg: EngineConfig, datasets: list[Dataset], lexicon, concepts,
                  queries: list[Query], truth: dict[str, set[str]]):
     """The four analysis levels, weakest first. Returns (label, report) pairs."""
-    from dataclasses import replace
-
     results = []
-    for label, make in _ABLATION_LEVELS:
-        level_cfg = replace(cfg, **make(cfg))
-        annotations = annotate_batch(queries, datasets, lexicon, concepts, _engine_params(level_cfg))
+    for label, level in _ABLATION_LEVELS:
+        params = apply_config_values(cfg, level, source="ablation level").params
+        annotations = annotate_batch(queries, datasets, lexicon, concepts, params)
         results.append((label, evaluate(annotations, truth, concepts)))
     return results
 
@@ -346,16 +317,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    synth_cfg = SynthConfig(
-        rng_seed=args.seed, dim=args.dim, num_concepts=args.concepts,
-        refs_per_concept=args.refs, num_queries=args.queries,
-        cluster_noise_sigma=args.sigma, label_noise=args.label_noise,
-        lexicon_depth=args.depth, group_size=args.group_size,
-        variants_per_concept=args.variants, synonym_rate=args.synonym_rate,
-        part_rate=args.part_rate, category_rate=args.category_rate,
-        ambiguous_fraction=args.ambiguous_fraction,
-        candidates_per_query=args.candidates_per_query,
-    )
+    given = vars(args)
+    synth_cfg = SynthConfig(**{f.name: given[f.name] for f in fields(SynthConfig) if f.name in given})
     paths = generate_corpus(synth_cfg, args.out)
     total_refs = synth_cfg.num_concepts * synth_cfg.refs_per_concept
     print(f"corpus written to {paths.root}")
@@ -404,23 +367,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", help="candidate lists (ablation mode)")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("generate", help="generate a seeded synthetic corpus")
+    # Each flag's dest is the SynthConfig field it sets; an absent flag
+    # leaves the field at SynthConfig's default.
+    p = sub.add_parser("generate", help="generate a seeded synthetic corpus",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--concepts", type=int, default=20, help="number of leaf concepts")
-    p.add_argument("--refs", type=int, default=100, help="reference images per concept")
-    p.add_argument("--queries", type=int, default=200)
-    p.add_argument("--sigma", type=float, default=0.25, help="cluster noise sigma")
-    p.add_argument("--label-noise", type=float, default=0.1)
-    p.add_argument("--depth", type=int, default=2, help="hypernym chain depth")
-    p.add_argument("--group-size", type=int, default=4, help="leaf concepts per category")
-    p.add_argument("--variants", type=int, default=2, help="variant synsets per leaf")
-    p.add_argument("--synonym-rate", type=float, default=0.25)
-    p.add_argument("--part-rate", type=float, default=0.10)
-    p.add_argument("--category-rate", type=float, default=0.0)
-    p.add_argument("--ambiguous-fraction", type=float, default=0.5)
-    p.add_argument("--candidates-per-query", type=int, default=8)
+    p.add_argument("--seed", dest="rng_seed", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--concepts", dest="num_concepts", type=int, help="number of leaf concepts")
+    p.add_argument("--refs", dest="refs_per_concept", type=int, help="reference images per concept")
+    p.add_argument("--queries", dest="num_queries", type=int)
+    p.add_argument("--sigma", dest="cluster_noise_sigma", type=float, help="cluster noise sigma")
+    p.add_argument("--label-noise", type=float)
+    p.add_argument("--depth", dest="lexicon_depth", type=int, help="hypernym chain depth")
+    p.add_argument("--group-size", type=int, help="leaf concepts per category")
+    p.add_argument("--variants", dest="variants_per_concept", type=int, help="variant synsets per leaf")
+    p.add_argument("--synonym-rate", type=float)
+    p.add_argument("--part-rate", type=float)
+    p.add_argument("--category-rate", type=float)
+    p.add_argument("--ambiguous-fraction", type=float)
+    p.add_argument("--candidates-per-query", type=int)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("bench", help="measure per-phase throughput")

@@ -1,25 +1,31 @@
 """Engine configuration from ``key = value`` files, presets, and flags.
 
 Precedence, lowest to highest: built-in defaults, config file, preset,
-explicit command-line flags. Relative paths in a config file resolve
-against the file's own directory, so a generated corpus directory is
-self-contained.
+explicit command-line flags. Every layer is a ``key = value`` dict laid
+over the one before by ``apply_config_values``; ``KEYS`` says which
+setting each key sets and how its text is read. Relative paths in a
+config file resolve against the file's own directory, so a generated
+corpus directory is self-contained.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .analysis import WEIGHTING_RECIPROCAL, WEIGHTING_UNIFORM, AnalysisConfig
+from .analysis import AnalysisConfig
+from .annotator import EngineParams
 from .errors import EngineError, FormatError
-from .index import MODE_EXACT, MODE_PERM_PREFIX, IndexConfig
-from .lexicon import ALL_RELATIONS, RelationType
+from .index import IndexConfig
+from .lexicon import RelationType
 from .tsv import decode_error
 
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Paths, the feature dimensionality, the engine parameters, and the
+    index settings other than ``dim`` (unset ones take IndexConfig's defaults)."""
+
     dim: int = 0
     feature_paths: tuple[str, ...] = ()
     keyword_paths: tuple[str, ...] = ()
@@ -27,47 +33,12 @@ class EngineConfig:
     lexicon_path: str = ""
     concepts_path: str = ""
     output_path: str = ""
-    k: int = 70
-    m: int = 5
-    s: int = 7
-    n: int = 100
-    weighting: str = WEIGHTING_UNIFORM
-    relations: frozenset[RelationType] = ALL_RELATIONS
-    lambdas: dict[RelationType, float] = field(default_factory=lambda: {r: 1.0 for r in RelationType})
-    alpha: float = 0.5
-    expansion_depth: int = 1
-    max_iters: int = 100
-    tol: float = 1e-9
-    index_mode: str = MODE_EXACT
-    num_pivots: int = 64
-    prefix_len: int = 8
-    candidate_budget: int = 2000
-    seed: int = 0
-
-    def analysis_config(self) -> AnalysisConfig:
-        return AnalysisConfig(
-            s=self.s, n=self.n, neighbor_weighting=self.weighting,
-            relation_set=self.relations, lambdas=dict(self.lambdas),
-            alpha=self.alpha, expansion_depth=self.expansion_depth,
-            max_iters=self.max_iters, tol=self.tol,
-        )
+    params: EngineParams = field(default_factory=EngineParams)
+    index: dict[str, object] = field(default_factory=dict)
 
     def index_config(self) -> IndexConfig:
-        return IndexConfig(
-            dim=self.dim, mode=self.index_mode, num_pivots=self.num_pivots,
-            prefix_len=self.prefix_len, candidate_budget=self.candidate_budget,
-            rng_seed=self.seed,
-        )
+        return IndexConfig(dim=self.dim, **self.index)
 
-
-PRESETS: dict[str, dict[str, object]] = {
-    # Tuned for deep-feature representations: large neighborhoods, a
-    # compact synset pool, all relation types on.
-    "decaf-style": {"k": 70, "n": 100, "m": 5, "s": 7, "relations": ALL_RELATIONS},
-    # Tuned for classic descriptor representations: tighter neighborhoods
-    # but a broader synset pool.
-    "mpeg7-style": {"k": 25, "n": 200, "m": 7, "s": 7, "relations": ALL_RELATIONS},
-}
 
 _RELATION_NAMES = {r.value: r for r in RelationType}
 
@@ -84,6 +55,92 @@ def parse_relations(text: str) -> frozenset[RelationType]:
             raise EngineError(f"unknown relation {token!r} (expected {sorted(_RELATION_NAMES)} or 'none')")
         out.add(_RELATION_NAMES[token])
     return frozenset(out)
+
+
+def _path(text: str, base_dir: str) -> str:
+    return text if os.path.isabs(text) else os.path.normpath(os.path.join(base_dir, text))
+
+
+def _paths(text: str, base_dir: str) -> tuple[str, ...]:
+    return tuple(_path(p.strip(), base_dir) for p in text.split(",") if p.strip())
+
+
+# Config key -> (section, field, parser). The sections are EngineConfig
+# itself, its params, their analysis config, the analysis lambdas (keyed
+# by relation) and the index settings. Path parsers also take the
+# directory relative paths resolve against.
+KEYS = {
+    "dim": ("config", "dim", int),
+    "dataset.features": ("config", "feature_paths", _paths),
+    "dataset.keywords": ("config", "keyword_paths", _paths),
+    "dataset.index": ("config", "index_paths", _paths),
+    "lexicon": ("config", "lexicon_path", _path),
+    "concepts": ("config", "concepts_path", _path),
+    "output": ("config", "output_path", _path),
+    "k": ("params", "k", int),
+    "m": ("params", "m", int),
+    "s": ("analysis", "s", int),
+    "n": ("analysis", "n", int),
+    "weighting": ("analysis", "neighbor_weighting", str),
+    "relations": ("analysis", "relation_set", parse_relations),
+    "alpha": ("analysis", "alpha", float),
+    "expansion_depth": ("analysis", "expansion_depth", int),
+    "max_iters": ("analysis", "max_iters", int),
+    "tol": ("analysis", "tol", float),
+    **{f"lambda.{rel.value}": ("lambdas", rel, float) for rel in RelationType},
+    "index.mode": ("index", "mode", str),
+    "index.pivots": ("index", "num_pivots", int),
+    "index.prefix_len": ("index", "prefix_len", int),
+    "index.budget": ("index", "candidate_budget", int),
+    "seed": ("index", "rng_seed", int),
+}
+
+
+def _sections(cfg: EngineConfig) -> dict[str, dict]:
+    """Each section's settings as a fresh dict; a nested section is the
+    same dict as its entry in the section holding it."""
+    top = dict(vars(cfg), index=dict(cfg.index))
+    analysis = dict(vars(cfg.params.analysis), lambdas=dict(cfg.params.analysis.lambdas))
+    return {"config": top, "params": dict(vars(cfg.params)), "analysis": analysis,
+            "lambdas": analysis["lambdas"], "index": top["index"]}
+
+
+def apply_config_values(base: EngineConfig, values: dict[str, str], base_dir: str = ".",
+                        source: str = "config") -> EngineConfig:
+    """Overlay ``key = value`` pairs onto an EngineConfig.
+
+    The parameter dataclasses check the values once all are set; the
+    index settings are checked, together, when ``index_config`` builds them.
+    """
+    sections = _sections(base)
+    for key, value in values.items():
+        if key not in KEYS:
+            raise EngineError(f"unknown {source} key {key!r}")
+        section, name, parse = KEYS[key]
+        try:
+            sections[section][name] = parse(value, base_dir) if parse in (_path, _paths) else parse(value)
+        except ValueError as exc:
+            raise EngineError(f"bad value for {source} key {key!r}: {exc}") from None
+    params = EngineParams(**dict(sections["params"], analysis=AnalysisConfig(**sections["analysis"])))
+    return EngineConfig(**dict(sections["config"], params=params))
+
+
+def _defaults(*keys: str) -> dict[str, str]:
+    """Config text that sets each key back to its built-in default."""
+    sections = _sections(EngineConfig())
+    values = {key: sections[KEYS[key][0]][KEYS[key][1]] for key in keys}
+    return {key: ",".join(sorted(rel.value for rel in v)) if isinstance(v, frozenset) else str(v)
+            for key, v in values.items()}
+
+
+PRESETS: dict[str, dict[str, str]] = {
+    # Tuned for deep-feature representations: the engine defaults (large
+    # neighborhoods, a compact synset pool, all relation types on).
+    "decaf-style": _defaults("k", "n", "m", "s", "relations"),
+    # Tuned for classic descriptor representations: tighter neighborhoods
+    # but a broader synset pool.
+    "mpeg7-style": {**_defaults("s", "relations"), "k": "25", "n": "200", "m": "7"},
+}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -110,63 +167,6 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_INT_KEYS = {
-    "dim": "dim", "k": "k", "m": "m", "s": "s", "n": "n",
-    "expansion_depth": "expansion_depth", "max_iters": "max_iters",
-    "index.pivots": "num_pivots", "index.prefix_len": "prefix_len",
-    "index.budget": "candidate_budget", "seed": "seed",
-}
-_FLOAT_KEYS = {"alpha": "alpha", "tol": "tol"}
-_PATH_LIST_KEYS = {
-    "dataset.features": "feature_paths",
-    "dataset.keywords": "keyword_paths",
-    "dataset.index": "index_paths",
-}
-_PATH_KEYS = {"lexicon": "lexicon_path", "concepts": "concepts_path", "output": "output_path"}
-
-
-def apply_config_values(base: EngineConfig, values: dict[str, str], base_dir: str = ".",
-                        source: str = "config") -> EngineConfig:
-    """Overlay parsed key=value pairs onto an EngineConfig."""
-    updates: dict[str, object] = {}
-    lambdas = dict(base.lambdas)
-    for key, value in values.items():
-        try:
-            if key in _INT_KEYS:
-                updates[_INT_KEYS[key]] = int(value)
-            elif key in _FLOAT_KEYS:
-                updates[_FLOAT_KEYS[key]] = float(value)
-            elif key in _PATH_LIST_KEYS:
-                paths = tuple(
-                    _resolve(base_dir, p.strip()) for p in value.split(",") if p.strip()
-                )
-                updates[_PATH_LIST_KEYS[key]] = paths
-            elif key in _PATH_KEYS:
-                updates[_PATH_KEYS[key]] = _resolve(base_dir, value)
-            elif key == "weighting":
-                if value not in (WEIGHTING_UNIFORM, WEIGHTING_RECIPROCAL):
-                    raise EngineError(f"unknown weighting {value!r}")
-                updates["weighting"] = value
-            elif key == "relations":
-                updates["relations"] = parse_relations(value)
-            elif key == "index.mode":
-                if value not in (MODE_EXACT, MODE_PERM_PREFIX):
-                    raise EngineError(f"unknown index mode {value!r}")
-                updates["index_mode"] = value
-            elif key.startswith("lambda."):
-                rel_name = key[len("lambda."):]
-                if rel_name not in _RELATION_NAMES:
-                    raise EngineError(f"unknown relation in key {key!r}")
-                lambdas[_RELATION_NAMES[rel_name]] = float(value)
-            else:
-                raise EngineError(f"unknown {source} key {key!r}")
-        except ValueError as exc:
-            raise EngineError(f"bad value for {source} key {key!r}: {exc}") from None
-    if lambdas != dict(base.lambdas):
-        updates["lambdas"] = lambdas
-    return replace(base, **updates)
-
-
 def load_engine_config(path: str) -> EngineConfig:
     values = parse_config_file(path)
     return apply_config_values(EngineConfig(), values, base_dir=os.path.dirname(os.path.abspath(path)),
@@ -176,8 +176,4 @@ def load_engine_config(path: str) -> EngineConfig:
 def apply_preset(config: EngineConfig, name: str) -> EngineConfig:
     if name not in PRESETS:
         raise EngineError(f"unknown preset {name!r} (expected one of {sorted(PRESETS)})")
-    return replace(config, **PRESETS[name])
-
-
-def _resolve(base_dir: str, path: str) -> str:
-    return path if os.path.isabs(path) else os.path.normpath(os.path.join(base_dir, path))
+    return apply_config_values(config, PRESETS[name], source=f"preset {name}")

@@ -6,12 +6,16 @@ length of the UTF-8 image id, the id bytes themselves, then ``dim``
 float32 components (little endian). Saved indexes (``index.py``) hold
 the same records after their own binary header; ``_write_records`` and
 ``_read_records`` are the only code that writes or reads them.
+
+``_replacing`` is the one way the package writes an output file, text
+or binary: a failed write leaves whatever was at the path before.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,16 +37,41 @@ def _check_id(image_id: str) -> bytes:
     return raw
 
 
+@contextmanager
+def _replacing(path: str, binary: bool = True):
+    """Open a new file beside ``path`` for writing; on success rename it over ``path``.
+
+    The temp file has a unique name in the target's directory and the
+    umask's permissions, as ``open`` would give. If the body or the
+    rename fails, the temp file is removed and ``path`` is untouched.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_records(path: str, header: bytes, ids: list[str], matrix: np.ndarray,
                    trailer: bytes = b"") -> None:
     """Write ``header``, one record per (id, row), then ``trailer`` to ``path``.
 
-    Every id is checked before the file is opened, so a bad id leaves
-    no file behind.
+    Every id is checked before the file is opened, and the file replaces
+    ``path`` only once it is whole.
     """
     raw_ids = [_check_id(image_id) for image_id in ids]
     data = np.ascontiguousarray(matrix, dtype="<f4")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(header)
         for raw, row in zip(raw_ids, data):
             fh.write(_ID_LEN.pack(len(raw)))

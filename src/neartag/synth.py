@@ -259,6 +259,6 @@ def _write_concepts(config: SynthConfig, groups: list[int], path: str) -> None:
 
 
 def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with fvec._replacing(path, binary=False) as fh:
         for line in lines:
             fh.write(line + "\n")

@@ -8,6 +8,7 @@ so failures carry the numbers.
 import os
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,18 +244,18 @@ def test_08_outputs_are_byte_identical(tmp_path, capsys):
     conf = paths.engine_config
 
     assert main(["build", "--config", conf]) == 0
-    first_index = open(os.path.join(str(tmp_path), "refs.index"), "rb").read()
+    first_index = (tmp_path / "refs.index").read_bytes()
     assert main(["build", "--config", conf]) == 0
-    assert open(os.path.join(str(tmp_path), "refs.index"), "rb").read() == first_index
+    assert (tmp_path / "refs.index").read_bytes() == first_index
 
     args = ["annotate", "--config", conf, "--k", "10",
             "--queries", paths.queries, "--candidates", paths.candidates]
     assert main(args) == 0
     out_path = os.path.join(str(tmp_path), "annotations.tsv")
-    first_out = open(out_path, "rb").read()
+    first_out = Path(out_path).read_bytes()
     assert main(args) == 0
     capsys.readouterr()
-    assert open(out_path, "rb").read() == first_out
+    assert Path(out_path).read_bytes() == first_out
     assert len(first_out) > 0
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -269,7 +271,7 @@ def test_write_read_annotations_round_trip(tmp_path):
         Annotation("q2", (("rock", 0.0),)),
     ]
     write_annotations(path, anns)
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text == "q1\tcat:0.653211,dog:0.200000\nq2\trock:0.000000\n"
     back = read_annotations(path)
     assert [a.id for a in back] == ["q1", "q2"]
@@ -281,7 +283,7 @@ def test_write_annotations_byte_identical(tmp_path):
     anns = [Annotation("q1", (("cat", 1.0 / 3.0),))]
     write_annotations(p1, anns)
     write_annotations(p2, anns)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_read_annotations_malformed_line_number(tmp_path):

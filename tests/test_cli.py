@@ -33,8 +33,8 @@ def test_generate_deterministic(tmp_path, capsys):
                      "--dim", "4", "--concepts", "3", "--refs", "5", "--queries", "4"]) == 0
     capsys.readouterr()
     for name in ("refs.fvec", "keywords.tsv", "queries.fvec"):
-        a = open(tmp_path / "a" / name, "rb").read()
-        b = open(tmp_path / "b" / name, "rb").read()
+        a = (tmp_path / "a" / name).read_bytes()
+        b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
 
 
@@ -50,9 +50,9 @@ def test_build_prints_count_dim_time(corpus, capsys):
 def test_build_rebuild_byte_identical(corpus):
     index_path = os.path.join(corpus, "refs.index")
     assert main(["build", "--config", conf(corpus)]) == 0
-    first = open(index_path, "rb").read()
+    first = pathlib.Path(index_path).read_bytes()
     assert main(["build", "--config", conf(corpus)]) == 0
-    assert open(index_path, "rb").read() == first
+    assert pathlib.Path(index_path).read_bytes() == first
 
 
 def test_build_missing_feature_file_exit_nonzero(tmp_path, capsys):
@@ -73,7 +73,7 @@ def test_annotate_end_to_end(corpus, capsys):
         assert phase in out, f"timing block missing phase {phase}"
     out_path = os.path.join(corpus, "annotations.tsv")
     assert os.path.exists(out_path)
-    lines = open(out_path, encoding="utf-8").read().splitlines()
+    lines = pathlib.Path(out_path).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 12
     for line in lines:
         image_id, ranked = line.split("\t")
@@ -92,10 +92,10 @@ def test_annotate_deterministic_output(corpus, capsys):
             "--queries", os.path.join(corpus, "queries.fvec"),
             "--candidates", os.path.join(corpus, "candidates.tsv")]
     assert main(args) == 0
-    first = open(out_path, "rb").read()
+    first = pathlib.Path(out_path).read_bytes()
     assert main(args) == 0
     capsys.readouterr()
-    assert open(out_path, "rb").read() == first
+    assert pathlib.Path(out_path).read_bytes() == first
 
 
 def test_annotate_respects_m_flag(corpus, capsys):
@@ -104,7 +104,7 @@ def test_annotate_respects_m_flag(corpus, capsys):
                  "--queries", os.path.join(corpus, "queries.fvec"),
                  "--candidates", os.path.join(corpus, "candidates.tsv")]) == 0
     capsys.readouterr()
-    for line in open(out_path, encoding="utf-8").read().splitlines():
+    for line in pathlib.Path(out_path).read_text(encoding="utf-8").splitlines():
         assert len(line.split("\t")[1].split(",")) == 1
 
 
@@ -197,11 +197,11 @@ def test_annotate_loads_prebuilt_index(corpus, capsys):
             "--queries", os.path.join(corpus, "queries.fvec"),
             "--candidates", os.path.join(corpus, "candidates.tsv")]
     assert main(args) == 0
-    from_index = open(out_path, "rb").read()
+    from_index = pathlib.Path(out_path).read_bytes()
     os.unlink(os.path.join(corpus, "refs.index"))
     assert main(args) == 0
     capsys.readouterr()
-    assert open(out_path, "rb").read() == from_index
+    assert pathlib.Path(out_path).read_bytes() == from_index
 
 
 def test_flags_override_config(corpus, capsys):
@@ -220,7 +220,7 @@ def test_preset_flag_applies(corpus, capsys):
     assert rc == 0
     capsys.readouterr()
     out_path = os.path.join(corpus, "annotations.tsv")
-    for line in open(out_path, encoding="utf-8").read().splitlines():
+    for line in pathlib.Path(out_path).read_text(encoding="utf-8").splitlines():
         assert len(line.split("\t")[1].split(",")) <= 7  # mpeg7-style m=7
 
 
@@ -311,11 +311,11 @@ def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):
     inputs = ["--queries", os.path.join(corpus, "queries.fvec"),
               "--candidates", os.path.join(corpus, "candidates.tsv")]
     assert main(["annotate", "--config", conf(corpus), "--k", "10", *inputs]) == 0
-    unpatched = open(out_path, "rb").read()
+    unpatched = pathlib.Path(out_path).read_bytes()
     monkeypatch.setattr(neartag.cli, "annotate_batch", counting)
     assert main(["annotate", "--config", conf(corpus), "--k", "10", *inputs]) == 0
     assert len(calls) == 1
-    assert open(out_path, "rb").read() == unpatched
+    assert pathlib.Path(out_path).read_bytes() == unpatched
     assert main(["bench", "--config", conf(corpus), "--k", "10", *inputs]) == 0
     assert len(calls) == 2
     capsys.readouterr()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def test_write_is_deterministic(tmp_path):
     ids = list("wxyz")
     fvec.write_vectors(a, ids, matrix)
     fvec.write_vectors(b, ids, matrix)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_header_contents(tmp_path):
@@ -61,9 +63,9 @@ def test_rejects_nan_on_write(tmp_path):
 def test_rejects_nan_on_read(tmp_path):
     path = str(tmp_path / "v.fvec")
     fvec.write_vectors(path, ["a"], np.ones((1, 2), dtype=np.float32))
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[-8:] = np.array([np.nan, 1.0], dtype="<f4").tobytes()
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="finite"):
         fvec.read_vectors(path)
 
@@ -71,8 +73,8 @@ def test_rejects_nan_on_read(tmp_path):
 def test_truncated_file(tmp_path):
     path = str(tmp_path / "v.fvec")
     fvec.write_vectors(path, ["a", "b"], np.ones((2, 3), dtype=np.float32))
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-5])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:-5])
     with pytest.raises(FormatError, match="truncated"):
         fvec.read_vectors(path)
 
@@ -88,14 +90,14 @@ def test_trailing_garbage(tmp_path):
 
 def test_bad_magic(tmp_path):
     path = str(tmp_path / "v.fvec")
-    open(path, "wb").write(b"NOPE 1 3 0\n")
+    Path(path).write_bytes(b"NOPE 1 3 0\n")
     with pytest.raises(FormatError, match="header"):
         fvec.read_vectors(path)
 
 
 def test_bad_version(tmp_path):
     path = str(tmp_path / "v.fvec")
-    open(path, "wb").write(b"FVEC 9 3 0\n")
+    Path(path).write_bytes(b"FVEC 9 3 0\n")
     with pytest.raises(FormatError, match="version 9"):
         fvec.read_vectors(path)
 

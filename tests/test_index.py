@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -285,16 +287,16 @@ def test_save_is_byte_identical_per_build_seed(tmp_path):
     p1, p2 = str(tmp_path / "a.index"), str(tmp_path / "b.index")
     save_index(make_index(ids, matrix, mode="perm-prefix", num_pivots=8, prefix_len=3, rng_seed=4), p1)
     save_index(make_index(ids, matrix, mode="perm-prefix", num_pivots=8, prefix_len=3, rng_seed=4), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_load_version_mismatch_is_loud(tmp_path):
     index = make_index(["a"], [[1.0, 2.0]])
     path = str(tmp_path / "x.index")
     save_index(index, path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[4] = 99  # version field follows the 4-byte magic
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="version 99"):
         load_index(path, IndexConfig(dim=2))
 
@@ -311,15 +313,15 @@ def test_load_truncated_is_loud(tmp_path):
     index = make_index(["a", "b"], np.ones((2, 4)))
     path = str(tmp_path / "x.index")
     save_index(index, path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-3])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:-3])
     with pytest.raises(FormatError, match="truncated"):
         load_index(path, IndexConfig(dim=4))
 
 
 def test_load_bad_magic(tmp_path):
     path = str(tmp_path / "x.index")
-    open(path, "wb").write(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNK")
+    Path(path).write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNK")
     with pytest.raises(FormatError, match="magic"):
         load_index(path, IndexConfig(dim=4))
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ SMALL = SynthConfig(rng_seed=11, dim=6, num_concepts=6, refs_per_concept=25, num
 
 def read_all_bytes(paths: CorpusPaths) -> dict[str, bytes]:
     names = ("refs", "keywords", "lexicon", "concepts", "queries", "candidates", "truth", "engine_config")
-    return {name: open(getattr(paths, name), "rb").read() for name in names}
+    return {name: Path(getattr(paths, name)).read_bytes() for name in names}
 
 
 def test_generation_is_byte_identical_per_seed(tmp_path):
@@ -28,7 +30,7 @@ def test_different_seed_changes_output(tmp_path):
     a = generate_corpus(SMALL, str(tmp_path / "a"))
     other = SynthConfig(**{**SMALL.__dict__, "rng_seed": 12})
     b = generate_corpus(other, str(tmp_path / "b"))
-    assert open(a.refs, "rb").read() != open(b.refs, "rb").read()
+    assert Path(a.refs).read_bytes() != Path(b.refs).read_bytes()
 
 
 def test_all_outputs_parse_with_package_loaders(tmp_path):
