@@ -30,6 +30,7 @@ from .annotator import (
     load_concepts,
     read_annotations,
     score_concepts,
+    search_neighbor_words,
     select_top,
     write_annotations,
 )

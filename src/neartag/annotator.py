@@ -8,6 +8,7 @@ ever scores the given candidates (closed world).
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -209,26 +210,25 @@ def annotate_from_words(query: Query, neighbor_words: list[tuple[str, list[str]]
     return Annotation(query.id, tuple(select_top(scored, params.m)), converged=result.converged)
 
 
-def annotate(query: Query, datasets: list[Dataset], lexicon: Lexicon,
-             concepts: dict[str, ConceptDef], params: EngineParams) -> Annotation:
-    """Annotate a single query image."""
-    per_dataset = [ds.index.knn(query.feature, params.k) for ds in datasets]
-    return _annotate_from_neighbors(query, per_dataset, datasets, lexicon, concepts, params)
-
-
-def _annotate_from_neighbors(query: Query, per_dataset: list[list[tuple[str, float]]],
-                             datasets: list[Dataset], lexicon: Lexicon,
-                             concepts: dict[str, ConceptDef], params: EngineParams,
-                             timings: dict[str, list[float]] | None = None) -> Annotation:
+def search_neighbor_words(queries: list[Query], datasets: list[Dataset], k: int,
+                          timings: dict[str, list[float]] | None = None) -> Iterator[list[tuple[str, list[str]]]]:
+    """The search stage: yields per query, in order, its merged top-k neighbors' (id, words), from one
+    ``knn_batch`` per dataset. Each is gathered when taken: a whole batch's lists slow garbage collection.
+    Seconds go to ``timings``: the search as ``SIMILARITY_SEARCH``, each gather as ``KEYWORD_FETCH``."""
+    if not queries:
+        return
+    timings = {} if timings is None else timings
+    features = np.stack([np.asarray(q.feature, dtype=np.float64) for q in queries])
     start = time.perf_counter()
-    merged = merge_neighbor_lists(per_dataset, params.k)
-    neighbor_words, _missing = gather_neighbor_words(merged, [ds.keywords for ds in datasets])
-    fetched = time.perf_counter()
-    annotation = annotate_from_words(query, neighbor_words, lexicon, concepts, params)
-    if timings is not None:
-        timings.setdefault(KEYWORD_FETCH, []).append(fetched - start)
-        timings.setdefault(SEMANTIC_ANALYSIS, []).append(time.perf_counter() - fetched)
-    return annotation
+    neighbor_lists = [ds.index.knn_batch(features, k) for ds in datasets]
+    timings.setdefault(SIMILARITY_SEARCH, []).append(time.perf_counter() - start)
+    stores = [ds.keywords for ds in datasets]
+    for qi in range(len(queries)):
+        start = time.perf_counter()
+        merged = merge_neighbor_lists([lists[qi] for lists in neighbor_lists], k)
+        words = gather_neighbor_words(merged, stores)[0]
+        timings.setdefault(KEYWORD_FETCH, []).append(time.perf_counter() - start)
+        yield words
 
 
 def annotate_batch(queries: list[Query], datasets: list[Dataset], lexicon: Lexicon,
@@ -236,30 +236,22 @@ def annotate_batch(queries: list[Query], datasets: list[Dataset], lexicon: Lexic
                    timings: dict[str, list[float]] | None = None) -> list[Annotation]:
     """Annotate many queries; results are collated by ascending query id.
 
-    Retrieval runs through the batched kNN path for throughput; the
-    per-query semantic stage is unchanged, so results match repeated
-    single-query annotate calls exactly.
-
-    When ``timings`` is given, seconds are appended to its lists: the
-    batched search's total under ``SIMILARITY_SEARCH`` (a batch has no
-    per-query search time), and each query's keyword fetch and semantic
-    analysis under ``KEYWORD_FETCH`` and ``SEMANTIC_ANALYSIS``. The
-    annotations do not depend on it.
-    """
-    if not queries:
-        return []
+    One search stage (``search_neighbor_words``) for the batch, then ``annotate_from_words``
+    per query, timed under ``SEMANTIC_ANALYSIS``. The annotations do not depend on ``timings``."""
+    timings = {} if timings is None else timings
     ordered = sorted(queries, key=lambda q: q.id)
-    features = np.stack([np.asarray(q.feature, dtype=np.float64) for q in ordered])
-    start = time.perf_counter()
-    neighbor_lists = [ds.index.knn_batch(features, params.k) for ds in datasets]
-    if timings is not None:
-        timings.setdefault(SIMILARITY_SEARCH, []).append(time.perf_counter() - start)
     out = []
-    for qi, query in enumerate(ordered):
-        per_dataset = [neighbor_lists[d][qi] for d in range(len(datasets))]
-        out.append(_annotate_from_neighbors(query, per_dataset, datasets, lexicon, concepts,
-                                            params, timings))
+    for query, words in zip(ordered, search_neighbor_words(ordered, datasets, params.k, timings)):
+        start = time.perf_counter()
+        out.append(annotate_from_words(query, words, lexicon, concepts, params))
+        timings.setdefault(SEMANTIC_ANALYSIS, []).append(time.perf_counter() - start)
     return out
+
+
+def annotate(query: Query, datasets: list[Dataset], lexicon: Lexicon,
+             concepts: dict[str, ConceptDef], params: EngineParams) -> Annotation:
+    """Annotate a single query image: ``annotate_batch`` on a batch of one."""
+    return annotate_batch([query], datasets, lexicon, concepts, params)[0]
 
 
 def write_annotations(path: str, annotations: list[Annotation]) -> None:

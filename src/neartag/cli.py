@@ -6,10 +6,10 @@ annotation file against ground truth, optionally as a relation-ablation
 sweep), ``generate`` (seeded synthetic corpus), and ``bench``
 (per-phase throughput measurements).
 
-``annotate``, ``bench`` and ``evaluate --ablation`` all annotate through
-``annotator.annotate_batch``, so the timings ``annotate`` and ``bench``
-print are of the code the library runs. Both print one table: index,
-lexicon and feature loading, the batched similarity search, and the
+``annotate``, ``bench`` and ``evaluate --ablation`` all run the library's
+search stage, then ``annotate_from_words``, so the timings ``annotate`` and
+``bench`` print are of the code the library runs. Both print one table:
+index, lexicon and feature loading, the batched similarity search, and the
 per-query keyword fetch and semantic analysis with percentiles.
 
 Every command exits nonzero on bad input, without leaving partial
@@ -36,9 +36,11 @@ from .annotator import (
     Dataset,
     Query,
     annotate_batch,
+    annotate_from_words,
     load_candidate_lists,
     load_concepts,
     read_annotations,
+    search_neighbor_words,
     write_annotations,
 )
 from .config import (
@@ -121,15 +123,22 @@ def _require_datasets(cfg: EngineConfig) -> None:
     if not cfg.feature_paths:
         raise EngineError("no dataset feature files configured (dataset.features / --features)")
     if len(cfg.keyword_paths) != len(cfg.feature_paths):
-        raise EngineError(
-            f"{len(cfg.feature_paths)} feature file(s) but {len(cfg.keyword_paths)} keyword file(s)"
-        )
+        raise EngineError(f"{len(cfg.feature_paths)} feature file(s) but "
+                          f"{len(cfg.keyword_paths)} keyword file(s)")
     if cfg.index_paths and len(cfg.index_paths) != len(cfg.feature_paths):
-        raise EngineError(
-            f"{len(cfg.feature_paths)} feature file(s) but {len(cfg.index_paths)} index path(s)"
-        )
+        raise EngineError(f"{len(cfg.feature_paths)} feature file(s) but {len(cfg.index_paths)} index path(s)")
     if cfg.dim < 1:
         raise EngineError("feature dimensionality not set (dim / --dim)")
+
+
+def _build_index(feat_path: str, cfg: EngineConfig):
+    """Read a feature file and index it; a vector set the index refuses is reported with the path."""
+    _check_exists(feat_path, "feature file")
+    ids, matrix = fvec.read_vectors(feat_path)
+    try:
+        return build_index_from_arrays(ids, matrix, cfg.index_config())
+    except ValueError as exc:  # DimensionMismatch is one too
+        raise FormatError(str(exc), path=feat_path) from None
 
 
 def _load_datasets(cfg: EngineConfig) -> list[Dataset]:
@@ -139,12 +148,8 @@ def _load_datasets(cfg: EngineConfig) -> list[Dataset]:
         kw_path = cfg.keyword_paths[pos]
         _check_exists(kw_path, "keyword file")
         index_path = cfg.index_paths[pos] if cfg.index_paths else None
-        if index_path and os.path.exists(index_path):
-            index = load_index(index_path, cfg.index_config())
-        else:
-            _check_exists(feat_path, "feature file")
-            ids, matrix = fvec.read_vectors(feat_path)
-            index = build_index_from_arrays(ids, matrix, cfg.index_config())
+        saved = index_path and os.path.exists(index_path)
+        index = load_index(index_path, cfg.index_config()) if saved else _build_index(feat_path, cfg)
         datasets.append(Dataset(index=index, keywords=load_keywords(kw_path)))
     return datasets
 
@@ -172,16 +177,18 @@ def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | N
     if candidates_path is not None:
         _check_exists(candidates_path, "candidate list file")
         lists = load_candidate_lists(candidates_path, concepts)
-        queries = []
-        for i, qid in enumerate(ids):
-            if qid not in lists:
-                raise EngineError(f"query {qid!r} has no candidate list in {candidates_path}")
-            queries.append(Query(qid, matrix[i], lists[qid]))
-        return queries
-    if not concepts:
+    elif concepts:
+        lists = dict.fromkeys(ids, tuple(sorted(concepts)))
+    else:
         raise EngineError("no candidate lists given and no concepts to fall back on")
-    fallback = tuple(sorted(concepts))
-    return [Query(qid, matrix[i], fallback) for i, qid in enumerate(ids)]
+    queries: dict[str, Query] = {}
+    for i, qid in enumerate(ids):
+        if qid in queries:
+            raise FormatError(f"duplicate query id {qid!r} (record {i})", path=queries_path)
+        if qid not in lists:
+            raise EngineError(f"query {qid!r} has no candidate list in {candidates_path}")
+        queries[qid] = Query(qid, matrix[i], lists[qid])
+    return list(queries.values())
 
 
 # A timing row: (phase, total seconds, per-query seconds or None).
@@ -241,13 +248,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     if not cfg.index_paths:
         raise EngineError("no index output paths configured (dataset.index / --index)")
     for pos, feat_path in enumerate(cfg.feature_paths):
-        _check_exists(feat_path, "feature file")
         t0 = time.perf_counter()
-        ids, matrix = fvec.read_vectors(feat_path)
-        index = build_index_from_arrays(ids, matrix, cfg.index_config())
+        index = _build_index(feat_path, cfg)
         save_index(index, cfg.index_paths[pos])
         elapsed = time.perf_counter() - t0
-        print(f"dataset {pos + 1}: {len(ids)} vectors, dim {matrix.shape[1]}, "
+        print(f"dataset {pos + 1}: {len(index)} vectors, dim {index.dim}, "
               f"built in {elapsed:.2f}s -> {cfg.index_paths[pos]}")
     return 0
 
@@ -267,7 +272,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each level is a ``key = value`` overlay on the resolved settings.
+# Each level is a ``key = value`` overlay on the resolved settings; none sets ``k``.
 _ABLATION_LEVELS = [
     ("frequency only (s=1, relations off)", {"s": "1", "relations": "none"}),
     ("multi-sense (relations off)", {"relations": "none"}),
@@ -278,11 +283,13 @@ _ABLATION_LEVELS = [
 
 def run_ablation(cfg: EngineConfig, datasets: list[Dataset], lexicon, concepts,
                  queries: list[Query], truth: dict[str, set[str]]):
-    """The four analysis levels, weakest first. Returns (label, report) pairs."""
+    """The four analysis levels, weakest first, over one search. Returns (label, report) pairs."""
+    ordered = sorted(queries, key=lambda q: q.id)
+    found = list(search_neighbor_words(ordered, datasets, cfg.params.k))
     results = []
     for label, level in _ABLATION_LEVELS:
         params = apply_config_values(cfg, level, source="ablation level").params
-        annotations = annotate_batch(queries, datasets, lexicon, concepts, params)
+        annotations = [annotate_from_words(q, w, lexicon, concepts, params) for q, w in zip(ordered, found)]
         results.append((label, evaluate(annotations, truth, concepts)))
     return results
 
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="ground truth file")
     p.add_argument("--no-per-concept", action="store_true", help="omit the per-concept table")
     p.add_argument("--ablation", action="store_true",
-                   help="re-annotate at four analysis levels and print one row each")
+                   help="search once, analyse at four levels and print one row each")
     p.add_argument("--queries", help="query feature file (ablation mode)")
     p.add_argument("--candidates", help="candidate lists (ablation mode)")
     p.set_defaults(func=cmd_evaluate)

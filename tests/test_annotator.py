@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from neartag.annotator import (
+    KEYWORD_FETCH,
+    SIMILARITY_SEARCH,
     Annotation,
     ConceptDef,
     Dataset,
@@ -17,12 +19,13 @@ from neartag.annotator import (
     merge_neighbor_lists,
     read_annotations,
     score_concepts,
+    search_neighbor_words,
     select_top,
     write_annotations,
 )
-from neartag.analysis import AnalysisConfig
+from neartag.analysis import WEIGHTING_RECIPROCAL, AnalysisConfig
 from neartag.errors import EngineError, FormatError
-from neartag.index import IndexConfig, build_index_from_arrays
+from neartag.index import MODE_PERM_PREFIX, IndexConfig, build_index_from_arrays
 from neartag.keywords import KeywordStore, load_keywords
 from neartag.lexicon import RelationType, load_lexicon
 
@@ -197,16 +200,48 @@ def test_annotate_empty_candidates_rejected(tmp_path):
 
 
 def test_annotate_batch_matches_single(tmp_path):
-    dataset, lex, concepts = single_word_world(tmp_path)
+    # Exact and perm-prefix indexes, one dataset and two: the batch gives
+    # each query what annotating it alone gives.
+    words = ["cat", "dog", "owl", "fox"]
+    lex = load_lexicon(write(tmp_path, "lex.tsv", "".join(f"S\t{w}.n.1\t{w}\nW\t{w}\t{w}.n.1\t1\n" for w in words)))
+    concepts = load_concepts(write(tmp_path, "con.tsv", "".join(f"C\t{w}\t{w}.n.1\n" for w in words)), lex)
     rng = np.random.default_rng(1)
-    queries = [Query(f"q{i}", rng.standard_normal(4).astype(np.float32), ("cat",)) for i in range(8)]
-    params = EngineParams(k=5, m=2)
-    batch = annotate_batch(queries, [dataset], lex, concepts, params)
-    assert [a.id for a in batch] == sorted(q.id for q in queries)
-    by_id = {a.id: a for a in batch}
-    for q in queries:
-        single = annotate(q, [dataset], lex, concepts, params)
-        assert by_id[q.id] == single
+    parts = []
+    for d in range(2):
+        ids = [f"d{d}r{i}" for i in range(40)]
+        lines = [f"{i}\t{','.join(rng.choice(words, 2))}\n" for i in ids[2:]]  # two ids lack keywords
+        parts.append((ids, rng.standard_normal((40, 4)).astype(np.float32),
+                      load_keywords(write(tmp_path, f"kw{d}.tsv", "".join(lines)))))
+    queries = [Query(f"q{i}", rng.standard_normal(4).astype(np.float32), tuple(words)) for i in (5, 0, 7, 2, 1, 6, 3, 4)]
+    params = EngineParams(k=7, m=3, analysis=AnalysisConfig(neighbor_weighting=WEIGHTING_RECIPROCAL))
+    configs = [IndexConfig(dim=4),
+               IndexConfig(dim=4, mode=MODE_PERM_PREFIX, num_pivots=6, prefix_len=3, candidate_budget=15)]
+    for config in configs:
+        datasets = [Dataset(build_index_from_arrays(ids, matrix, config), store) for ids, matrix, store in parts]
+        for used in (datasets[:1], datasets):
+            batch = annotate_batch(queries, used, lex, concepts, params)
+            assert [a.id for a in batch] == sorted(q.id for q in queries)
+            assert len({a.ranked for a in batch}) > 1
+            by_id = {a.id: a for a in batch}
+            for q in queries:
+                assert annotate(q, used, lex, concepts, params) == by_id[q.id], (config.mode, len(used), q.id)
+
+
+def test_search_stage_yields_in_the_given_order(tmp_path):
+    rng = np.random.default_rng(2)
+    datasets = []
+    for d in range(2):
+        ids = [f"d{d}r{i}" for i in range(30)]
+        store = load_keywords(write(tmp_path, f"kw{d}.tsv", "".join(f"{i}\tw{i}\n" for i in ids[1:])))
+        datasets.append(Dataset(build_index_from_arrays(ids, rng.standard_normal((30, 3)), IndexConfig(dim=3)), store))
+    queries = [Query(f"q{i}", rng.standard_normal(3), ("x",)) for i in (3, 1, 2, 0)]
+    timings = {}
+    got = list(search_neighbor_words(queries, datasets, 6, timings))
+    for q, words in zip(queries, got, strict=True):
+        merged = merge_neighbor_lists([ds.index.knn(q.feature, 6) for ds in datasets], 6)
+        assert words == gather_neighbor_words(merged, [ds.keywords for ds in datasets])[0]
+    assert [len(timings[name]) for name in (SIMILARITY_SEARCH, KEYWORD_FETCH)] == [1, len(queries)]
+    assert list(search_neighbor_words([], datasets, 6)) == []
 
 
 def test_annotate_merges_multiple_datasets(tmp_path):

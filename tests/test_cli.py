@@ -297,31 +297,84 @@ def test_unconverged_walks_are_reported(corpus, tmp_path, capsys, command):
     assert "warning: 12 walk(s) stopped at max_iters before converging" in capsys.readouterr().out
 
 
-def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):
+def test_repeated_query_id_fails_before_the_search(corpus, tmp_path, monkeypatch, capsys):
     import neartag.cli
+    from neartag.fvec import read_vectors, write_vectors
 
-    calls = []
-    real = neartag.cli.annotate_batch
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before the query ids were checked")
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    ids, matrix = read_vectors(os.path.join(corpus, "queries.fvec"))
+    queries = tmp_path / "queries.fvec"
+    write_vectors(str(queries), [ids[0]] + ids[:5], matrix[:6])
+    monkeypatch.setattr(neartag.cli, "annotate_batch", no_search)
+    rc = main(["annotate", "--config", conf(corpus), "--queries", str(queries),
+               "--output", str(tmp_path / "out.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {queries}: duplicate query id {ids[0]!r} (record 1)\n"
+    assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize("fault", ["repeated-id", "wrong-dim"])
+@pytest.mark.parametrize("command", ["build", "annotate"])
+def test_bad_reference_file_is_named(corpus, tmp_path, capsys, command, fault):
+    from neartag.fvec import read_vectors, write_vectors
+
+    ids, matrix = read_vectors(os.path.join(corpus, "refs.fvec"))
+    if fault == "repeated-id":
+        ids[5] = ids[4]
+        message = f"duplicate image id {ids[4]!r}"
+    else:
+        matrix = matrix[:, :6]
+        message = "vector lengths differ: 6 vs 8"
+    refs = tmp_path / "refs.fvec"
+    write_vectors(str(refs), ids, matrix)
+    index_path, out_path = tmp_path / "refs.index", tmp_path / "out.tsv"
+    argv = [command, "--config", conf(corpus), "--features", str(refs), "--index", str(index_path)]
+    if command == "annotate":
+        argv += ["--queries", os.path.join(corpus, "queries.fvec"), "--output", str(out_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {refs}: {message}\n"
+    assert not index_path.exists() and not out_path.exists()
+
+
+def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):
+    import neartag.annotator
+    import neartag.cli
+    from neartag.index import VectorIndex
+
+    calls = {"search": 0, "analysis": 0, "knn_batch": 0, "knn": 0}
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    def run(*argv):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main([*argv, "--config", conf(corpus), "--k", "10", *inputs]) == 0
+        return dict(calls)
 
     out_path = os.path.join(corpus, "annotations.tsv")
     inputs = ["--queries", os.path.join(corpus, "queries.fvec"),
               "--candidates", os.path.join(corpus, "candidates.tsv")]
-    assert main(["annotate", "--config", conf(corpus), "--k", "10", *inputs]) == 0
+    run("annotate")
     unpatched = pathlib.Path(out_path).read_bytes()
-    monkeypatch.setattr(neartag.cli, "annotate_batch", counting)
-    assert main(["annotate", "--config", conf(corpus), "--k", "10", *inputs]) == 0
-    assert len(calls) == 1
+    search = counting("search", neartag.annotator.search_neighbor_words)
+    analysis = counting("analysis", neartag.annotator.annotate_from_words)
+    for module in (neartag.annotator, neartag.cli):
+        monkeypatch.setattr(module, "search_neighbor_words", search)
+        monkeypatch.setattr(module, "annotate_from_words", analysis)
+    for method in ("knn_batch", "knn"):
+        monkeypatch.setattr(VectorIndex, method, counting(method, getattr(VectorIndex, method)))
+    # One dataset and 12 queries: one search each, the ablation's shared by its four levels.
+    assert run("annotate") == {"search": 1, "analysis": 12, "knn_batch": 1, "knn": 0}
     assert pathlib.Path(out_path).read_bytes() == unpatched
-    assert main(["bench", "--config", conf(corpus), "--k", "10", *inputs]) == 0
-    assert len(calls) == 2
+    assert run("bench") == {"search": 1, "analysis": 12, "knn_batch": 1, "knn": 0}
     capsys.readouterr()
-    assert main(["evaluate", "--config", conf(corpus), "--k", "10", *inputs, "--ablation",
-                 "--truth", os.path.join(corpus, "truth.tsv")]) == 0
-    assert len(calls) == 6
+    assert run("evaluate", "--ablation", "--truth", os.path.join(corpus, "truth.tsv")) == \
+        {"search": 1, "analysis": 48, "knn_batch": 1, "knn": 0}
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "ablation.txt")
     with open(golden, encoding="utf-8", newline="") as fh:
         assert capsys.readouterr().out == fh.read()
