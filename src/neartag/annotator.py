@@ -211,7 +211,8 @@ def annotate_from_words(query: Query, neighbor_words: list[tuple[str, list[str]]
 
 
 def search_neighbor_words(queries: list[Query], datasets: list[Dataset], k: int,
-                          timings: dict[str, list[float]] | None = None) -> Iterator[list[tuple[str, list[str]]]]:
+                          timings: dict[str, list[float]] | None = None
+                          ) -> Iterator[list[tuple[str, list[str]]]]:
     """The search stage: yields per query, in order, its merged top-k neighbors' (id, words), from one
     ``knn_batch`` per dataset. Each is gathered when taken: a whole batch's lists slow garbage collection.
     Seconds go to ``timings``: the search as ``SIMILARITY_SEARCH``, each gather as ``KEYWORD_FETCH``."""

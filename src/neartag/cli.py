@@ -123,20 +123,24 @@ def _require_datasets(cfg: EngineConfig) -> None:
     if not cfg.feature_paths:
         raise EngineError("no dataset feature files configured (dataset.features / --features)")
     if len(cfg.keyword_paths) != len(cfg.feature_paths):
-        raise EngineError(f"{len(cfg.feature_paths)} feature file(s) but "
-                          f"{len(cfg.keyword_paths)} keyword file(s)")
+        raise EngineError(
+            f"{len(cfg.feature_paths)} feature file(s) but {len(cfg.keyword_paths)} keyword file(s)"
+        )
     if cfg.index_paths and len(cfg.index_paths) != len(cfg.feature_paths):
-        raise EngineError(f"{len(cfg.feature_paths)} feature file(s) but {len(cfg.index_paths)} index path(s)")
+        raise EngineError(
+            f"{len(cfg.feature_paths)} feature file(s) but {len(cfg.index_paths)} index path(s)"
+        )
     if cfg.dim < 1:
         raise EngineError("feature dimensionality not set (dim / --dim)")
 
 
 def _build_index(feat_path: str, cfg: EngineConfig):
     """Read a feature file and index it; a vector set the index refuses is reported with the path."""
+    config = cfg.index_config()
     _check_exists(feat_path, "feature file")
     ids, matrix = fvec.read_vectors(feat_path)
     try:
-        return build_index_from_arrays(ids, matrix, cfg.index_config())
+        return build_index_from_arrays(ids, matrix, config)
     except ValueError as exc:  # DimensionMismatch is one too
         raise FormatError(str(exc), path=feat_path) from None
 
@@ -148,8 +152,10 @@ def _load_datasets(cfg: EngineConfig) -> list[Dataset]:
         kw_path = cfg.keyword_paths[pos]
         _check_exists(kw_path, "keyword file")
         index_path = cfg.index_paths[pos] if cfg.index_paths else None
-        saved = index_path and os.path.exists(index_path)
-        index = load_index(index_path, cfg.index_config()) if saved else _build_index(feat_path, cfg)
+        if index_path and os.path.exists(index_path):
+            index = load_index(index_path, cfg.index_config())
+        else:
+            index = _build_index(feat_path, cfg)
         datasets.append(Dataset(index=index, keywords=load_keywords(kw_path)))
     return datasets
 

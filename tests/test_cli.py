@@ -315,26 +315,32 @@ def test_repeated_query_id_fails_before_the_search(corpus, tmp_path, monkeypatch
     assert not (tmp_path / "out.tsv").exists()
 
 
-@pytest.mark.parametrize("fault", ["repeated-id", "wrong-dim"])
+@pytest.mark.parametrize("fault", ["repeated-id", "wrong-dim", "bad-index-setting"])
 @pytest.mark.parametrize("command", ["build", "annotate"])
 def test_bad_reference_file_is_named(corpus, tmp_path, capsys, command, fault):
+    """A vector set the index refuses names the feature file; an index setting it refuses does not."""
     from neartag.fvec import read_vectors, write_vectors
 
     ids, matrix = read_vectors(os.path.join(corpus, "refs.fvec"))
+    settings = []
     if fault == "repeated-id":
         ids[5] = ids[4]
         message = f"duplicate image id {ids[4]!r}"
-    else:
+    elif fault == "wrong-dim":
         matrix = matrix[:, :6]
         message = "vector lengths differ: 6 vs 8"
+    else:
+        settings = ["--index-mode", "perm-prefix", "--pivots", "4", "--prefix-len", "9"]
+        message = "prefix_len must be in [1, num_pivots=4], got 9"
     refs = tmp_path / "refs.fvec"
     write_vectors(str(refs), ids, matrix)
     index_path, out_path = tmp_path / "refs.index", tmp_path / "out.tsv"
-    argv = [command, "--config", conf(corpus), "--features", str(refs), "--index", str(index_path)]
+    argv = [command, "--config", conf(corpus), "--features", str(refs), "--index", str(index_path), *settings]
     if command == "annotate":
         argv += ["--queries", os.path.join(corpus, "queries.fvec"), "--output", str(out_path)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {refs}: {message}\n"
+    where = "" if settings else f"{refs}: "
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
     assert not index_path.exists() and not out_path.exists()
 
 

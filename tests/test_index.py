@@ -7,6 +7,7 @@ from neartag.errors import DimensionMismatch, EngineError, FormatError
 from neartag.index import (
     _HEADER,
     IndexConfig,
+    VectorIndex,
     build_index_from_arrays,
     load_index,
     save_index,
@@ -110,6 +111,18 @@ def test_knn_batch_matches_single_queries():
     batched = index.knn_batch(queries, 12, chunk=32)
     for q, got in zip(queries, batched):
         assert got == index.knn(q, 12)
+
+
+def test_knn_batch_of_one_is_one_knn_call(monkeypatch):
+    # perfbench reads a lone query's search time off the spans of ``knn`` calls.
+    rng = np.random.default_rng(9)
+    index = make_index([f"v{i:03d}" for i in range(200)], rng.standard_normal((200, 8)))
+    query = rng.standard_normal(8)
+    want, calls = index.knn(query, 5), []
+    real = VectorIndex.knn
+    monkeypatch.setattr(VectorIndex, "knn", lambda self, q, k: calls.append(k) or real(self, q, k))
+    assert index.knn_batch(query[None, :], 5) == [want]
+    assert calls == [5]
 
 
 def test_index_holds_no_float64_copy_of_the_vectors():
