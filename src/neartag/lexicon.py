@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 
 from .errors import FormatError
-from .tsv import records
+from .tsv import id_lists, records
 
 
 class RelationType(enum.Enum):
@@ -103,51 +103,47 @@ def _check_synset_token(token: str, path: str, lineno: int) -> str:
 
 
 def load_lexicon(path: str) -> Lexicon:
-    lemmas: dict[str, list[str]] = {}
     sense_records: list[tuple[str, int, str, int]] = []  # word, rank, synset, line
     relation_records: list[tuple[str, RelationType, str, int]] = []  # from, type, to, line
 
-    for lineno, parts in records(path):
-        kind = parts[0]
-        if kind == "S":
-            if len(parts) != 3:
-                raise FormatError("S record needs '<id>\\t<lemma,lemma,...>'", path=path, line=lineno)
-            synset_id = _check_synset_token(parts[1], path, lineno)
-            if synset_id in lemmas:
-                raise FormatError(f"duplicate synset {synset_id!r}", path=path, line=lineno)
-            lemma_list = []
-            for lemma in parts[2].split(","):
-                lemma = lemma.strip().lower()
-                if not lemma:
-                    raise FormatError("empty lemma", path=path, line=lineno)
-                lemma_list.append(lemma)
-            lemmas[synset_id] = list(dict.fromkeys(lemma_list))
-        elif kind == "W":
-            if len(parts) != 4:
-                raise FormatError("W record needs '<word>\\t<synset>\\t<rank>'", path=path, line=lineno)
-            word = parts[1].strip().lower()
-            if not word:
-                raise FormatError("empty word", path=path, line=lineno)
-            synset_id = _check_synset_token(parts[2], path, lineno)
-            try:
-                rank = int(parts[3])
-            except ValueError:
-                raise FormatError(f"sense rank {parts[3]!r} is not an integer", path=path, line=lineno) from None
-            if rank < 1:
-                raise FormatError(f"sense rank must be >= 1, got {rank}", path=path, line=lineno)
-            sense_records.append((word, rank, synset_id, lineno))
-        elif kind == "R":
-            if len(parts) != 4:
-                raise FormatError("R record needs '<tag>\\t<from>\\t<to>'", path=path, line=lineno)
-            tag = parts[1].strip()
-            if tag not in _TAGS:
-                raise FormatError(f"unknown relation tag {tag!r} (expected one of {sorted(_TAGS)})",
-                                  path=path, line=lineno)
-            src = _check_synset_token(parts[2], path, lineno)
-            dst = _check_synset_token(parts[3], path, lineno)
-            relation_records.append((src, _TAGS[tag], dst, lineno))
-        else:
-            raise FormatError(f"unknown record type {kind!r} (expected S, W, or R)", path=path, line=lineno)
+    def synset_rows():
+        """The S records' (line, (id, lemmas)), in file order; the W and R
+        records are checked and kept as they go by."""
+        for lineno, parts in records(path):
+            kind = parts[0]
+            if kind == "S":
+                if len(parts) != 3:
+                    raise FormatError("S record needs '<id>\\t<lemma,lemma,...>'", path=path, line=lineno)
+                yield lineno, parts[1:]
+            elif kind == "W":
+                if len(parts) != 4:
+                    raise FormatError("W record needs '<word>\\t<synset>\\t<rank>'", path=path, line=lineno)
+                word = parts[1].strip().lower()
+                if not word:
+                    raise FormatError("empty word", path=path, line=lineno)
+                synset_id = _check_synset_token(parts[2], path, lineno)
+                try:
+                    rank = int(parts[3])
+                except ValueError:
+                    raise FormatError(f"sense rank {parts[3]!r} is not an integer", path=path,
+                                      line=lineno) from None
+                if rank < 1:
+                    raise FormatError(f"sense rank must be >= 1, got {rank}", path=path, line=lineno)
+                sense_records.append((word, rank, synset_id, lineno))
+            elif kind == "R":
+                if len(parts) != 4:
+                    raise FormatError("R record needs '<tag>\\t<from>\\t<to>'", path=path, line=lineno)
+                tag = parts[1].strip()
+                if tag not in _TAGS:
+                    raise FormatError(f"unknown relation tag {tag!r} (expected one of {sorted(_TAGS)})",
+                                      path=path, line=lineno)
+                src = _check_synset_token(parts[2], path, lineno)
+                dst = _check_synset_token(parts[3], path, lineno)
+                relation_records.append((src, _TAGS[tag], dst, lineno))
+            else:
+                raise FormatError(f"unknown record type {kind!r} (expected S, W, or R)", path=path, line=lineno)
+
+    lemmas = id_lists(synset_rows(), path, "lemma", what="synset", check=_check_synset_token)
 
     # Referential validation now that every declaration is in.
     by_word: dict[str, dict[int, str]] = {}

@@ -43,23 +43,32 @@ def records(path: str, fields: int = 0, layout: str = ""):
         raise decode_error(path) from None
 
 
-def id_error(image_id: str, path: str, lineno: int) -> FormatError:
+def id_error(image_id: str, path: str, lineno: int, what: str = "image id") -> FormatError:
     """The error for an id that is empty or repeated; callers test inline."""
-    message = f"duplicate image id {image_id!r}" if image_id else "empty image id"
+    message = f"duplicate {what} {image_id!r}" if image_id else f"empty {what}"
     return FormatError(message, path=path, line=lineno)
 
 
 def read_id_lists(path: str, item: str, known=None) -> dict[str, list[str]]:
-    """``<id>\\t<item>(,<item>)*`` lines as {id: items}, in file order.
+    """``<id>\\t<item>(,<item>)*`` lines as {id: items}, in file order (see ``id_lists``)."""
+    return id_lists(records(path, 2, f"'<id>\\t<{item},{item},...>'"), path, item, known)
 
-    Ids are non-empty and unique. Items are stripped, lowercased,
-    non-empty, in ``known`` when it is given, and de-duplicated in
-    first-seen order. ``item`` names an item in errors.
+
+def id_lists(rows, path: str, item: str, known=None, what: str = "image id",
+             check=None) -> dict[str, list[str]]:
+    """``(line number, (id, "<item>,<item>,..."))`` rows as {id: items}, in order.
+
+    Ids are non-empty and unique, and pass ``check(id, path, line)`` when
+    it is given. Items are stripped, lowercased, non-empty, in ``known``
+    when it is given, and de-duplicated in first-seen order. ``what``
+    names an id and ``item`` an item in errors.
     """
     lists: dict[str, list[str]] = {}
-    for lineno, (image_id, field) in records(path, 2, f"'<id>\\t<{item},{item},...>'"):
-        if not image_id or image_id in lists:
-            raise id_error(image_id, path, lineno)
+    for lineno, (key, field) in rows:
+        if check is not None:
+            check(key, path, lineno)
+        if not key or key in lists:
+            raise id_error(key, path, lineno, what)
         items = []
         for name in field.split(","):
             name = name.strip().lower()
@@ -68,5 +77,5 @@ def read_id_lists(path: str, item: str, known=None) -> dict[str, list[str]]:
             if known is not None and name not in known:
                 raise FormatError(f"unknown {item} {name!r}", path=path, line=lineno)
             items.append(name)
-        lists[image_id] = list(dict.fromkeys(items))
+        lists[key] = list(dict.fromkeys(items))
     return lists

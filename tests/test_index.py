@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neartag import index as index_module
 from neartag.errors import DimensionMismatch, EngineError, FormatError
 from neartag.index import (
     _HEADER,
@@ -102,13 +103,14 @@ def test_knn_dim_mismatch():
         index.knn([0.0, 0.0, 0.0], 1)
 
 
-def test_knn_batch_matches_single_queries():
+def test_knn_batch_matches_single_queries(monkeypatch):
+    monkeypatch.setattr(index_module, "_CHUNK", 32)  # four chunks of 32 queries and one of 22
     rng = np.random.default_rng(7)
     matrix = rng.standard_normal((500, 16)).astype(np.float32)
     ids = [f"v{i:03d}" for i in range(500)]
     index = make_index(ids, matrix)
     queries = rng.standard_normal((150, 16))
-    batched = index.knn_batch(queries, 12, chunk=32)
+    batched = index.knn_batch(queries, 12)
     for q, got in zip(queries, batched):
         assert got == index.knn(q, 12)
 
