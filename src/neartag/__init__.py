@@ -8,8 +8,10 @@ restart walk, and scores the caller's candidate concepts.
 
 from .analysis import (
     AnalysisConfig,
+    NeighborWords,
     PropagationResult,
     SynsetGraph,
+    Weights,
     build_graph,
     initial_synsets,
     propagate,
@@ -26,6 +28,7 @@ from .annotator import (
     annotate,
     annotate_batch,
     annotate_from_words,
+    annotate_words,
     load_candidate_lists,
     load_concepts,
     read_annotations,
@@ -54,7 +57,7 @@ from .index import (
     save_index,
 )
 from .keywords import KeywordStore, load_keywords
-from .lexicon import ALL_RELATIONS, INVERSE, Lexicon, RelationType, load_lexicon
+from .lexicon import ALL_RELATIONS, INVERSE, RELATIONS, Lexicon, RelationType, load_lexicon
 from .synth import CorpusPaths, SynthConfig, generate_corpus
 
 __version__ = "0.1.0"

@@ -1,34 +1,46 @@
-"""Keyword analysis over the synset graph.
+"""Keyword analysis over the synset graph, for a whole batch of queries.
 
-Pipeline stages, each a pure function passing plain data on:
+Every stage is a function over a batch: per-query lists laid end to end
+in query order, each row tagged with its query (``owner``). Words and
+synsets travel as numbers in sorted-name order (``KeywordStore`` and
+``Lexicon`` number them when they load), so every "(weight desc, name
+asc)" tie-break is an integer ``np.lexsort``.
 
-1. ``word_frequencies``: neighbor keywords -> (word, weight) pairs.
-2. ``initial_synsets``: word weights -> (synset, p0) pairs. A word with
-   q usable senses splits its weight harmonically, sense rank r taking
-   share (1/r) / (1 + 1/2 + ... + 1/q).
-3. ``top_n``: the n strongest (synset, p0) pairs (weights not rescaled).
-4. ``build_graph``: a positional ``SynsetGraph``: node ids (candidates,
-   then at expansion depth 1 every synset one enabled relation away),
-   a float64 restart vector aligned with them, and every enabled-type
-   lexicon edge between nodes as (source position, relation, target
-   position).
-5. ``propagate``: a restart walk to the fixed point
+1. ``word_frequencies``: ``NeighborWords`` -> word ``Weights``.
+2. ``initial_synsets``: word weights -> synset ``Weights`` (p0). A word
+   with q usable senses splits its weight harmonically, sense rank r
+   taking share (1/r) / (1 + 1/2 + ... + 1/q).
+3. ``top_n``: each query's n strongest synsets (weights not rescaled).
+4. ``build_graph``: a ``SynsetGraph``: per query its candidates, then at
+   expansion depth 1 every synset one enabled relation away, a float64
+   restart vector aligned with them, and every enabled-type lexicon edge
+   between a query's nodes as (source node, relation, target node).
+5. ``propagate``: per query, a restart walk to the fixed point
    ``p = alpha * restart + (1 - alpha) * (T' p + dangling * restart)``
    where T splits each node's outgoing mass by relation weight and
    dangling nodes return their mass through the restart vector, so the
-   distribution keeps total mass 1 every iteration. Its scores are
-   aligned with the graph's nodes.
-6. ``rank_synsets``: nodes and scores -> (synset, score) pairs ordered
-   by (score desc, id asc).
+   distribution keeps total mass 1 every iteration. All walks step
+   together, one ``np.bincount`` over every edge per iteration; a walk
+   that has converged is frozen. Its scores are aligned with the nodes.
+6. ``rank_synsets``: nodes and scores -> synset ``Weights`` ordered by
+   (score desc, synset asc).
+
+Summation order: every per-query float sum (word and sense weights,
+their totals, restart totals, dangling mass, mass and L1 change) is an
+``np.bincount`` over values laid out in the order the sum is defined in,
+first-seen order for weights, which adds them one by one in that order.
+No query's arithmetic depends on the other queries of its batch, so a
+query scores the same alone as in any batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .lexicon import ALL_RELATIONS, Lexicon, RelationType
+from .lexicon import ALL_RELATIONS, RELATIONS, Lexicon, RelationType
 
 WEIGHTING_UNIFORM = "uniform"
 WEIGHTING_RECIPROCAL = "reciprocal-rank"
@@ -75,150 +87,316 @@ class AnalysisConfig:
                 raise ValueError(f"lambda for {rel.value} must be >= 0")
 
 
+def _ints(values=()) -> np.ndarray:
+    return np.asarray(values, dtype=np.intp)
+
+
+def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices lo[i], ..., lo[i] + count[i] - 1 of every i, laid end to end."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + count, count)
+
+
+def _find(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Where each wanted value sits in ``keys`` (distinct values), -1 where absent."""
+    if not len(keys):
+        return np.full(len(wanted), -1, dtype=np.intp)
+    sorter = np.argsort(keys)
+    at = sorter[np.minimum(np.searchsorted(keys, wanted, sorter=sorter), len(keys) - 1)]
+    return np.where(keys[at] == wanted, at, -1)
+
+
+def _groups(key: np.ndarray):
+    """The distinct values of ``key`` in ascending order, the row where each
+    first occurs, and each row's group: what ``np.unique`` returns with
+    ``return_index`` and ``return_inverse``, in fewer numpy calls."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
+
+
+def _positions(owner: np.ndarray, queries: int) -> np.ndarray:
+    """Each row's place within its query's rows; ``owner`` must be sorted."""
+    counts = np.bincount(owner, minlength=queries)
+    return np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+@dataclass(frozen=True)
+class NeighborWords:
+    """A batch's neighbour keywords, laid end to end in query order.
+
+    Entry i is the word ``vocabulary[word[i]]`` of the ``rank[i]``-th
+    neighbour (from 1, in ascending distance, neighbours without a
+    keyword record skipped) of query ``owner[i]``. ``vocabulary`` is
+    sorted; a neighbour's words are distinct and in its keyword order.
+    """
+
+    owner: np.ndarray
+    rank: np.ndarray
+    word: np.ndarray
+    vocabulary: tuple[str, ...]
+    queries: int
+
+    @classmethod
+    def from_lists(cls, batch: list[list[tuple[str, list[str]]]]) -> NeighborWords:
+        """From per-query (image id, words) lists in ascending-distance order;
+        a word repeated within one image counts once."""
+        entries = [(q, rank, word) for q, neighbors in enumerate(batch)
+                   for rank, (_id, words) in enumerate(neighbors, 1) for word in dict.fromkeys(words)]
+        vocabulary = tuple(sorted({word for _q, _rank, word in entries}))
+        number = {word: i for i, word in enumerate(vocabulary)}
+        owner, rank, word = (zip(*entries) if entries else ((), (), ()))
+        return cls(_ints(owner), _ints(rank), _ints([number[w] for w in word]), vocabulary, len(batch))
+
+
+@dataclass(frozen=True)
+class Weights:
+    """Per-query (item, weight) lists of a batch, laid end to end in query order.
+
+    Row i gives query ``owner[i]`` the item ``names[item[i]]`` with weight
+    ``weight[i]``. ``names`` is sorted, so item order is name order. The
+    stages order each query's rows by (weight desc, item asc).
+    """
+
+    owner: np.ndarray
+    item: np.ndarray
+    weight: np.ndarray
+    names: tuple[str, ...]
+    queries: int
+
+
+def _take(table: Weights, rows: np.ndarray) -> Weights:
+    return Weights(table.owner[rows], table.item[rows], table.weight[rows], table.names, table.queries)
+
+
+def _sum_by_item(owner: np.ndarray, item: np.ndarray, values: np.ndarray, names: tuple[str, ...],
+                 queries: int) -> Weights:
+    """Per query, each item's values summed in row order and divided by the
+    query's total, which sums the items in first-seen order; ordered by
+    (weight desc, item asc). ``owner`` must be sorted. A query whose total
+    is 0 keeps no rows."""
+    size = max(len(names), 1)
+    key = owner * size + item
+    unique, first, inverse = _groups(key)
+    sums = np.bincount(inverse, weights=values, minlength=len(unique))
+    seen = np.argsort(first)
+    key, sums = unique[seen], sums[seen]
+    owner, item = np.divmod(key, size)
+    total = np.bincount(owner, weights=sums, minlength=queries)[owner]
+    keep = total != 0.0
+    owner, item, weight = owner[keep], item[keep], sums[keep] / total[keep]
+    order = np.lexsort((item, -weight, owner))
+    return Weights(owner[order], item[order], weight[order], names, queries)
+
+
 @dataclass(frozen=True)
 class SynsetGraph:
-    """Node ids, restart weights aligned with them, and positional edges."""
+    """A batch's walk graphs laid end to end in query order.
 
-    nodes: tuple[str, ...]
+    Node i is the synset ``names[nodes[i]]`` of query ``owner[i]``, with
+    restart weight ``restart[i]``; a query's candidates come first, in
+    candidate order, then its expansion in synset order. Each row of
+    ``edges`` is (source node, relation number in ``RELATIONS``, target
+    node), node positions over the whole batch; a query's edges are
+    contiguous, by source node and then by (relation, target).
+    """
+
+    nodes: np.ndarray
+    owner: np.ndarray
     restart: np.ndarray
-    edges: tuple[tuple[int, RelationType, int], ...]
+    edges: np.ndarray
+    names: tuple[str, ...]
+    queries: int
 
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Walk scores aligned with ``SynsetGraph.nodes``, plus diagnostics."""
+    """Walk scores aligned with ``SynsetGraph.nodes``, plus per-query diagnostics:
+    iterations, convergence and the worst deviation of total mass from 1."""
 
     scores: np.ndarray
-    iterations: int
-    converged: bool
-    max_mass_error: float
+    query_iterations: np.ndarray
+    query_converged: np.ndarray
+    query_mass_error: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        """Iterations summed over the batch."""
+        return int(self.query_iterations.sum())
+
+    @property
+    def converged(self) -> bool:
+        """Whether every walk of the batch converged."""
+        return bool(self.query_converged.all())
+
+    @property
+    def max_mass_error(self) -> float:
+        return float(self.query_mass_error.max(initial=0.0))
 
 
-def word_frequencies(neighbor_words: list[tuple[str, list[str]]],
-                     weighting: str = WEIGHTING_UNIFORM) -> list[tuple[str, float]]:
-    """Aggregate neighbor keywords into normalized word weights.
+def word_frequencies(neighbor_words: NeighborWords, weighting: str = WEIGHTING_UNIFORM) -> Weights:
+    """Aggregate each query's neighbor keywords into normalized word weights.
 
-    ``neighbor_words`` must be in ascending-distance order; with
-    reciprocal-rank weighting the i-th neighbor (1-based) contributes
-    1/i per distinct word, with uniform weighting 1 per distinct word.
-    Output sums to 1 and is ordered by (weight desc, word asc).
+    With reciprocal-rank weighting the i-th neighbor contributes 1/i per
+    distinct word, with uniform weighting 1 per distinct word. A query's
+    weights sum to 1 and are ordered by (weight desc, word asc).
     """
     if weighting not in (WEIGHTING_UNIFORM, WEIGHTING_RECIPROCAL):
         raise ValueError(f"unknown neighbor weighting {weighting!r}")
-    raw: dict[str, float] = {}
-    for rank, (_, words) in enumerate(neighbor_words, 1):
-        contribution = 1.0 if weighting == WEIGHTING_UNIFORM else 1.0 / rank
-        for word in dict.fromkeys(words):
-            raw[word] = raw.get(word, 0.0) + contribution
-    total = sum(raw.values())
-    if total == 0.0:
-        return []
-    return sorted(((w, v / total) for w, v in raw.items()), key=lambda e: (-e[1], e[0]))
+    nw = neighbor_words
+    contribution = np.ones(len(nw.rank)) if weighting == WEIGHTING_UNIFORM else 1.0 / nw.rank
+    return _sum_by_item(nw.owner, nw.word, contribution, nw.vocabulary, nw.queries)
 
 
-def initial_synsets(word_weights: list[tuple[str, float]], lexicon: Lexicon,
-                    s: int) -> list[tuple[str, float]]:
-    """Map word weights to (synset, p0) pairs via harmonic sense splitting.
+def initial_synsets(word_weights: Weights, lexicon: Lexicon, s: int) -> Weights:
+    """Map word weights to synset p0 weights via harmonic sense splitting.
 
-    Words absent from the lexicon contribute nothing; the surviving
-    synset weights are renormalized to sum 1. Ordered (p0 desc, id asc).
+    Words absent from the lexicon contribute nothing; a query's surviving
+    synset weights are renormalized to sum 1, ordered (p0 desc, synset asc).
     """
-    raw: dict[str, float] = {}
-    for word, weight in word_weights:
-        synsets = lexicon.senses(word, s)
-        q = len(synsets)
-        if q == 0:
-            continue
-        denom = sum(1.0 / r for r in range(1, q + 1))
-        for r, synset_id in enumerate(synsets, 1):
-            raw[synset_id] = raw.get(synset_id, 0.0) + weight * (1.0 / r) / denom
-    total = sum(raw.values())
-    if total == 0.0:
-        return []
-    return sorted(((sid, w / total) for sid, w in raw.items()), key=lambda e: (-e[1], e[0]))
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    ww = word_weights
+    words = lexicon.word_numbers([ww.names[i] for i in ww.item.tolist()])
+    known = np.flatnonzero(words >= 0)
+    lo = lexicon.sense_ptr[words[known]]
+    q = np.minimum(lexicon.sense_ptr[words[known] + 1] - lo, s)
+    harmonic = np.array([0.0, *accumulate(1.0 / r for r in range(1, int(q.max(initial=0)) + 1))])  # 1 + ... + 1/j
+    row = np.repeat(known, q)
+    rank = _ranges(np.ones_like(q), q)  # 1, ..., q for each word
+    share = ww.weight[row] * (1.0 / rank) / harmonic[np.repeat(q, q)]
+    synsets = lexicon.sense_synsets[_ranges(lo, q)]
+    return _sum_by_item(ww.owner[row], synsets, share, lexicon.synset_names, ww.queries)
 
 
-def top_n(candidates: list[tuple[str, float]], n: int) -> list[tuple[str, float]]:
-    """The n strongest (synset, p0) pairs by (p0 desc, id asc); weights kept as-is."""
+def top_n(candidates: Weights, n: int) -> Weights:
+    """Each query's n strongest synsets by (p0 desc, synset asc); weights kept as-is."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return sorted(candidates, key=lambda c: (-c[1], c[0]))[:n]
+    c = candidates
+    ordered = _take(c, np.lexsort((c.item, -c.weight, c.owner)))
+    return _take(ordered, np.flatnonzero(_positions(ordered.owner, c.queries) < n))
 
 
-def build_graph(candidates: list[tuple[str, float]], lexicon: Lexicon,
-                config: AnalysisConfig) -> SynsetGraph:
-    """Assemble the propagation graph around the (synset, p0) candidates.
+def _links(lexicon: Lexicon, nodes: np.ndarray, enabled: np.ndarray):
+    """(node position, relation, target synset) of every enabled lexicon
+    relation out of ``nodes``, by node and then as the lexicon orders them."""
+    lo = lexicon.relation_ptr[nodes]
+    count = lexicon.relation_ptr[nodes + 1] - lo
+    rows = _ranges(lo, count)
+    source = np.repeat(np.arange(len(nodes)), count)
+    relation = lexicon.relation_types[rows]
+    keep = enabled[relation]
+    return source[keep], relation[keep], lexicon.relation_targets[rows][keep]
 
-    At expansion depth 1 every synset reachable over one enabled
-    relation joins with initial weight 0; depth 0 keeps candidates only.
-    The restart distribution is the candidates' p0 renormalized over the
-    final node set. Each node's relations are looked up once.
+
+def build_graph(candidates: Weights, lexicon: Lexicon, config: AnalysisConfig) -> SynsetGraph:
+    """Assemble each query's propagation graph around its candidate synsets.
+
+    At expansion depth 1 every synset reachable over one enabled relation
+    joins with initial weight 0; depth 0 keeps candidates only. A query's
+    restart distribution is its candidates' p0 renormalized over its
+    nodes.
     """
-    position: dict[str, int] = {}
-    for synset_id, _p0 in candidates:
-        if synset_id in position:
-            raise ValueError(f"duplicate candidate synset {synset_id!r}")
-        position[synset_id] = len(position)
-    links = [lexicon.related(synset_id, config.relation_set) for synset_id in position]
-    if config.expansion_depth == 1:
-        added = sorted({target for out in links for target, _rel in out} - position.keys())
-        for synset_id in added:
-            position[synset_id] = len(position)
-            links.append(lexicon.related(synset_id, config.relation_set))
-
-    edges = tuple((src, rel, position[target])
-                  for src, out in enumerate(links)
-                  for target, rel in out if target in position)
-    total = sum(p0 for _synset, p0 in candidates)
-    if candidates and total <= 0.0:
+    c = candidates
+    names = lexicon.synset_names
+    if c.names is not names and c.names != names:
+        raise ValueError("candidate synsets are not numbered by this lexicon")
+    size = len(names)
+    unique, first, _ = _groups(c.owner * size + c.item)
+    if len(unique) < len(c.item):
+        raise ValueError(f"duplicate candidate synset {names[np.delete(c.item, first)[0]]!r}")
+    total = np.bincount(c.owner, weights=c.weight, minlength=c.queries)
+    if (total[c.owner] <= 0.0).any():
         raise ValueError("candidate weights sum to zero; nothing to propagate from")
-    restart = np.zeros(len(position), dtype=np.float64)
-    restart[:len(candidates)] = [p0 / total for _synset, p0 in candidates]
-    return SynsetGraph(nodes=tuple(position), restart=restart, edges=edges)
+    enabled = np.array([rel in config.relation_set for rel in RELATIONS])
+    owner, nodes, restart = c.owner, c.item, c.weight / total[c.owner]
+    if config.expansion_depth == 1:
+        source, _rel, target = _links(lexicon, c.item, enabled)
+        reached = _groups(c.owner[source] * size + target)[0]
+        added = reached[_find(unique, reached) < 0]  # by query, then synset
+        # Per query, the candidates (in candidate order) and then the added synsets.
+        order = np.argsort(np.concatenate((owner, added // size)), kind="stable")
+        owner = np.concatenate((owner, added // size))[order]
+        nodes = np.concatenate((nodes, added % size))[order]
+        restart = np.concatenate((restart, np.zeros(len(added))))[order]
+    source, relation, target = _links(lexicon, nodes, enabled)
+    target = _find(owner * size + nodes, owner[source] * size + target)
+    hit = target >= 0
+    edges = np.stack((source[hit], relation[hit], target[hit]), axis=1)
+    return SynsetGraph(nodes=nodes, owner=owner, restart=restart, edges=edges, names=names, queries=c.queries)
 
 
 def propagate(graph: SynsetGraph, config: AnalysisConfig) -> PropagationResult:
-    """Iterate the restart walk to its fixed point.
+    """Iterate every query's restart walk to its fixed point.
 
-    Stops when the L1 change between successive distributions drops
-    below ``config.tol`` or after ``config.max_iters`` updates. Returns
-    the final scores, aligned with ``graph.nodes``, and the iteration
-    count, convergence, and the worst deviation of total mass from 1
-    seen at any iteration.
+    A walk stops when the L1 change between its successive distributions
+    drops below ``config.tol`` or after ``config.max_iters`` updates, and
+    its scores are final from then on: the walks still running are
+    renumbered without it. Returns the final scores, aligned with
+    ``graph.nodes``, and per query the iteration count, convergence, and
+    the worst deviation of total mass from 1 seen at any iteration. A
+    query without nodes takes no iterations and counts as converged.
     """
-    n = len(graph.nodes)
-    if n == 0:
-        return PropagationResult(np.zeros(0), 0, True, 0.0)
-    restart = graph.restart
-    src = np.array([e[0] for e in graph.edges], dtype=np.intp)
-    dst = np.array([e[2] for e in graph.edges], dtype=np.intp)
-    lam = np.array([config.lambdas.get(e[1], 0.0) for e in graph.edges], dtype=np.float64)
+    n, queries = len(graph.nodes), graph.queries
+    src, rel, dst = (np.ascontiguousarray(column) for column in graph.edges.T)
+    lam = np.array([config.lambdas.get(r, 0.0) for r in RELATIONS])[rel]
     out_weight = np.bincount(src, weights=lam, minlength=n)
-    dangling = out_weight == 0.0
+    dangling = np.flatnonzero(out_weight == 0.0)
     keep = lam > 0.0  # a zero-weight edge carries nothing
     src, dst = src[keep], dst[keep]
     weights = lam[keep] / out_weight[src]
 
-    alpha = config.alpha
-    p = restart.copy()
-    iterations = 0
-    converged = False
-    max_mass_error = abs(float(p.sum()) - 1.0)
-    for _ in range(config.max_iters):
-        flow = np.bincount(dst, weights=weights * p[src], minlength=n)
-        dangling_mass = float(p[dangling].sum())
-        new_p = alpha * restart + (1.0 - alpha) * (flow + dangling_mass * restart)
-        iterations += 1
-        max_mass_error = max(max_mass_error, abs(float(new_p.sum()) - 1.0))
-        change = float(np.abs(new_p - p).sum())
-        p = new_p
-        if change < config.tol:
-            converged = True
+    scores = graph.restart.copy()
+    iterations = np.zeros(queries, dtype=np.intp)
+    converged = np.bincount(graph.owner, minlength=queries) == 0
+    mass_error = np.zeros(queries)
+    # The walks still running, renumbered: their queries, nodes (each
+    # query's sums add its nodes in node order), edges and dangling nodes.
+    walking = np.flatnonzero(~converged)
+    owner = (np.cumsum(~converged) - 1)[graph.owner]
+    nodes, dangling_owner = np.arange(n), owner[dangling]
+    alpha, restart, p = config.alpha, graph.restart, graph.restart
+    base = alpha * restart
+    error = np.abs(np.bincount(owner, weights=p, minlength=len(walking)) - 1.0)
+    for step in range(1, config.max_iters + 1):
+        if not len(walking):
             break
-    return PropagationResult(p, iterations, converged, max_mass_error)
+        flow = np.bincount(dst, weights=weights * p[src], minlength=len(p))
+        dangling_mass = np.bincount(dangling_owner, weights=p[dangling], minlength=len(walking))
+        new_p = base + (1.0 - alpha) * (flow + dangling_mass[owner] * restart)
+        change = np.bincount(owner, weights=np.abs(new_p - p), minlength=len(walking))
+        error = np.maximum(error, np.abs(np.bincount(owner, weights=new_p, minlength=len(walking)) - 1.0))
+        p = new_p
+        stop = change < config.tol
+        if step == config.max_iters:
+            stop[:] = True
+        if stop.any():
+            ended = stop[owner]
+            scores[nodes[ended]] = p[ended]
+            iterations[walking[stop]] = step
+            converged[walking[stop]] = (change < config.tol)[stop]
+            mass_error[walking[stop]] = error[stop]
+            # Renumber the walks still running without the ones that stopped.
+            go, running = ~ended, ~stop
+            node_number, walk_number = np.cumsum(go) - 1, np.cumsum(running) - 1
+            on = go[src]
+            src, dst, weights = node_number[src[on]], node_number[dst[on]], weights[on]
+            on = go[dangling]
+            dangling, dangling_owner = node_number[dangling[on]], walk_number[dangling_owner[on]]
+            nodes, owner, p = nodes[go], walk_number[owner[go]], p[go]
+            restart, base = restart[go], base[go]
+            walking, error = walking[running], error[running]
+    return PropagationResult(scores, iterations, converged, mass_error)
 
 
-def rank_synsets(graph: SynsetGraph, scores: np.ndarray) -> list[tuple[str, float]]:
-    """(synset, score) pairs ordered by (score desc, id asc); ``scores``
-    is aligned with ``graph.nodes``."""
-    return sorted(zip(graph.nodes, scores.tolist()), key=lambda e: (-e[1], e[0]))
+def rank_synsets(graph: SynsetGraph, scores: np.ndarray) -> Weights:
+    """Each query's synsets and scores, ordered by (score desc, synset asc);
+    ``scores`` is aligned with ``graph.nodes``."""
+    order = np.lexsort((graph.nodes, -scores, graph.owner))
+    return Weights(graph.owner[order], graph.nodes[order], scores[order], graph.names, graph.queries)

@@ -8,14 +8,20 @@ ever scores the given candidates (closed world).
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
 from .analysis import (
     AnalysisConfig,
+    NeighborWords,
+    Weights,
+    _find,
+    _ints,
+    _positions,
+    _ranges,
+    _take,
     build_graph,
     initial_synsets,
     propagate,
@@ -141,95 +147,153 @@ def merge_neighbor_lists(per_dataset: list[list[tuple[str, float]]], k: int) -> 
     return [(pos, image_id, dist) for dist, image_id, pos in merged[:k]]
 
 
-def gather_neighbor_words(merged: list[tuple[int, str, float]],
-                          stores: list[KeywordStore]) -> tuple[list[tuple[str, list[str]]], int]:
-    """Keyword lists for merged neighbors, preserving merged order.
+def _number(names: tuple[str, ...], name: str) -> int:
+    """The position of ``name`` in the sorted ``names``, -1 if absent."""
+    at = bisect_left(names, name)
+    return at if at < len(names) and names[at] == name else -1
 
-    Neighbors missing from their keyword store are dropped and counted.
-    Each run of neighbors from one dataset takes one store lookup.
+
+def gather_neighbor_words(neighbor_lists: list[list[list[tuple[str, float]]]], stores: list[KeywordStore],
+                          k: int) -> tuple[NeighborWords, int]:
+    """The keyword numbers of each query's merged top-k neighbours, in merged order.
+
+    ``neighbor_lists`` holds one ``knn_batch`` result per store's dataset.
+    Each query's lists are merged by ``merge_neighbor_lists``, which orders
+    them by (distance, id), and words are numbered over the stores' joint
+    sorted vocabulary. Neighbours missing from their keyword store are
+    dropped and counted.
     """
-    entries: list[tuple[str, list[str]]] = []
-    missing = 0
-    for pos, run in groupby(merged, key=lambda t: t[0]):
-        found, miss = stores[pos].words_for([image_id for _pos, image_id, _dist in run])
-        missing += miss
-        entries.extend(found)
-    return entries, missing
+    per_query = [merge_neighbor_lists(list(lists), k) for lists in zip(*neighbor_lists)]
+    ids = [image_id for merged in per_query for _pos, image_id, _dist in merged]
+    pos = _ints([p for merged in per_query for p, _id, _dist in merged])
+    vocabulary = stores[0].vocabulary
+    if any(store.vocabulary != vocabulary for store in stores):
+        vocabulary = tuple(sorted(set().union(*(store.vocabulary for store in stores))))
+        number = {word: i for i, word in enumerate(vocabulary)}
+    rows = np.full(len(ids), -1, dtype=np.intp)
+    lo = np.zeros(len(ids), dtype=np.intp)
+    count = np.zeros(len(ids), dtype=np.intp)
+    for d, store in enumerate(stores):
+        at = np.flatnonzero(pos == d)
+        rows[at] = store.rows(ids if len(at) == len(ids) else [ids[i] for i in at.tolist()])
+        at = at[rows[at] >= 0]
+        lo[at] = store.ptr[rows[at]]
+        count[at] = store.ptr[rows[at] + 1] - lo[at]
+    found = np.flatnonzero(rows >= 0)
+    owner = np.repeat(np.arange(len(per_query)), [len(neighbors) for neighbors in per_query])[found]
+    rank = _positions(owner, len(per_query)) + 1
+    pos, lo, count = pos[found], lo[found], count[found]
+    entries = _ranges(lo, count)
+    store_of = np.repeat(pos, count)
+    word = np.empty(len(entries), dtype=np.intp)
+    for d, store in enumerate(stores):
+        at = np.flatnonzero(store_of == d)
+        word[at] = store.words[entries[at]]
+        if store.vocabulary != vocabulary:
+            word[at] = _ints([number[w] for w in store.vocabulary])[word[at]]
+    words = NeighborWords(np.repeat(owner, count), np.repeat(rank, count), word, vocabulary, len(per_query))
+    return words, len(ids) - len(found)
 
 
-def score_concepts(ranked_synsets: list[tuple[str, float]], concepts: dict[str, ConceptDef],
-                   candidates) -> list[tuple[str, float]]:
-    """Score each candidate concept as the max over its synsets' scores.
+def score_concepts(ranked_synsets: Weights, concepts: dict[str, ConceptDef],
+                   candidates: list[tuple[str, ...]]) -> Weights:
+    """Score each query's candidate concepts as the max over their synsets' scores.
 
-    Synsets absent from the ranked graph contribute 0. Returns every
-    candidate, ordered by (score desc, name asc).
+    ``candidates`` holds one tuple of concept names per query. Synsets
+    absent from a query's ranked graph contribute 0. Returns every
+    candidate, ordered per query by (score desc, name asc); the names are
+    the candidates' sorted concept names.
     """
-    scores = dict(ranked_synsets)
-    out = []
-    for name in candidates:
-        concept = concepts.get(name)
-        if concept is None:
+    ranked = ranked_synsets
+    for name in (name for names in candidates for name in names):
+        if name not in concepts:
             raise EngineError(f"unknown concept {name!r} in candidate list")
-        best = max((scores.get(sid, 0.0) for sid in concept.synsets), default=0.0)
-        out.append((name, best))
-    out.sort(key=lambda e: (-e[1], e[0]))
-    return out
+    names = sorted({name for names in candidates for name in names})
+    number = {name: i for i, name in enumerate(names)}
+    # The candidates' concepts as a CSR of synset numbers.
+    members = [[x for x in (_number(ranked.names, sid) for sid in concepts[name].synsets) if x >= 0] for name in names]
+    lens = _ints([len(synsets) for synsets in members])
+    starts = np.cumsum(lens) - lens
+    synsets = _ints([x for synsets in members for x in synsets])
+    owner = np.repeat(np.arange(len(candidates)), [len(names) for names in candidates])
+    concept = _ints([number[name] for names in candidates for name in names])
+    # Each (query, candidate) pair's synsets, looked up in the query's ranked scores.
+    size = max(len(ranked.names), 1)
+    at = _find(ranked.owner * size + ranked.item,
+               np.repeat(owner, lens[concept]) * size + synsets[_ranges(starts[concept], lens[concept])])
+    values = np.zeros(len(at))
+    values[at >= 0] = ranked.weight[at[at >= 0]]
+    score = np.zeros(len(concept))
+    some = np.flatnonzero(lens[concept] > 0)
+    if len(some):
+        score[some] = np.maximum.reduceat(values, (np.cumsum(lens[concept]) - lens[concept])[some])
+    order = np.lexsort((concept, -score, owner))
+    return Weights(owner[order], concept[order], score[order], tuple(names), len(candidates))
 
 
-def select_top(scored: list[tuple[str, float]], m: int) -> list[tuple[str, float]]:
-    """The final prediction: up to m positively scored concepts.
+def select_top(scored: Weights, m: int) -> list[tuple[tuple[str, float], ...]]:
+    """Each query's prediction: up to m positively scored concepts.
 
-    Zero-score candidates are not padded in; a concept only enters the
-    prediction on actual evidence. If nothing scored positive the first
-    m candidates (alphabetical, all at 0) are returned so the output
-    still has rows to inspect.
+    ``scored`` is ordered as ``score_concepts`` orders it. Zero-score
+    candidates are not padded in; a concept only enters the prediction on
+    actual evidence. If nothing scored positive the first m candidates
+    (alphabetical, all at 0) are returned so the output still has rows to
+    inspect.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    positive = [entry for entry in scored if entry[1] > 0.0]
-    if positive:
-        return positive[:m]
-    return scored[:m]
+    positive = scored.weight > 0.0
+    any_positive = np.bincount(scored.owner[positive], minlength=scored.queries) > 0
+    keep = (_positions(scored.owner, scored.queries) < m) & (positive | ~any_positive[scored.owner])
+    top = _take(scored, np.flatnonzero(keep))
+    bounds = np.searchsorted(top.owner, np.arange(scored.queries + 1)).tolist()
+    pairs = list(zip([scored.names[i] for i in top.item.tolist()], top.weight.tolist()))
+    return [tuple(pairs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def annotate_words(queries: list[Query], neighbor_words: NeighborWords, lexicon: Lexicon,
+                   concepts: dict[str, ConceptDef], params: EngineParams) -> list[Annotation]:
+    """The semantic stage: each query's neighbour keywords to a ranked annotation, for the whole
+    batch at once. ``neighbor_words`` holds the queries' keywords in the order of ``queries``."""
+    for query in queries:
+        if not query.candidates:
+            raise EngineError(f"query {query.id!r} has no candidate concepts")
+    a = params.analysis
+    weights = word_frequencies(neighbor_words, a.neighbor_weighting)
+    candidates = initial_synsets(weights, lexicon, a.s)
+    graph = build_graph(top_n(candidates, a.n), lexicon, a)
+    walk = propagate(graph, a)
+    scored = score_concepts(rank_synsets(graph, walk.scores), concepts, [q.candidates for q in queries])
+    signal = np.bincount(candidates.owner, minlength=len(queries)) > 0
+    return [Annotation(q.id, ranked, no_keyword_signal=not has, converged=done)
+            for q, ranked, has, done in zip(queries, select_top(scored, params.m), signal.tolist(),
+                                            walk.query_converged.tolist())]
 
 
 def annotate_from_words(query: Query, neighbor_words: list[tuple[str, list[str]]],
                         lexicon: Lexicon, concepts: dict[str, ConceptDef],
                         params: EngineParams) -> Annotation:
-    """The semantic stage alone: neighbor keywords to a ranked annotation."""
-    if not query.candidates:
-        raise EngineError(f"query {query.id!r} has no candidate concepts")
-    weights = word_frequencies(neighbor_words, params.analysis.neighbor_weighting)
-    candidates = initial_synsets(weights, lexicon, params.analysis.s)
-    if not candidates:
-        scored = score_concepts([], concepts, query.candidates)
-        return Annotation(query.id, tuple(select_top(scored, params.m)), no_keyword_signal=True)
-    kept = top_n(candidates, params.analysis.n)
-    graph = build_graph(kept, lexicon, params.analysis)
-    result = propagate(graph, params.analysis)
-    scored = score_concepts(rank_synsets(graph, result.scores), concepts, query.candidates)
-    return Annotation(query.id, tuple(select_top(scored, params.m)), converged=result.converged)
+    """The semantic stage for one query's (image id, words) neighbour lists: ``annotate_words``
+    on a batch of one."""
+    return annotate_words([query], NeighborWords.from_lists([neighbor_words]), lexicon, concepts, params)[0]
 
 
 def search_neighbor_words(queries: list[Query], datasets: list[Dataset], k: int,
-                          timings: dict[str, list[float]] | None = None
-                          ) -> Iterator[list[tuple[str, list[str]]]]:
-    """The search stage: yields per query, in order, its merged top-k neighbors' (id, words), from one
-    ``knn_batch`` per dataset. Each is gathered when taken: a whole batch's lists slow garbage collection.
-    Seconds go to ``timings``: the search as ``SIMILARITY_SEARCH``, each gather as ``KEYWORD_FETCH``."""
+                          timings: dict[str, list[float]] | None = None) -> NeighborWords:
+    """The search stage: the queries' merged top-k neighbours' keywords, in query order, from one
+    ``knn_batch`` per dataset and one ``gather_neighbor_words``. Seconds go to ``timings``: the search
+    as ``SIMILARITY_SEARCH``, the merge and gather as ``KEYWORD_FETCH``."""
     if not queries:
-        return
+        return NeighborWords.from_lists([])
     timings = {} if timings is None else timings
     features = np.stack([np.asarray(q.feature, dtype=np.float64) for q in queries])
     start = time.perf_counter()
     neighbor_lists = [ds.index.knn_batch(features, k) for ds in datasets]
     timings.setdefault(SIMILARITY_SEARCH, []).append(time.perf_counter() - start)
-    stores = [ds.keywords for ds in datasets]
-    for qi in range(len(queries)):
-        start = time.perf_counter()
-        merged = merge_neighbor_lists([lists[qi] for lists in neighbor_lists], k)
-        words = gather_neighbor_words(merged, stores)[0]
-        timings.setdefault(KEYWORD_FETCH, []).append(time.perf_counter() - start)
-        yield words
+    start = time.perf_counter()
+    words = gather_neighbor_words(neighbor_lists, [ds.keywords for ds in datasets], k)[0]
+    timings.setdefault(KEYWORD_FETCH, []).append(time.perf_counter() - start)
+    return words
 
 
 def annotate_batch(queries: list[Query], datasets: list[Dataset], lexicon: Lexicon,
@@ -237,15 +301,18 @@ def annotate_batch(queries: list[Query], datasets: list[Dataset], lexicon: Lexic
                    timings: dict[str, list[float]] | None = None) -> list[Annotation]:
     """Annotate many queries; results are collated by ascending query id.
 
-    One search stage (``search_neighbor_words``) for the batch, then ``annotate_from_words``
-    per query, timed under ``SEMANTIC_ANALYSIS``. The annotations do not depend on ``timings``."""
+    Two batch phases: the search stage (``search_neighbor_words``) and the
+    semantic stage (``annotate_words``), timed under ``SEMANTIC_ANALYSIS``.
+    A query's annotation does not depend on the rest of its batch, nor on
+    ``timings``."""
+    if not queries:
+        return []
     timings = {} if timings is None else timings
     ordered = sorted(queries, key=lambda q: q.id)
-    out = []
-    for query, words in zip(ordered, search_neighbor_words(ordered, datasets, params.k, timings)):
-        start = time.perf_counter()
-        out.append(annotate_from_words(query, words, lexicon, concepts, params))
-        timings.setdefault(SEMANTIC_ANALYSIS, []).append(time.perf_counter() - start)
+    words = search_neighbor_words(ordered, datasets, params.k, timings)
+    start = time.perf_counter()
+    out = annotate_words(ordered, words, lexicon, concepts, params)
+    timings.setdefault(SEMANTIC_ANALYSIS, []).append(time.perf_counter() - start)
     return out
 
 

@@ -7,10 +7,12 @@ sweep), ``generate`` (seeded synthetic corpus), and ``bench``
 (per-phase throughput measurements).
 
 ``annotate``, ``bench`` and ``evaluate --ablation`` all run the library's
-search stage, then ``annotate_from_words``, so the timings ``annotate`` and
-``bench`` print are of the code the library runs. Both print one table:
-index, lexicon and feature loading, the batched similarity search, and the
-per-query keyword fetch and semantic analysis with percentiles.
+search stage, then its semantic stage (``annotate_words``), each once over
+the whole batch, so the timings ``annotate`` and ``bench`` print are of the
+code the library runs. Both print one table: index, lexicon and feature
+loading, then the similarity search, keyword fetch and semantic analysis
+batch phases. No phase is timed query by query, so the percentile columns
+read ``-``.
 
 Every command exits nonzero on bad input, without leaving partial
 output files behind.
@@ -24,8 +26,6 @@ import sys
 import time
 from dataclasses import fields
 
-import numpy as np
-
 from . import fvec
 from .annotator import (
     KEYWORD_FETCH,
@@ -36,7 +36,7 @@ from .annotator import (
     Dataset,
     Query,
     annotate_batch,
-    annotate_from_words,
+    annotate_words,
     load_candidate_lists,
     load_concepts,
     read_annotations,
@@ -197,8 +197,8 @@ def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | N
     return list(queries.values())
 
 
-# A timing row: (phase, total seconds, per-query seconds or None).
-_PhaseRow = tuple[str, float, list[float] | None]
+# A timing row: (phase, total seconds).
+_PhaseRow = tuple[str, float]
 
 
 def _annotate_timed(cfg: EngineConfig, args: argparse.Namespace
@@ -218,24 +218,18 @@ def _annotate_timed(cfg: EngineConfig, args: argparse.Namespace
     t3 = time.perf_counter()
     timings: dict[str, list[float]] = {}
     annotations = annotate_batch(queries, datasets, lexicon, concepts, cfg.params, timings)
-    setup = [("index load", t1 - t0, None), ("lexicon load", t2 - t1, None)]
-    work: list[_PhaseRow] = [("feature load", t3 - t2, None),
-                            (SIMILARITY_SEARCH, sum(timings[SIMILARITY_SEARCH]), None)]
-    work += [(name, sum(timings[name]), timings[name]) for name in (KEYWORD_FETCH, SEMANTIC_ANALYSIS)]
+    setup = [("index load", t1 - t0), ("lexicon load", t2 - t1)]
+    work = [("feature load", t3 - t2)]
+    work += [(name, sum(timings[name])) for name in (SIMILARITY_SEARCH, KEYWORD_FETCH, SEMANTIC_ANALYSIS)]
     return annotations, setup, work
 
 
 def _phase_table(rows: list[_PhaseRow], num_queries: int) -> str:
-    """Total and mean time per phase, with percentiles where a phase was
-    timed query by query ("-" for loads and for the batched search)."""
+    """Total and mean time per phase. The percentile columns read "-": loads
+    and batch phases have no per-query times."""
     lines = [f"{'phase':<20} {'total_s':>9} {'ms/query':>10} {'p50_ms':>8} {'p90_ms':>8} {'p99_ms':>8}"]
-    for name, total, samples in rows:
-        line = f"{name:<20} {total:>9.3f} {1000.0 * total / num_queries:>10.3f}"
-        if samples is None:
-            line += f" {'-':>8} {'-':>8} {'-':>8}"
-        else:
-            line += "".join(f" {p:>8.3f}" for p in np.percentile(1000.0 * np.array(samples), (50, 90, 99)))
-        lines.append(line)
+    for name, total in rows:
+        lines.append(f"{name:<20} {total:>9.3f} {1000.0 * total / num_queries:>10.3f} {'-':>8} {'-':>8} {'-':>8}")
     return "\n".join(lines)
 
 
@@ -289,13 +283,14 @@ _ABLATION_LEVELS = [
 
 def run_ablation(cfg: EngineConfig, datasets: list[Dataset], lexicon, concepts,
                  queries: list[Query], truth: dict[str, set[str]]):
-    """The four analysis levels, weakest first, over one search. Returns (label, report) pairs."""
+    """The four analysis levels, weakest first, over one search and one semantic stage per
+    level. Returns (label, report) pairs."""
     ordered = sorted(queries, key=lambda q: q.id)
-    found = list(search_neighbor_words(ordered, datasets, cfg.params.k))
+    words = search_neighbor_words(ordered, datasets, cfg.params.k)
     results = []
     for label, level in _ABLATION_LEVELS:
         params = apply_config_values(cfg, level, source="ablation level").params
-        annotations = [annotate_from_words(q, w, lexicon, concepts, params) for q, w in zip(ordered, found)]
+        annotations = annotate_words(ordered, words, lexicon, concepts, params)
         results.append((label, evaluate(annotations, truth, concepts)))
     return results
 

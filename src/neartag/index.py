@@ -149,7 +149,7 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
     gmin = np.empty((nq, width), dtype=np.float32)
     best = np.full((nq, kk + width), np.inf, dtype=np.float32)  # kk least minima so far, then a tile's
     cap = np.where(live, np.inf, np.nan).astype(np.float32)  # NaN: pool nothing
-    steps = np.arange(_GROUP)
+    steps = np.arange(_GROUP, dtype=np.int32)
     pool, pooled, budget = [], 0, _TILE
     for t0 in range(0, count, span):
         n = min(span, count - t0)
@@ -163,11 +163,16 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
         best[:, kk : kk + w] = m
         best[:, : kk + w].partition(kk - 1, axis=1)
         limit = np.minimum((best[:, kk - 1] + slack).astype(np.float32), cap)
-        qi, gi = np.divmod(np.flatnonzero(m <= limit[:, None]), w)
-        rows = gi[:, None] + w * steps  # the rows of each query's groups under its limit
-        got = scores.ravel()[np.minimum(rows + (qi * span)[:, None], scores.size - 1)]
-        keep = np.flatnonzero((got <= limit[qi, None]) & (rows < n))
-        pool.append((qi[keep // _GROUP], rows.ravel()[keep] + t0, got.ravel()[keep]))
+        # The groups under each query's limit, and where their rows' scores sit in
+        # ``scores``: int32 suffices, as a tile holds at most _TILE scores.
+        qi, gi = np.divmod(np.flatnonzero(m <= limit[:, None]).astype(np.int32), np.int32(w))
+        at = (qi * np.int32(span) + gi)[:, None] + w * steps  # group gi holds rows gi, gi + w, ...
+        got = scores.ravel()[np.minimum(at, scores.size - 1, out=at)]
+        ok = got <= limit[qi][:, None]
+        ok &= steps < ((n - gi + w - 1) // w)[:, None]  # rows below n
+        keep = np.flatnonzero(ok)
+        qk = qi[keep // _GROUP]
+        pool.append((qk, (at.ravel()[keep] - qk * np.int32(span)).astype(np.intp) + t0, got.ravel()[keep]))
         pooled += len(pool[-1][0])
         if pooled > budget and t0 + n >= kk:  # a trim needs k rows seen
             qs, rs, ss, lim = _trim(pool, nq, kk, slack)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from .errors import FormatError
 from .tsv import id_lists, records
 
@@ -46,17 +48,38 @@ _TAGS = {
     "holo": RelationType.HOLONYM,
 }
 
-_RELATION_ORDER = {rel: i for i, rel in enumerate(RelationType)}
+RELATIONS = tuple(RelationType)  # a relation's number is its position here
 
 
 class Lexicon:
-    """Read-only word/synset graph."""
+    """Read-only word/synset graph.
+
+    Synsets and words are numbered in sorted-name order (``synset_names``,
+    ``word_names``), so ordering by number is ordering by name. Senses and
+    relations are held as CSR arrays over those numbers: word ``w``'s
+    synsets by rank are ``sense_synsets[sense_ptr[w]:sense_ptr[w + 1]]``,
+    and synset ``x``'s outgoing relations are the rows
+    ``relation_ptr[x]:relation_ptr[x + 1]`` of ``relation_types`` (numbers
+    in ``RELATIONS``) and ``relation_targets``, ordered by (relation,
+    target) as ``related`` returns them.
+    """
 
     def __init__(self, lemmas: dict[str, list[str]], senses: dict[str, list[str]],
-                 out_edges: dict[str, tuple[tuple[str, RelationType], ...]]):
+                 edges: set[tuple[str, RelationType, str]]):
         self._lemmas = lemmas
-        self._senses = senses
-        self._out = out_edges
+        self.synset_names = tuple(sorted(lemmas))
+        self.word_names = tuple(sorted(senses))
+        self._synset_number = {sid: i for i, sid in enumerate(self.synset_names)}
+        self._word_number = {word: i for i, word in enumerate(self.word_names)}
+        self.sense_ptr = np.cumsum([0, *(len(senses[w]) for w in self.word_names)])
+        self.sense_synsets = np.array([self._synset_number[sid] for w in self.word_names for sid in senses[w]],
+                                      dtype=np.intp)
+        rows = sorted((self._synset_number[src], RELATIONS.index(rel), self._synset_number[dst])
+                      for src, rel, dst in edges)
+        table = np.array(rows, dtype=np.intp).reshape(-1, 3)
+        self.relation_ptr = np.searchsorted(table[:, 0], np.arange(len(self.synset_names) + 1))
+        self.relation_types = table[:, 1].copy()
+        self.relation_targets = table[:, 2].copy()
 
     def __contains__(self, synset_id: str) -> bool:
         return synset_id in self._lemmas
@@ -70,7 +93,12 @@ class Lexicon:
         return list(self._lemmas[synset_id])
 
     def words(self) -> list[str]:
-        return list(self._senses)
+        return list(self.word_names)
+
+    def word_numbers(self, words) -> np.ndarray:
+        """Each word's number, lowercased as ``senses`` looks it up; -1 for a word without senses."""
+        get = self._word_number.get
+        return np.array([get(word.lower(), -1) for word in words], dtype=np.intp)
 
     def senses(self, word: str, s: int) -> list[str]:
         """The word's synsets by descending sense frequency, at most s of them.
@@ -80,7 +108,11 @@ class Lexicon:
         """
         if s < 1:
             raise ValueError(f"s must be at least 1, got {s}")
-        return list(self._senses.get(word.lower(), ())[:s])
+        w = self._word_number.get(word.lower())
+        if w is None:
+            return []
+        lo, hi = self.sense_ptr[w], self.sense_ptr[w + 1]
+        return [self.synset_names[x] for x in self.sense_synsets[lo : min(hi, lo + s)].tolist()]
 
     def related(self, synset_id: str, types) -> list[tuple[str, RelationType]]:
         """Outgoing (target, relation) pairs of the given relation types.
@@ -91,7 +123,10 @@ class Lexicon:
         if synset_id not in self._lemmas:
             raise ValueError(f"undeclared synset {synset_id!r}")
         wanted = frozenset(types)
-        return [(target, rel) for target, rel in self._out.get(synset_id, ()) if rel in wanted]
+        x = self._synset_number[synset_id]
+        lo, hi = self.relation_ptr[x], self.relation_ptr[x + 1]
+        pairs = zip(self.relation_targets[lo:hi].tolist(), self.relation_types[lo:hi].tolist())
+        return [(self.synset_names[t], RELATIONS[r]) for t, r in pairs if RELATIONS[r] in wanted]
 
 
 def _check_synset_token(token: str, path: str, lineno: int) -> str:
@@ -171,12 +206,4 @@ def load_lexicon(path: str) -> Lexicon:
             raise FormatError(f"relation references undeclared synset {dst!r}", path=path, line=lineno)
         edge_set.add((src, rel, dst))
         edge_set.add((dst, INVERSE[rel], src))
-
-    out_edges: dict[str, list[tuple[str, RelationType]]] = {}
-    for src, rel, dst in edge_set:
-        out_edges.setdefault(src, []).append((dst, rel))
-    frozen = {
-        src: tuple(sorted(pairs, key=lambda p: (_RELATION_ORDER[p[1]], p[0])))
-        for src, pairs in out_edges.items()
-    }
-    return Lexicon(lemmas, senses, frozen)
+    return Lexicon(lemmas, senses, edge_set)

@@ -32,7 +32,8 @@ def records(path: str, fields: int = 0, layout: str = ""):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                if line.isspace() or line.lstrip().startswith("#"):
+                first = line[0]  # only a line that starts blank needs stripping to be judged
+                if first == "#" or (first.isspace() and (line.isspace() or line.lstrip().startswith("#"))):
                     continue
                 parts = line.rstrip("\n").split("\t")
                 if fields and len(parts) != fields:
@@ -77,5 +78,5 @@ def id_lists(rows, path: str, item: str, known=None, what: str = "image id",
             if known is not None and name not in known:
                 raise FormatError(f"unknown {item} {name!r}", path=path, line=lineno)
             items.append(name)
-        lists[key] = list(dict.fromkeys(items))
+        lists[key] = items if len(items) == 1 else list(dict.fromkeys(items))
     return lists

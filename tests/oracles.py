@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from neartag.analysis import AnalysisConfig, SynsetGraph
-from neartag.lexicon import RelationType
+from neartag.analysis import AnalysisConfig, SynsetGraph, Weights
+from neartag.lexicon import RELATIONS, RelationType
 
 
 def brute_force_knn(ids, matrix, query, k):
@@ -21,7 +21,7 @@ def brute_force_knn(ids, matrix, query, k):
 
 
 def dense_fixed_point(graph: SynsetGraph, config: AnalysisConfig) -> np.ndarray:
-    """Solve the stationary distribution as a dense linear system.
+    """Solve the stationary distribution of a one-query graph as a dense linear system.
 
     With M[u, v] the transition weight of u -> v and d the dangling
     indicator, the fixed point satisfies
@@ -29,12 +29,13 @@ def dense_fixed_point(graph: SynsetGraph, config: AnalysisConfig) -> np.ndarray:
     """
     n = len(graph.nodes)
     restart = np.array(graph.restart, dtype=float)
+    edges = [(src, RELATIONS[rel], dst) for src, rel, dst in graph.edges.tolist()]
 
     out_weight = np.zeros(n)
-    for src, rel, _dst in graph.edges:
+    for src, rel, _dst in edges:
         out_weight[src] += config.lambdas.get(rel, 0.0)
     m = np.zeros((n, n))
-    for src, rel, dst in graph.edges:
+    for src, rel, dst in edges:
         lam = config.lambdas.get(rel, 0.0)
         if lam > 0.0 and out_weight[src] > 0.0:
             m[src, dst] += lam / out_weight[src]
@@ -45,8 +46,51 @@ def dense_fixed_point(graph: SynsetGraph, config: AnalysisConfig) -> np.ndarray:
     return np.linalg.solve(system, config.alpha * restart)
 
 
+def weights_from_lists(batch, names=None) -> Weights:
+    """A stage's ``Weights`` from per-query (name, weight) lists, rows in the
+    order given; ``names`` defaults to the sorted names the lists use."""
+    rows = [(q, name, weight) for q, pairs in enumerate(batch) for name, weight in pairs]
+    names = tuple(sorted({name for _q, name, _w in rows})) if names is None else tuple(names)
+    number = {name: i for i, name in enumerate(names)}
+    return Weights(owner=np.array([q for q, _name, _w in rows], dtype=np.intp),
+                   item=np.array([number[name] for _q, name, _w in rows], dtype=np.intp),
+                   weight=np.array([w for _q, _name, w in rows], dtype=np.float64),
+                   names=names, queries=len(batch))
+
+
+def weight_lists(weights: Weights):
+    """Per query, its (name, weight) rows in order."""
+    out = [[] for _ in range(weights.queries)]
+    for q, item, weight in zip(weights.owner.tolist(), weights.item.tolist(), weights.weight.tolist()):
+        out[q].append((weights.names[item], weight))
+    return out
+
+
+def one_query_graph(restart, edges, names=None) -> SynsetGraph:
+    """A batch of one from a restart vector and (source, RelationType, target)
+    node positions; node i is synset ``names[i]``, ``s<i>`` by default."""
+    n = len(restart)
+    names = tuple(f"s{i:04d}" for i in range(n)) if names is None else tuple(names)
+    ordered = tuple(sorted(names))
+    table = np.array([(a, RELATIONS.index(rel), b) for a, rel, b in edges], dtype=np.intp).reshape(-1, 3)
+    return SynsetGraph(nodes=np.array([ordered.index(name) for name in names], dtype=np.intp),
+                       owner=np.zeros(n, dtype=np.intp), restart=np.array(restart, dtype=float),
+                       edges=table, names=ordered, queries=1)
+
+
+def concatenate_graphs(graphs: list[SynsetGraph]) -> SynsetGraph:
+    """One batch from one-query graphs, in order; the longest graph's names serve them all."""
+    offsets = np.cumsum([0] + [len(g.nodes) for g in graphs])
+    return SynsetGraph(
+        nodes=np.concatenate([g.nodes for g in graphs]).astype(np.intp),
+        owner=np.concatenate([np.full(len(g.nodes), q, dtype=np.intp) for q, g in enumerate(graphs)]),
+        restart=np.concatenate([g.restart for g in graphs]).astype(float),
+        edges=np.concatenate([g.edges + [off, 0, off] for g, off in zip(graphs, offsets)]).reshape(-1, 3),
+        names=max((g.names for g in graphs), key=len, default=()), queries=len(graphs))
+
+
 def random_graph(rng: np.random.Generator, max_nodes: int = 6, connected: bool = True):
-    """A random small SynsetGraph plus a matching AnalysisConfig.
+    """A random small one-query SynsetGraph plus a matching AnalysisConfig.
 
     When ``connected`` the undirected skeleton is a spanning tree plus
     extra edges, so the graph is connected as criterion tests require.
@@ -71,9 +115,8 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 6, connected: bool =
 
     raw = rng.random(n) + 1e-3
     restart = raw / raw.sum()
-    nodes = tuple(f"s{i}" for i in range(n))
 
     lambdas = {rel: float(rng.choice([0.0, 0.5, 1.0, 2.0], p=[0.1, 0.3, 0.4, 0.2])) for rel in RelationType}
     alpha = float(rng.uniform(0.1, 1.0))
     config = AnalysisConfig(alpha=alpha, lambdas=lambdas, tol=1e-12, max_iters=2000)
-    return SynsetGraph(nodes=nodes, restart=restart, edges=tuple(edges)), config
+    return one_query_graph(restart, edges), config

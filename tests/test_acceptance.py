@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_force_knn, dense_fixed_point, random_graph
+from oracles import (brute_force_knn, dense_fixed_point, one_query_graph, random_graph, weight_lists,
+                     weights_from_lists)
 
 from neartag.analysis import (
     AnalysisConfig,
-    SynsetGraph,
     initial_synsets,
     propagate,
 )
@@ -129,10 +129,9 @@ def test_03_hand_computed_suite():
     ap = average_precision(["t1", "x", "t2"], {"t1", "t2"})
     assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-9)
 
-    graph = SynsetGraph(nodes=("a", "b"), restart=np.array([1.0, 0.0]),
-                        edges=((0, RelationType.HYPERNYM, 1),))
+    graph = one_query_graph([1.0, 0.0], [(0, RelationType.HYPERNYM, 1)], names=("a", "b"))
     result = propagate(graph, AnalysisConfig(alpha=0.5, tol=1e-12, max_iters=2000))
-    scores = dict(zip(graph.nodes, result.scores))
+    scores = dict(zip(("a", "b"), result.scores))
     assert scores["a"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert scores["b"] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
@@ -142,7 +141,7 @@ def test_03_hand_computed_suite():
             fh.write("S\ta\tword\nS\tb\tword\nS\tc\tword\n"
                      "W\tword\ta\t1\nW\tword\tb\t2\nW\tword\tc\t3\n")
         lexicon = load_lexicon(path)
-    shares = dict(initial_synsets([("word", 1.0)], lexicon, s=7))
+    shares = dict(weight_lists(initial_synsets(weights_from_lists([[("word", 1.0)]]), lexicon, s=7))[0])
     assert shares["a"] == pytest.approx(6.0 / 11.0, abs=1e-9)
     assert shares["b"] == pytest.approx(3.0 / 11.0, abs=1e-9)
     assert shares["c"] == pytest.approx(2.0 / 11.0, abs=1e-9)

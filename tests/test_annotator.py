@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import weight_lists, weights_from_lists
+
 from neartag.annotator import (
     KEYWORD_FETCH,
     SIMILARITY_SEARCH,
@@ -45,50 +47,67 @@ CONCEPTS = {
 }
 
 
+def scores_of(ranked, candidates):
+    """score_concepts on a batch of one, read back as (name, score) pairs."""
+    return weight_lists(score_concepts(weights_from_lists([ranked]), CONCEPTS, [tuple(candidates)]))[0]
+
+
+def top_of(scored, m):
+    """select_top on a batch of one, as a list."""
+    return list(select_top(weights_from_lists([scored]), m)[0])
+
+
 def test_score_concepts_single_synset():
-    got = score_concepts([("cat.n.1", 0.4)], CONCEPTS, ["cat"])
+    got = scores_of([("cat.n.1", 0.4)], ["cat"])
     assert got == [("cat", 0.4)]
 
 
 def test_score_concepts_max_over_synsets():
     ranked = [("animal.n.1", 0.1), ("creature.n.1", 0.3)]
-    got = score_concepts(ranked, CONCEPTS, ["animal"])
+    got = scores_of(ranked, ["animal"])
     assert got == [("animal", 0.3)]
 
 
 def test_score_concepts_missing_synsets_score_zero_and_sort_last():
-    got = score_concepts([("cat.n.1", 0.4)], CONCEPTS, ["rock", "cat"])
+    got = scores_of([("cat.n.1", 0.4)], ["rock", "cat"])
     assert got == [("cat", 0.4), ("rock", 0.0)]
 
 
 def test_score_concepts_unknown_concept_named():
     with pytest.raises(EngineError, match="unicorn"):
-        score_concepts([], CONCEPTS, ["unicorn"])
+        scores_of([], ["unicorn"])
 
 
 def test_score_concepts_zero_ties_alphabetical():
-    got = score_concepts([], CONCEPTS, ["rock", "cat", "animal"])
+    got = scores_of([], ["rock", "cat", "animal"])
     assert got == [("animal", 0.0), ("cat", 0.0), ("rock", 0.0)]
+
+
+def test_score_concepts_per_query_of_a_batch():
+    ranked = weights_from_lists([[("cat.n.1", 0.4)], [], [("creature.n.1", 0.3), ("cat.n.1", 0.1)]])
+    got = weight_lists(score_concepts(ranked, CONCEPTS, [("cat", "rock"), ("cat",), ("animal", "cat", "rock")]))
+    assert got == [[("cat", 0.4), ("rock", 0.0)], [("cat", 0.0)],
+                   [("animal", 0.3), ("cat", 0.1), ("rock", 0.0)]]
 
 
 def test_select_top_truncates_positive_scores():
     scored = [(f"c{i}", 0.7 - 0.1 * i) for i in range(7)]
-    assert select_top(scored, 5) == scored[:5]
+    assert top_of(scored, 5) == scored[:5]
 
 
 def test_select_top_keeps_fewer_than_m_positives():
     scored = [("a", 0.5), ("b", 0.2), ("c", 0.0), ("d", 0.0)]
-    assert select_top(scored, 3) == [("a", 0.5), ("b", 0.2)]
+    assert top_of(scored, 3) == [("a", 0.5), ("b", 0.2)]
 
 
 def test_select_top_all_zero_falls_back_to_first_m_names():
     scored = [("a", 0.0), ("b", 0.0), ("c", 0.0)]
-    assert select_top(scored, 2) == [("a", 0.0), ("b", 0.0)]
+    assert top_of(scored, 2) == [("a", 0.0), ("b", 0.0)]
 
 
 def test_select_top_m_validation():
     with pytest.raises(ValueError):
-        select_top([("a", 1.0)], 0)
+        top_of([("a", 1.0)], 0)
 
 
 # -- merge ---------------------------------------------------------------------
@@ -105,27 +124,67 @@ def test_merge_neighbor_lists_truncates_to_k():
     assert len(merge_neighbor_lists([a], 1)) == 1
 
 
+def decoded(words):
+    """Per query, the word lists of its neighbours with keywords, by rank."""
+    out = [[] for _ in range(words.queries)]
+    for q, rank, word in zip(words.owner.tolist(), words.rank.tolist(), words.word.tolist()):
+        if len(out[q]) < rank:
+            out[q].append([])
+        out[q][rank - 1].append(words.vocabulary[word])
+    return out
+
+
 class CountingStore(KeywordStore):
     def __init__(self, records):
         super().__init__(records)
         self.calls = 0
 
-    def words_for(self, image_ids):
+    def rows(self, image_ids):
         self.calls += 1
-        return super().words_for(image_ids)
+        return super().rows(image_ids)
 
 
 def test_gather_neighbor_words_batches_lookups_and_keeps_merged_order():
     stores = [CountingStore({"a1": ["cat"], "a2": ["dog", "cat"], "a3": ["sky"]}),
               CountingStore({"b1": ["sea"], "b3": ["sun"]})]
-    merged = [(0, "a1", 0.1), (0, "a2", 0.2), (1, "b1", 0.3), (1, "b2", 0.4),
-              (0, "a3", 0.5), (1, "b3", 0.6)]  # b2 has no keyword record
-    entries, missing = gather_neighbor_words(merged, stores)
-    assert entries == [("a1", ["cat"]), ("a2", ["dog", "cat"]), ("b1", ["sea"]),
-                       ("a3", ["sky"]), ("b3", ["sun"])]
-    assert missing == 1
-    # one lookup per run of same-dataset neighbors, not one per neighbor
-    assert [s.calls for s in stores] == [2, 2]
+    # Two queries; b2 has no keyword record, and the second query's b1 ties a2 and sorts after it.
+    lists = [[[("a1", 0.1), ("a2", 0.2), ("a3", 0.5)], [("a2", 0.3)]],
+             [[("b1", 0.3), ("b2", 0.4), ("b3", 0.6)], [("b2", 0.1), ("b1", 0.3)]]]
+    words, missing = gather_neighbor_words(lists, stores, 5)
+    assert decoded(words) == [[["cat"], ["dog", "cat"], ["sea"], ["sky"]], [["dog", "cat"], ["sea"]]]
+    assert missing == 2
+    assert words.vocabulary == ("cat", "dog", "sea", "sky", "sun")
+    # one lookup per store for the whole batch, not one per neighbor
+    assert [s.calls for s in stores] == [1, 1]
+    # One dataset: its lists are the merged lists, and its vocabulary is kept.
+    alone, missing = gather_neighbor_words(lists[1:], stores[1:], 5)
+    assert decoded(alone) == [[["sea"], ["sun"]], [["sea"]]]
+    assert missing == 2 and alone.vocabulary is stores[1].vocabulary
+
+
+def test_equal_distances_rank_by_id_though_their_squares_differ(tmp_path):
+    # From this query, row "b"'s d² is one ulp below row "a"'s, and both
+    # square roots are the same float: the search lists b first, by d², and
+    # the merge ranks a first, by (distance, id), for one dataset as for two.
+    lex = load_lexicon(write(tmp_path, "lex.tsv", "".join(f"S\t{w}.n.1\t{w}\nW\t{w}\t{w}.n.1\t1\n"
+                                                         for w in ("cat", "dog"))))
+    concepts = load_concepts(write(tmp_path, "con.tsv", "C\tcat\tcat.n.1\nC\tdog\tdog.n.1\n"), lex)
+    index = build_index_from_arrays(["b", "a"], np.array([[0.3, 0.0], [0.0, 0.7]], dtype=np.float32),
+                                    IndexConfig(dim=2))
+    feature = np.array([float.fromhex("0x1.37e8f2fee9faep-2"), float.fromhex("0x1.aa3f4340269f9p-2")])
+    d2 = ((index.vectors.astype(np.float64) - feature) ** 2).sum(axis=1)
+    assert np.nextafter(d2[0], np.inf) == d2[1] and np.sqrt(d2[0]) == np.sqrt(d2[1])
+    found = index.knn_batch(feature[None, :], 2)
+    assert [image_id for image_id, _dist in found[0]] == ["b", "a"]
+    store = KeywordStore({"a": ["cat"], "b": ["dog"]})
+    for lists, stores in (([found], [store]), ([found, [[]]], [store, KeywordStore({})])):
+        words, _missing = gather_neighbor_words(lists, stores, 2)
+        assert decoded(words) == [[["cat"], ["dog"]]]
+    # Under reciprocal-rank weighting, a's word weighs 1 and b's 1/2.
+    params = EngineParams(k=2, m=2, analysis=AnalysisConfig(neighbor_weighting=WEIGHTING_RECIPROCAL))
+    ann = annotate(Query("q", feature, ("cat", "dog")), [Dataset(index, store)], lex, concepts, params)
+    assert [name for name, _score in ann.ranked] == ["cat", "dog"]
+    assert ann.ranked[0][1] == pytest.approx(2 * ann.ranked[1][1])
 
 
 # -- annotate end-to-end ---------------------------------------------------------
@@ -227,6 +286,41 @@ def test_annotate_batch_matches_single(tmp_path):
                 assert annotate(q, used, lex, concepts, params) == by_id[q.id], (config.mode, len(used), q.id)
 
 
+@pytest.mark.parametrize("analysis", [
+    AnalysisConfig(neighbor_weighting=WEIGHTING_RECIPROCAL, alpha=0.3,
+                   lambdas={RelationType.HYPERNYM: 2.0, RelationType.HYPONYM: 0.5,
+                            RelationType.MERONYM: 0.0, RelationType.HOLONYM: 1.0}),
+    AnalysisConfig(expansion_depth=0, s=2, n=3),
+], ids=["reciprocal-rank", "depth-0"])
+def test_each_query_of_a_batch_is_annotated_as_alone(tmp_path, analysis):
+    # Words with several senses and relations among their synsets; references far out carry only
+    # words the lexicon lacks, so the queries near them have no keyword signal.
+    words = ["cat", "dog", "owl", "fox"]
+    lex_lines = ["S\tanimal.n.1\tanimal", "S\tpaw.n.1\tpaw", "W\tanimal\tanimal.n.1\t1"]
+    for w in words:
+        lex_lines += [f"S\t{w}.n.1\t{w}", f"S\t{w}.n.2\t{w}", f"W\t{w}\t{w}.n.1\t1", f"W\t{w}\t{w}.n.2\t2",
+                      f"R\thyper\t{w}.n.1\tanimal.n.1", f"R\tmero\t{w}.n.1\tpaw.n.1"]
+    lex = load_lexicon(write(tmp_path, "lex.tsv", "\n".join(lex_lines) + "\n"))
+    concepts = load_concepts(write(tmp_path, "con.tsv", "".join(f"C\t{w}\t{w}.n.1,{w}.n.2\n" for w in words)
+                                   + "C\tanimal\tanimal.n.1\n"), lex)
+    rng = np.random.default_rng(3)
+    near, far = rng.standard_normal((50, 4)), rng.standard_normal((10, 4)) + 40.0
+    ids = [f"r{i:02d}" for i in range(60)]
+    lines = [f"{i}\t{','.join(rng.choice(words + ['blorp'], 2))}\n" for i in ids[:50]]
+    lines += [f"{i}\tblorp,zzz\n" for i in ids[50:]]
+    index = build_index_from_arrays(ids, np.vstack([near, far]).astype(np.float32), IndexConfig(dim=4))
+    datasets = [Dataset(index, load_keywords(write(tmp_path, "kw.tsv", "".join(lines))))]
+    features = np.vstack([rng.standard_normal((12, 4)), rng.standard_normal((3, 4)) + 40.0])
+    queries = [Query(f"q{i:02d}", f, tuple(rng.choice(words + ["animal"], 3, replace=False)))
+               for i, f in enumerate(features)]
+    params = EngineParams(k=7, m=3, analysis=analysis)
+    alone = {q.id: annotate(q, datasets, lex, concepts, params) for q in queries}
+    assert {a.no_keyword_signal for a in alone.values()} == {True, False}
+    for batch in (queries, queries[::-1], queries[1::3], queries[12:], [queries[5], queries[13]]):
+        for annotation in annotate_batch(batch, datasets, lex, concepts, params):
+            assert annotation == alone[annotation.id]
+
+
 def test_search_stage_yields_in_the_given_order(tmp_path):
     rng = np.random.default_rng(2)
     datasets = []
@@ -236,12 +330,13 @@ def test_search_stage_yields_in_the_given_order(tmp_path):
         datasets.append(Dataset(build_index_from_arrays(ids, rng.standard_normal((30, 3)), IndexConfig(dim=3)), store))
     queries = [Query(f"q{i}", rng.standard_normal(3), ("x",)) for i in (3, 1, 2, 0)]
     timings = {}
-    got = list(search_neighbor_words(queries, datasets, 6, timings))
+    got = decoded(search_neighbor_words(queries, datasets, 6, timings))
     for q, words in zip(queries, got, strict=True):
         merged = merge_neighbor_lists([ds.index.knn(q.feature, 6) for ds in datasets], 6)
-        assert words == gather_neighbor_words(merged, [ds.keywords for ds in datasets])[0]
-    assert [len(timings[name]) for name in (SIMILARITY_SEARCH, KEYWORD_FETCH)] == [1, len(queries)]
-    assert list(search_neighbor_words([], datasets, 6)) == []
+        expected = [found for pos, image_id, _ in merged for _, found in datasets[pos].keywords.words_for([image_id])[0]]
+        assert words == expected
+    assert [len(timings[name]) for name in (SIMILARITY_SEARCH, KEYWORD_FETCH)] == [1, 1]
+    assert search_neighbor_words([], datasets, 6).queries == 0
 
 
 def test_annotate_merges_multiple_datasets(tmp_path):

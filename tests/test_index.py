@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,25 @@ def test_knn_batch_of_one_is_one_knn_call(monkeypatch):
     monkeypatch.setattr(VectorIndex, "knn", lambda self, q, k: calls.append(k) or real(self, q, k))
     assert index.knn_batch(query[None, :], 5) == [want]
     assert calls == [5]
+
+
+def test_large_k_batch_works_in_a_few_score_tiles():
+    # At k = 1,000 a tile holds about k groups, so the first tile pools most of its rows.
+    # Its pooling temporaries and the trims once took about six tiles' worth of memory,
+    # beyond the neighbour lists the call returns; gathered with int32 positions they take
+    # about four.
+    rng = np.random.default_rng(10)
+    index = make_index([f"v{i:05d}" for i in range(20000)], rng.standard_normal((20000, 8)))
+    queries = rng.standard_normal((256, 8))
+    index.knn_batch(queries[:2], 3)  # the lazy caches, which the index keeps
+    tracemalloc.start()
+    try:
+        found = index.knn_batch(queries, 1000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(neighbors) for neighbors in found] == [1000] * 256
+    assert peak - held <= 5 * 4 * index_module._TILE
 
 
 def test_index_holds_no_float64_copy_of_the_vectors():
