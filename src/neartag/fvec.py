@@ -1,11 +1,12 @@
-"""Binary feature-vector files, and the record codec the index reuses.
+"""Binary feature-vector (``.fvec``) files.
 
 Layout: one ASCII header line ``FVEC 1 <dim> <count>\\n`` followed by
 ``count`` records. Each record is a little-endian uint16 giving the byte
 length of the UTF-8 image id, the id bytes themselves, then ``dim``
-float32 components (little endian). Saved indexes (``index.py``) hold
-the same records after their own binary header; ``_write_records`` and
-``_read_records`` are the only code that writes or reads them.
+float32 components (little endian). ``_write_records`` and
+``_read_records`` are the only code that writes or reads them; saved
+indexes (``index.py``) have a layout of their own, whose ids keep to the
+record's length limit.
 
 ``_replacing`` is the one way the package writes an output file, text
 or binary: a failed write leaves whatever was at the path before.
@@ -62,9 +63,8 @@ def _replacing(path: str, binary: bool = True):
         raise
 
 
-def _write_records(path: str, header: bytes, ids: list[str], matrix: np.ndarray,
-                   trailer: bytes = b"") -> None:
-    """Write ``header``, one record per (id, row), then ``trailer`` to ``path``.
+def _write_records(path: str, header: bytes, ids: list[str], matrix: np.ndarray) -> None:
+    """Write ``header``, then one record per (id, row), to ``path``.
 
     Every id is checked before the file is opened, and the file replaces
     ``path`` only once it is whole.
@@ -77,12 +77,6 @@ def _write_records(path: str, header: bytes, ids: list[str], matrix: np.ndarray,
             fh.write(_ID_LEN.pack(len(raw)))
             fh.write(raw)
             fh.write(row.tobytes())
-        fh.write(trailer)
-
-
-def _bytes_left(fh) -> int:
-    """Bytes between the read position of ``fh`` and the end of its file."""
-    return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
 def _read_records(fh, path: str, count: int, dim: int) -> tuple[list[str], np.ndarray]:
@@ -95,7 +89,7 @@ def _read_records(fh, path: str, count: int, dim: int) -> tuple[list[str], np.nd
     # An id length and the values, the least a record can hold; an empty
     # id is then reported as such below, not as a short file.
     need = count * (_ID_LEN.size + 4 * dim)
-    left = _bytes_left(fh)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
     if need > left:
         raise FormatError(f"truncated file: {count} records of dim {dim} need at least {need} bytes, "
                           f"{left} remain", path=path)

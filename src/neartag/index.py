@@ -33,27 +33,34 @@ Two modes share one query interface and one exact top-k routine:
   scan only the ``candidate_budget`` rows whose prefixes agree most
   with the query's own, then rank those exactly as above.
 
-Vectors are held only as float32. Results order by (distance, id
-ascending) so ties are stable across runs and platforms. Indexes are
-immutable once built; any number of threads may query one concurrently.
+Vectors are held only as float32, rows in id order, with their float32
+squared norms and the largest norm computed once at build. Results
+order by (distance, id ascending), which is (d², row), so ties are
+stable across runs and platforms. Indexes are immutable once built; any
+number of threads may query one concurrently.
 
 ``build_index_from_arrays`` builds an index from ids and a (count, dim)
 array, for instance the pair ``fvec.read_vectors`` returns.
-``save_index`` writes a binary header, the vectors as ``.fvec`` records
-(``fvec.py`` holds the one record codec), then, in perm-prefix mode,
-the pivots and prefix assignments; ``load_index`` reads them back.
+``save_index`` writes one little-endian file: a header, a table of each
+section's offset, size and ``zlib.crc32``, the crc of both, then the
+sections at multiples of 64 bytes with zeros between (``_SECTIONS``; in
+exact mode only the first four). ``load_index`` reads it with one
+``readinto`` and keeps views of that buffer.
 """
 
 from __future__ import annotations
 
+import copy
+import operator
+import os
 import struct
-import threading
-from dataclasses import dataclass, field, replace
+import zlib
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, EngineError, FormatError
-from .fvec import _bytes_left, _read_records, _write_records
+from .fvec import _MAX_ID_BYTES, _replacing
 
 MODE_EXACT = "exact"
 MODE_PERM_PREFIX = "perm-prefix"
@@ -62,8 +69,12 @@ Neighbor = tuple[str, float]
 NeighborList = list[Neighbor]
 
 _INDEX_MAGIC = b"NTIX"
-_INDEX_VERSION = 1
-_HEADER = struct.Struct("<4sIBIqIIIQ")  # magic, version, mode, dim, seed, pivots, prefix, budget, count
+_INDEX_VERSION = 2
+_HEADER = struct.Struct("<4sIIIQqIId")  # magic, version, mode, dim, count, seed, pivots, prefix, max norm
+_SECTION = struct.Struct("<QQI")  # offset, size, zlib.crc32
+_CRC = struct.Struct("<I")
+_ALIGN = 64
+_SECTIONS = ("id offsets", "ids", "vectors", "norms", "pivots", "prefix assignments")
 
 _U32 = 2.0 ** -24  # float32 unit roundoff
 _U64 = 2.0 ** -53  # float64 unit roundoff
@@ -200,27 +211,18 @@ def _trim(pool: list[tuple], nq: int, kk: int, slack: np.ndarray) -> tuple:
     return qs[keep], rs[keep], ss[keep], limit
 
 
-@dataclass
-class _QueryCache:
-    """Lazy per-row arrays, built once under the lock and shared with budget views."""
-
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    norms: np.ndarray | None = None  # float32 squared row norms, summed in float64
-    max_norm: float = 0.0
-    id_rank: np.ndarray | None = None  # perm-prefix: each row's position in id order
-
-
 class VectorIndex:
     """Immutable id-to-vector collection answering kNN queries."""
 
-    def __init__(self, ids: list[str], vectors: np.ndarray, config: IndexConfig,
-                 pivots: np.ndarray | None = None, assignments: np.ndarray | None = None):
-        self.ids = ids
-        self.vectors = vectors  # (count, dim) float32, canonical storage
+    def __init__(self, ids: list[str], vectors: np.ndarray, config: IndexConfig, norms: np.ndarray,
+                 max_norm: float, pivots: np.ndarray | None = None, assignments: np.ndarray | None = None):
+        self.ids = ids  # strictly increasing
+        self.vectors = vectors  # (count, dim) float32, row i holding ids[i]
         self.config = config
+        self.norms = norms  # float32 squared row norms, summed in float64
+        self.max_norm = max_norm  # the largest row norm, in float64
         self.pivots = pivots  # (num_pivots, dim) float32 in perm-prefix mode
         self.assignments = assignments  # (count, prefix_len) int32 pivot indices
-        self._cache = _QueryCache()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -230,29 +232,10 @@ class VectorIndex:
         return self.config.dim
 
     def with_candidate_budget(self, candidate_budget: int) -> "VectorIndex":
-        """A view scanning a different number of candidates (a perm-prefix
-        query-time knob); it shares all arrays and lazy caches with this index."""
-        cfg = replace(self.config, candidate_budget=candidate_budget)
-        view = VectorIndex(self.ids, self.vectors, cfg, self.pivots, self.assignments)
-        view._cache = self._cache
+        """A view scanning another number of candidates, sharing every array with this index."""
+        view = copy.copy(self)
+        view.config = replace(self.config, candidate_budget=candidate_budget)
         return view
-
-    # -- query-time caches ------------------------------------------------
-
-    def _ensure_caches(self) -> _QueryCache:
-        cache = self._cache
-        if cache.norms is not None:
-            return cache
-        with cache.lock:
-            if cache.norms is not None:
-                return cache
-            norms = np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64)
-            cache.max_norm = float(np.sqrt(norms.max()))
-            if self.config.mode == MODE_PERM_PREFIX:  # invert the id order
-                cache.id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
-            with np.errstate(over="ignore"):
-                cache.norms = norms.astype(np.float32)  # publish last; readers gate on this
-        return cache
 
     # -- ranking ----------------------------------------------------------
 
@@ -262,11 +245,10 @@ class VectorIndex:
         Queries go in chunks of up to ``_CHUNK``, fewer for a large k (see
         the module docstring). Each query re-scores the rows ``_candidates``
         finds for it, all of them once k reaches the row count, in float64,
-        ordered by (d², id).
+        ordered by (d², row), which is (d², id).
         """
-        cache = self._ensure_caches()
         base = self.vectors if rows is None else self.vectors[rows]
-        norms = cache.norms if rows is None else cache.norms[rows]
+        norms = self.norms if rows is None else self.norms[rows]
         count = base.shape[0]
         kk = min(k, count)
         out: list[NeighborList] = []
@@ -275,15 +257,14 @@ class VectorIndex:
             block = queries[start : start + step]
             with np.errstate(over="ignore", invalid="ignore"):
                 slack = np.full(len(block), np.inf) if kk == count else _rank_slack(
-                    self.config.dim, cache.max_norm, np.sqrt(np.einsum("ij,ij->i", block, block)))
+                    self.config.dim, self.max_norm, np.sqrt(np.einsum("ij,ij->i", block, block)))
                 pools = _candidates(block, base, norms, kk, slack)
             for q, cand in zip(block, pools):
                 cand = cand if rows is None else rows[cand]
                 diff = self.vectors[cand] - q
                 d2 = np.einsum("ij,ij->i", diff, diff)
-                cand_ids = np.array([self.ids[c] for c in cand.tolist()], dtype=object)
-                order = np.lexsort((cand_ids, d2))[:kk]
-                out.append(list(zip(cand_ids[order].tolist(), np.sqrt(d2[order]).tolist())))
+                order = np.lexsort((cand, d2))[:kk]
+                out.append(list(zip(map(self.ids.__getitem__, cand[order].tolist()), np.sqrt(d2[order]).tolist())))
         return out
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
@@ -294,12 +275,11 @@ class VectorIndex:
         # alone is coarse (deep positions rarely match exactly), so break
         # ties by how many pivots the prefixes share as sets, which keeps
         # near neighbors whose permutations are slightly shuffled ahead of
-        # unrelated vectors. Final id tie-break keeps the order total, so a
-        # larger budget always extends the candidate list rather than
-        # reshuffling it.
+        # unrelated vectors. Ties stay in row order, which is id order, so a
+        # larger budget always extends the candidate list.
         agree = np.logical_and.accumulate(self.assignments == q_prefix, axis=1).sum(axis=1)
         shared = np.isin(self.assignments, q_prefix).sum(axis=1)
-        order = np.lexsort((self._ensure_caches().id_rank, -shared, -agree))
+        order = np.lexsort((-shared, -agree))
         return order[: min(self.config.candidate_budget, len(self.ids))]
 
     def _search(self, queries: np.ndarray, k) -> list[NeighborList]:
@@ -342,8 +322,20 @@ class VectorIndex:
         return self._search(queries, k)
 
 
+def _first_unordered(ids: list[str]) -> int:
+    """The first row whose id is not above the one before it; 0 if ids strictly increase."""
+    if all(map(operator.lt, ids, ids[1:])):
+        return 0
+    return next(i for i in range(1, len(ids)) if not ids[i - 1] < ids[i])
+
+
 def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexConfig) -> VectorIndex:
-    """Build an index from a pre-assembled (count, dim) array."""
+    """Build an index from a pre-assembled (count, dim) array.
+
+    Rows are stored in id order, taken from ``matrix`` only when ``ids``
+    are not in that order already. In perm-prefix mode the pivots and
+    prefixes are chosen in input order and then move with their rows.
+    """
     if len(ids) == 0:
         raise ValueError("cannot build an index from zero vectors")
     matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -353,16 +345,16 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
         raise DimensionMismatch(f"vector lengths differ: {matrix.shape[1]} vs {config.dim}")
     if not np.isfinite(matrix).all():
         raise ValueError("feature vectors must be finite (found nan or inf)")
-    seen: set[str] = set()
-    for image_id in ids:
-        if not image_id:
-            raise ValueError("image id must be non-empty")
-        if image_id in seen:
-            raise ValueError(f"duplicate image id {image_id!r}")
-        seen.add(image_id)
+    ids, order = list(ids), None
+    if _first_unordered(ids):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = [ids[i] for i in order]
+        if row := _first_unordered(ids):
+            raise ValueError(f"duplicate image id {ids[row]!r}")
+    if not ids[0]:  # the least id
+        raise ValueError("image id must be non-empty")
 
-    pivots = None
-    assignments = None
+    pivots = assignments = None
     if config.mode == MODE_PERM_PREFIX:
         count = len(ids)
         if config.num_pivots > count:
@@ -371,7 +363,13 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
         pivot_rows = rng.choice(count, size=config.num_pivots, replace=False)
         pivots = np.ascontiguousarray(matrix[pivot_rows])
         assignments = _assign_prefixes(matrix, pivots, config.prefix_len)
-    return VectorIndex(list(ids), matrix, config, pivots, assignments)
+    if order is not None:
+        matrix = matrix[order]
+        assignments = None if assignments is None else assignments[order]
+    norms = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return VectorIndex(ids, matrix, config, norms.astype(np.float32), float(np.sqrt(norms.max())),
+                           pivots, assignments)
 
 
 def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int) -> np.ndarray:
@@ -396,91 +394,126 @@ _MODE_CODES = {MODE_EXACT: 0, MODE_PERM_PREFIX: 1}
 _CODE_MODES = {v: k for k, v in _MODE_CODES.items()}
 
 
-def save_index(index: VectorIndex, path: str) -> None:
-    """Persist an index; loading the file reproduces identical answers.
+def _aligned(pos: int) -> int:
+    return -(-pos // _ALIGN) * _ALIGN
 
-    The container embeds dimensionality, mode, build seed, and (in
-    perm-prefix mode) the pivot vectors and prefix assignments, so a
-    load needs no rebuild work. After the binary header come the
-    vectors as ``.fvec`` records (see ``fvec.py``); every id is checked
-    before the file is opened.
-    """
+
+def save_index(index: VectorIndex, path: str) -> None:
+    """Persist an index, norms, pivots and prefixes included, so that a load
+    does no rebuild work; ids a ``.fvec`` record cannot hold are refused."""
     cfg = index.config
     perm = cfg.mode == MODE_PERM_PREFIX
-    header = _HEADER.pack(
-        _INDEX_MAGIC, _INDEX_VERSION, _MODE_CODES[cfg.mode], cfg.dim, cfg.rng_seed,
-        cfg.num_pivots if perm else 0,
-        cfg.prefix_len if perm else 0,
-        cfg.candidate_budget if perm else 0,
-        len(index.ids),
-    )
-    trailer = b""
+    raw = [image_id.encode("utf-8") for image_id in index.ids]
+    offsets = np.cumsum([0, *map(len, raw)])
+    if (longest := np.diff(offsets).max()) > _MAX_ID_BYTES or offsets[-1] >= 1 << 32:
+        raise ValueError(f"image id too long ({longest} bytes, limit {_MAX_ID_BYTES}), or ids over 4 GiB")
+    arrays = [(offsets, "<u4"), (np.frombuffer(b"".join(raw), np.uint8), np.uint8),
+              (index.vectors, "<f4"), (index.norms, "<f4")]
     if perm:
-        trailer = (np.ascontiguousarray(index.pivots, dtype="<f4").tobytes()
-                   + np.ascontiguousarray(index.assignments, dtype="<i4").tobytes())
-    _write_records(path, header, index.ids, index.vectors, trailer)
+        arrays += [(index.pivots, "<f4"), (index.assignments, "<i4")]
+    sections = [np.ascontiguousarray(a, dtype=t).reshape(-1).view(np.uint8) for a, t in arrays]
+    starts = [_aligned(_HEADER.size + len(sections) * _SECTION.size + _CRC.size)]
+    for data in sections:
+        starts.append(_aligned(starts[-1] + data.size))
+    head = _HEADER.pack(_INDEX_MAGIC, _INDEX_VERSION, _MODE_CODES[cfg.mode], cfg.dim, len(index.ids),
+                        cfg.rng_seed, cfg.num_pivots if perm else 0, cfg.prefix_len if perm else 0,
+                        index.max_norm)
+    head += b"".join(_SECTION.pack(at, data.size, zlib.crc32(data)) for at, data in zip(starts, sections))
+    head += _CRC.pack(zlib.crc32(head))
+    with _replacing(path) as fh:
+        fh.write(head)
+        for at, data in zip(starts, sections):
+            fh.write(bytes(at - fh.tell()))
+            fh.write(data)
 
 
 def load_index(path: str, config: IndexConfig) -> VectorIndex:
-    """Load an index saved by save_index, checking it against ``config``.
+    """Load an index saved by save_index, whose dim and mode must match ``config``.
 
-    The stored dimensionality and mode must match the caller's
-    expectation; structural parameters (pivots, prefix length, build
-    seed) come from the file itself. The candidate budget is a
-    query-time setting and comes from ``config``; the budget stored in
-    the file is not used.
+    The candidate budget, a query-time setting, comes from ``config``.
+    Every fault in the file, an older version included, raises FormatError
+    naming ``path``; no size in it is used before it is checked.
     """
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise FormatError("truncated index header", path=path)
-        magic, version, mode_code, dim, seed, num_pivots, prefix_len, _budget, count = _HEADER.unpack(raw)
-        if magic != _INDEX_MAGIC:
-            raise FormatError(f"not an index file (magic {magic!r})", path=path)
-        if version != _INDEX_VERSION:
-            raise FormatError(f"unsupported index version {version} (expected {_INDEX_VERSION})", path=path)
-        if mode_code not in _CODE_MODES:
-            raise FormatError(f"unknown index mode code {mode_code}", path=path)
-        mode = _CODE_MODES[mode_code]
-        if dim != config.dim:
-            raise EngineError(
-                f"{path}: index dimensionality {dim} does not match configured {config.dim}"
-            )
-        if mode != config.mode:
-            raise EngineError(f"{path}: index mode {mode!r} does not match configured {config.mode!r}")
-        if count < 1:
-            raise FormatError(f"index holds no vectors (count={count})", path=path)
-        perm = mode == MODE_PERM_PREFIX
-        pbytes = num_pivots * dim * 4 if perm else 0
-        abytes = count * prefix_len * 4 if perm else 0
-        left = _bytes_left(fh)
-        for what, size in (("pivots", pbytes), ("prefix assignments", abytes)):
-            if size > left:
-                raise FormatError(f"truncated file: {what} need {size} bytes, {left} remain", path=path)
-        if perm and not 1 <= prefix_len <= num_pivots:
-            raise FormatError(f"prefix length {prefix_len} outside [1, num_pivots={num_pivots}]", path=path)
+        size = os.fstat(fh.fileno()).st_size
+        buf = np.empty(size + _ALIGN, dtype=np.uint8)
+        buf = buf[-buf.ctypes.data % _ALIGN :][:size]  # 64-byte aligned, as the sections are
+        if fh.readinto(buf) != size or fh.read(1):
+            raise FormatError("the file changed while it was read", path=path)
+    if size < _HEADER.size:  # a version-1 file is never shorter
+        raise FormatError("truncated index header", path=path)
+    magic, version, mode_code, dim, count, seed, num_pivots, prefix_len, max_norm = _HEADER.unpack_from(buf)
+    if magic != _INDEX_MAGIC:
+        raise FormatError(f"not an index file (magic {magic!r})", path=path)
+    if version != _INDEX_VERSION:
+        raise FormatError(f"index version {version} is not {_INDEX_VERSION}: run `neartag build` again", path=path)
+    if mode_code not in _CODE_MODES:
+        raise FormatError(f"unknown index mode code {mode_code}", path=path)
+    mode = _CODE_MODES[mode_code]
+    perm = mode == MODE_PERM_PREFIX
+    names = _SECTIONS if perm else _SECTIONS[:4]
+    end = _HEADER.size + len(names) * _SECTION.size
+    if size < end + _CRC.size:
+        raise FormatError("truncated index header", path=path)
+    if zlib.crc32(buf[:end]) != _CRC.unpack_from(buf, end)[0]:
+        raise FormatError("index header checksum mismatch", path=path)
+    if dim != config.dim:
+        raise EngineError(f"{path}: index dimensionality {dim} does not match configured {config.dim}")
+    if mode != config.mode:
+        raise EngineError(f"{path}: index mode {mode!r} does not match configured {config.mode!r}")
+    if count < 1:
+        raise FormatError(f"index holds no vectors (count={count})", path=path)
+    want = (4 * (count + 1), None, 4 * count * dim, 4 * count, 4 * num_pivots * dim, 4 * count * prefix_len)
+    end += _CRC.size
+    if (need := end + sum(filter(None, want[: len(names)]))) > size:
+        raise FormatError(f"truncated file: the header's counts need {need} bytes, it has {size}", path=path)
+    if perm and not 1 <= prefix_len <= num_pivots:
+        raise FormatError(f"prefix length {prefix_len} outside [1, num_pivots={num_pivots}]", path=path)
+    sections = []
+    for i, name in enumerate(names):
+        offset, length, crc = _SECTION.unpack_from(buf, _HEADER.size + i * _SECTION.size)
+        if (offset, length) != (_aligned(end), want[i] or length):
+            raise FormatError(f"{name} section: {length} bytes at {offset}, expected {want[i] or length} "
+                              f"at {_aligned(end)}", path=path)
+        if offset + length > size:
+            raise FormatError(f"truncated file: the {name} section ends at {offset + length}, past {size}", path=path)
+        if buf[end:offset].any():
+            raise FormatError(f"nonzero padding before the {name} section", path=path)
+        sections.append(buf[offset : offset + length])
+        if zlib.crc32(sections[-1]) != crc:
+            raise FormatError(f"{name} section checksum mismatch", path=path)
+        end = offset + length
+    if size != end:
+        raise FormatError(f"trailing data after the index payload ({size - end} bytes)", path=path)
 
-        ids, matrix = _read_records(fh, path, count, dim)
+    ids = _decode_ids(sections[0].view("<u4"), sections[1], path)
+    vectors = sections[2].view("<f4").reshape(count, dim)
+    if not np.isfinite(vectors).all():
+        raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
+    pivots = assignments = None
+    if perm:
+        pivots = sections[4].view("<f4").reshape(num_pivots, dim)
+        assignments = sections[5].view("<i4").reshape(count, prefix_len)
+        if assignments.min() < 0 or assignments.max() >= num_pivots:
+            raise FormatError(f"prefix assignment outside [0, num_pivots={num_pivots})", path=path)
+    loaded = replace(config, rng_seed=seed, **dict(num_pivots=num_pivots, prefix_len=prefix_len) if perm else {})
+    return VectorIndex(ids, vectors, loaded, sections[3].view("<f4"), max_norm, pivots, assignments)
 
-        pivots = None
-        assignments = None
-        if perm:
-            raw_piv = fh.read(pbytes)
-            raw_asn = fh.read(abytes)
-            if len(raw_piv) != pbytes or len(raw_asn) != abytes:
-                raise FormatError("truncated pivot data", path=path)
-            pivots = np.frombuffer(raw_piv, dtype="<f4").reshape(num_pivots, dim).copy()
-            assignments = np.frombuffer(raw_asn, dtype="<i4").reshape(count, prefix_len).copy()
-            if assignments.min() < 0 or assignments.max() >= num_pivots:
-                raise FormatError(f"prefix assignment outside [0, num_pivots={num_pivots})", path=path)
-        if fh.read(1):
-            raise FormatError("trailing data after index payload", path=path)
 
-    loaded_cfg = IndexConfig(
-        dim=dim, mode=mode,
-        num_pivots=num_pivots if perm else config.num_pivots,
-        prefix_len=prefix_len if perm else config.prefix_len,
-        candidate_budget=config.candidate_budget,
-        rng_seed=seed,
-    )
-    return VectorIndex(ids, matrix, loaded_cfg, pivots, assignments)
+def _decode_ids(offsets: np.ndarray, blob: np.ndarray, path: str) -> list[str]:
+    """The ids between byte ``offsets`` of the UTF-8 ``blob``: non-empty and strictly increasing."""
+    ends = offsets.astype(np.int64)
+    if ends[0] != 0 or ends[-1] != blob.size or (np.diff(ends) <= 0).any():
+        raise FormatError("empty id, or id offsets that do not rise from 0 to the ids' size", path=path)
+    try:
+        text = str(blob, "utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("ids are not valid UTF-8", path=path) from None
+    inner = (blob & 0xC0) == 0x80  # UTF-8 continuation bytes
+    if inner[ends[:-1]].any():
+        raise FormatError("an id offset falls inside a UTF-8 character", path=path)
+    chars = (ends - np.searchsorted(np.flatnonzero(inner), ends)).tolist()  # offsets in ``text``
+    ids = [text[a:b] for a, b in zip(chars, chars[1:])]
+    if row := _first_unordered(ids):
+        raise FormatError(f"ids must strictly increase: {ids[row]!r} follows {ids[row - 1]!r}", path=path)
+    return ids

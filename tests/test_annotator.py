@@ -169,10 +169,10 @@ def test_equal_distances_rank_by_id_though_their_squares_differ(tmp_path):
     lex = load_lexicon(write(tmp_path, "lex.tsv", "".join(f"S\t{w}.n.1\t{w}\nW\t{w}\t{w}.n.1\t1\n"
                                                          for w in ("cat", "dog"))))
     concepts = load_concepts(write(tmp_path, "con.tsv", "C\tcat\tcat.n.1\nC\tdog\tdog.n.1\n"), lex)
-    index = build_index_from_arrays(["b", "a"], np.array([[0.3, 0.0], [0.0, 0.7]], dtype=np.float32),
-                                    IndexConfig(dim=2))
+    matrix = np.array([[0.3, 0.0], [0.0, 0.7]], dtype=np.float32)  # rows b, a
+    index = build_index_from_arrays(["b", "a"], matrix, IndexConfig(dim=2))
     feature = np.array([float.fromhex("0x1.37e8f2fee9faep-2"), float.fromhex("0x1.aa3f4340269f9p-2")])
-    d2 = ((index.vectors.astype(np.float64) - feature) ** 2).sum(axis=1)
+    d2 = ((matrix.astype(np.float64) - feature) ** 2).sum(axis=1)
     assert np.nextafter(d2[0], np.inf) == d2[1] and np.sqrt(d2[0]) == np.sqrt(d2[1])
     found = index.knn_batch(feature[None, :], 2)
     assert [image_id for image_id, _dist in found[0]] == ["b", "a"]

@@ -202,6 +202,21 @@ def test_annotate_loads_prebuilt_index(corpus, capsys):
     assert pathlib.Path(out_path).read_bytes() == from_index
 
 
+def test_annotate_refuses_a_version_1_index_with_the_rebuild_message(corpus, tmp_path, capsys):
+    import struct
+
+    index_path, out_path = tmp_path / "refs.index", tmp_path / "out.tsv"
+    header = struct.pack("<4sIBIqIIIQ", b"NTIX", 1, 0, 8, 0, 0, 0, 0, 1)  # the version-1 header, one row
+    index_path.write_bytes(header + struct.pack("<H", 1) + b"a" + bytes(32))
+    rc = main(["annotate", "--config", conf(corpus), "--index", str(index_path),
+               "--queries", os.path.join(corpus, "queries.fvec"),
+               "--candidates", os.path.join(corpus, "candidates.tsv"), "--output", str(out_path)])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert str(index_path) in err and "version 1" in err and "run `neartag build` again" in err
+    assert not out_path.exists()
+
+
 def test_flags_override_config(corpus, capsys):
     # absurd k of 1 gives a different result than the default, proving the flag lands
     rc = main(["annotate", "--config", conf(corpus), "--k", "1", "--m", "2",

@@ -1,7 +1,9 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from neartag import fvec
 from neartag.errors import FormatError
@@ -144,3 +146,36 @@ def test_record_count_beyond_the_file_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match="truncated") as exc:
         fvec.read_vectors(str(path))
     assert str(path) in str(exc.value)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flipped_byte_is_a_format_error_or_the_same_shape(tmp_path, data):
+    # .fvec holds no checksum: a flip inside an id or a value can load, but
+    # never as another shape and never as another exception.
+    path = tmp_path / "v.fvec"
+    fvec.write_vectors(str(path), ["a", "bé"], np.arange(6, dtype=np.float32).reshape(2, 3))
+    raw = path.read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    path.write_bytes(raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="xor")]) + raw[at + 1:])
+    try:
+        ids, matrix = fvec.read_vectors(str(path))
+    except FormatError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert len(ids) == 2 and matrix.shape == (2, 3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(1, 1 << 40), count=st.integers(1 << 20, 1 << 60))
+def test_absurd_header_counts_are_refused_before_allocating(tmp_path, dim, count):
+    path = tmp_path / "v.fvec"
+    path.write_bytes(f"FVEC 1 {dim} {count}\n".encode("ascii") + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated") as exc:
+            fvec.read_vectors(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(exc.value) and peak < 1 << 16

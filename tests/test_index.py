@@ -1,13 +1,19 @@
+import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from neartag import index as index_module
 from neartag.errors import DimensionMismatch, EngineError, FormatError
 from neartag.index import (
+    _CRC,
     _HEADER,
+    _SECTION,
+    _SECTIONS,
     IndexConfig,
     VectorIndex,
     build_index_from_arrays,
@@ -151,7 +157,7 @@ def test_index_holds_no_float64_copy_of_the_vectors():
     rng = np.random.default_rng(8)
     index = make_index([f"v{i}" for i in range(300)], rng.standard_normal((300, 16)))
     index.knn_batch(rng.standard_normal((5, 16)), 7)
-    held = [v for v in (*vars(index).values(), *vars(index._cache).values()) if isinstance(v, np.ndarray)]
+    held = [v for v in vars(index).values() if isinstance(v, np.ndarray)]
     assert all(a.dtype != np.float64 or a.size < index.vectors.size for a in held)
 
 
@@ -234,10 +240,8 @@ def test_perm_prefix_budget_growth_gives_candidate_superset():
     index = make_index(ids, matrix, mode="perm-prefix", num_pivots=16, prefix_len=4,
                        candidate_budget=30, rng_seed=3)
     q = rng.standard_normal(16)
-    index._ensure_caches()
     small = index._perm_candidates(np.asarray(q, dtype=np.float64))
     big = index.with_candidate_budget(90)
-    big._ensure_caches()
     larger = big._perm_candidates(np.asarray(q, dtype=np.float64))
     assert set(small.tolist()) <= set(larger.tolist())
 
@@ -247,19 +251,18 @@ def test_budget_view_shares_caches_and_matches_fresh_index():
     ids, matrix = clustered(rng)
     cfg = dict(mode="perm-prefix", num_pivots=16, prefix_len=4, rng_seed=3)
     base = make_index(ids, matrix, candidate_budget=30, **cfg)
-    early = base.with_candidate_budget(60)  # made before any cache exists
+    early = base.with_candidate_budget(60)  # made before any query
     queries = rng.standard_normal((12, 16))
     early.knn(queries[0], 5)
-    cache = base._cache
-    norms, rank = cache.norms, cache.id_rank
-    assert norms is not None and rank is not None
+    norms, assignments = base.norms, base.assignments
+    assert norms is not None and assignments is not None
     for budget in (60, 90, 320):
         view = base.with_candidate_budget(budget)
         fresh = make_index(ids, matrix, candidate_budget=budget, **cfg)
         assert view.knn_batch(queries, 10) == fresh.knn_batch(queries, 10)
         assert [view.knn(q, 10) for q in queries] == [fresh.knn(q, 10) for q in queries]
         # querying the view built no per-row arrays of its own
-        assert view._cache is cache and cache.norms is norms and cache.id_rank is rank
+        assert view.norms is norms and view.assignments is assignments and base.norms is norms
 
 
 def test_perm_prefix_k_over_budget_rejected():
@@ -311,6 +314,8 @@ def test_save_load_round_trip_perm(tmp_path):
     assert loaded.config.num_pivots == 16
     assert loaded.config.candidate_budget == 60
     assert np.array_equal(loaded.pivots, index.pivots)
+    assert np.array_equal(loaded.assignments, index.assignments)
+    assert loaded.pivots.dtype == np.float32 and loaded.assignments.dtype == np.int32
     for _ in range(20):
         q = rng.standard_normal(16)
         assert loaded.knn(q, 7) == index.knn(q, 7)
@@ -384,6 +389,29 @@ def test_save_overlong_id_raises_value_error_and_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+def _layout(raw):
+    """The header fields and section table entries of saved index bytes."""
+    fields = list(_HEADER.unpack_from(raw))
+    count = len(_SECTIONS) if fields[2] else 4  # mode code 1: perm-prefix
+    return fields, [list(_SECTION.unpack_from(raw, _HEADER.size + i * _SECTION.size)) for i in range(count)]
+
+
+def _repack(raw, fields, table):
+    """``raw`` under a header built from ``fields`` and ``table``, with its checksum."""
+    head = _HEADER.pack(*fields) + b"".join(_SECTION.pack(*entry) for entry in table)
+    head += _CRC.pack(zlib.crc32(head))
+    return head + raw[len(head):]
+
+
+def _with_section(raw, name, data):
+    """``raw`` with section ``name`` replaced by ``data`` of the same size, checksums updated."""
+    fields, table = _layout(raw)
+    entry = table[_SECTIONS.index(name)]
+    assert len(data) == entry[1]
+    entry[2] = zlib.crc32(data)
+    return _repack(raw[:entry[0]] + data + raw[entry[0] + entry[1]:], fields, table)
+
+
 def _patched(tmp_path, edit):
     """A saved two-row index, with its raw bytes passed through ``edit``."""
     path = tmp_path / "x.index"
@@ -392,16 +420,25 @@ def _patched(tmp_path, edit):
     return str(path)
 
 
+def _small_index(tmp_path, mode="perm-prefix"):
+    """A saved three-row index: its config, path and bytes."""
+    cfg = IndexConfig(dim=3, mode=mode, num_pivots=2, prefix_len=2, candidate_budget=2)
+    path = tmp_path / "x.index"
+    save_index(build_index_from_arrays(["a", "bé", "c"], np.arange(9.0).reshape(3, 3), cfg), str(path))
+    return cfg, path, path.read_bytes()
+
+
 def test_load_rejects_nonfinite_component(tmp_path):
-    path = _patched(tmp_path, lambda raw: raw[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    nan = np.array([1.0, 2.0, 3.0, np.nan], dtype="<f4").tobytes()  # the last component
+    path = _patched(tmp_path, lambda raw: _with_section(raw, "vectors", nan))
     with pytest.raises(FormatError, match="finite") as exc:
         load_index(path, IndexConfig(dim=2))
     assert path in str(exc.value)
 
 
 def test_load_rejects_empty_id(tmp_path):
-    head = _HEADER.size  # the first record: u16 id length 1, then b"a"
-    path = _patched(tmp_path, lambda raw: raw[:head] + b"\x00\x00" + raw[head + 3:])
+    offsets = np.array([0, 0, 2], dtype="<u4").tobytes()  # ids "" and "ab"
+    path = _patched(tmp_path, lambda raw: _with_section(raw, "id offsets", offsets))
     with pytest.raises(FormatError, match="empty id") as exc:
         load_index(path, IndexConfig(dim=2))
     assert path in str(exc.value)
@@ -409,10 +446,7 @@ def test_load_rejects_empty_id(tmp_path):
 
 @pytest.mark.parametrize("mode", ["exact", "perm-prefix"])
 def test_load_truncation_at_every_offset_is_a_format_error(tmp_path, mode):
-    cfg = IndexConfig(dim=3, mode=mode, num_pivots=2, prefix_len=2, candidate_budget=2)
-    path = tmp_path / "x.index"
-    save_index(build_index_from_arrays(["a", "bé", "c"], np.arange(9.0).reshape(3, 3), cfg), str(path))
-    raw = path.read_bytes()
+    cfg, path, raw = _small_index(tmp_path, mode)
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError, match="x.index"):
@@ -421,29 +455,21 @@ def test_load_truncation_at_every_offset_is_a_format_error(tmp_path, mode):
 
 @pytest.mark.parametrize("field", ["num_pivots", "prefix_len"])
 def test_load_rejects_pivot_sizes_beyond_the_file(tmp_path, field):
-    cfg = IndexConfig(dim=3, mode="perm-prefix", num_pivots=2, prefix_len=2, candidate_budget=2)
-    path = tmp_path / "x.index"
-    save_index(build_index_from_arrays(["a", "b", "c"], np.arange(9.0).reshape(3, 3), cfg), str(path))
-    raw = path.read_bytes()
-    header = list(_HEADER.unpack(raw[:_HEADER.size]))
-    header[{"num_pivots": 5, "prefix_len": 6}[field]] = 2 ** 32 - 1  # positions in _HEADER
-    path.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size:])
+    cfg, path, raw = _small_index(tmp_path)
+    header, table = _layout(raw)
+    header[{"num_pivots": 6, "prefix_len": 7}[field]] = 2 ** 32 - 1  # positions in _HEADER
+    path.write_bytes(_repack(raw, header, table))
     with pytest.raises(FormatError, match="truncated") as exc:
         load_index(str(path), cfg)
     assert str(path) in str(exc.value)
 
 
-def _perm_index_bytes(tmp_path):
-    cfg = IndexConfig(dim=3, mode="perm-prefix", num_pivots=2, prefix_len=2, candidate_budget=2)
-    path = tmp_path / "x.index"
-    save_index(build_index_from_arrays(["a", "b", "c"], np.arange(9.0).reshape(3, 3), cfg), str(path))
-    return cfg, path, path.read_bytes()
-
-
 @pytest.mark.parametrize("value", [99, 2, -1])
 def test_load_rejects_prefix_assignment_outside_the_pivots(tmp_path, value):
-    cfg, path, raw = _perm_index_bytes(tmp_path)
-    path.write_bytes(raw[:-4] + np.array([value], dtype="<i4").tobytes())  # the last assignment
+    cfg, path, raw = _small_index(tmp_path)
+    offset, size, _ = _layout(raw)[1][_SECTIONS.index("prefix assignments")]
+    last = np.array([value], dtype="<i4").tobytes()  # the last assignment
+    path.write_bytes(_with_section(raw, "prefix assignments", raw[offset : offset + size - 4] + last))
     with pytest.raises(FormatError, match="prefix assignment") as exc:
         load_index(str(path), cfg)
     assert str(path) in str(exc.value)
@@ -451,10 +477,110 @@ def test_load_rejects_prefix_assignment_outside_the_pivots(tmp_path, value):
 
 @pytest.mark.parametrize("prefix_len", [0, 3])
 def test_load_rejects_prefix_len_outside_the_pivots(tmp_path, prefix_len):
-    cfg, path, raw = _perm_index_bytes(tmp_path)
-    header = list(_HEADER.unpack(raw[:_HEADER.size]))
-    header[6] = prefix_len  # position of prefix_len in _HEADER
-    path.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size:])
+    cfg, path, raw = _small_index(tmp_path)
+    header, table = _layout(raw)
+    header[7] = prefix_len  # position of prefix_len in _HEADER
+    path.write_bytes(_repack(raw, header, table))
     with pytest.raises(FormatError, match="prefix length") as exc:
         load_index(str(path), cfg)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("blob", [b"aa", b"ba"], ids=["repeated", "out-of-order"])
+def test_load_refuses_ids_that_do_not_strictly_increase(tmp_path, blob):
+    path = _patched(tmp_path, lambda raw: _with_section(raw, "ids", blob))
+    with pytest.raises(FormatError, match="strictly increase") as exc:
+        load_index(path, IndexConfig(dim=2))
+    assert path in str(exc.value)
+
+
+def test_load_refuses_a_version_1_file_with_the_rebuild_message(tmp_path):
+    path = tmp_path / "x.index"
+    header = struct.pack("<4sIBIqIIIQ", b"NTIX", 1, 0, 2, 0, 0, 0, 0, 1)  # the version-1 header, one row
+    path.write_bytes(header + struct.pack("<H", 1) + b"a" + np.array([1.0, 2.0], dtype="<f4").tobytes())
+    with pytest.raises(FormatError, match="version 1 .*neartag build") as exc:
+        load_index(str(path), IndexConfig(dim=2))
+    assert str(path) in str(exc.value)
+
+
+# -- the stored layout ------------------------------------------------------
+
+def test_stored_norms_equal_a_fresh_float64_sum(tmp_path):
+    rng = np.random.default_rng(17)
+    matrix = rng.standard_normal((60, 7)) * rng.choice([1e-30, 1.0, 1e20], size=(60, 1))  # some overflow float32
+    index = make_index([f"v{i}" for i in range(60)], matrix)
+    save_index(index, str(tmp_path / "x.index"))
+    loaded = load_index(str(tmp_path / "x.index"), IndexConfig(dim=7))
+    fresh = np.einsum("ij,ij->i", loaded.vectors, loaded.vectors, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        assert np.isinf(fresh.astype(np.float32)).any()
+        assert loaded.norms.dtype == np.float32
+        assert loaded.norms.tobytes() == fresh.astype(np.float32).tobytes()
+    assert loaded.max_norm == float(np.sqrt(fresh.max())) == index.max_norm
+    assert loaded.ids == sorted(loaded.ids) and np.array_equal(loaded.vectors, index.vectors)
+
+
+def test_exact_build_from_shuffled_rows_writes_the_same_file(tmp_path):
+    rng = np.random.default_rng(18)
+    ids = [f"v{i}" for i in range(90)] + ["é", "ü1", "z\u0100"]
+    matrix = rng.standard_normal((len(ids), 5)).astype(np.float32)
+    order = rng.permutation(len(ids))
+    save_index(make_index(ids, matrix), str(tmp_path / "a.index"))
+    save_index(make_index([ids[i] for i in order], matrix[order]), str(tmp_path / "b.index"))
+    assert (tmp_path / "a.index").read_bytes() == (tmp_path / "b.index").read_bytes()
+    loaded = load_index(str(tmp_path / "b.index"), IndexConfig(dim=5))
+    assert loaded.ids == sorted(ids)
+    assert np.array_equal(loaded.vectors, matrix[np.argsort(np.array(ids, dtype=object))])
+
+
+def test_perm_pivots_and_prefixes_come_from_the_input_order():
+    # Pivots and prefixes are picked in input order and move with their
+    # rows, so ids given out of order get the pivots and prefixes they had
+    # before rows were stored in id order.
+    rng = np.random.default_rng(19)
+    _, matrix = clustered(rng)
+    ids = [f"v{i}" for i in range(len(matrix))]  # "v10" sorts before "v2"
+    index = make_index(ids, matrix, mode="perm-prefix", num_pivots=16, prefix_len=4, rng_seed=3)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    pivots = matrix[np.random.default_rng(3).choice(len(ids), size=16, replace=False)]
+    assert order != list(range(len(ids))) and index.ids == [ids[i] for i in order]
+    assert np.array_equal(index.vectors, matrix[order]) and np.array_equal(index.pivots, pivots)
+    assert np.array_equal(index.assignments, index_module._assign_prefixes(matrix, pivots, 4)[order])
+
+
+# -- corrupted files --------------------------------------------------------
+
+_FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("mode", ["exact", "perm-prefix"])
+@_FUZZ
+@given(data=st.data())
+def test_load_refuses_any_flipped_byte(tmp_path, mode, data):
+    cfg, path, raw = _small_index(tmp_path, mode)
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    flipped = raw[at] ^ data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(raw[:at] + bytes([flipped]) + raw[at + 1:])
+    with pytest.raises(FormatError, match="x.index"):
+        load_index(str(path), cfg)
+
+
+@_FUZZ
+@given(field=st.sampled_from(["dim", "count", "num_pivots", "prefix_len", *_SECTIONS]),
+       value=st.integers(1 << 20, (1 << 32) - 1))
+def test_load_refuses_absurd_sizes_before_allocating(tmp_path, field, value):
+    _, path, raw = _small_index(tmp_path)
+    header, table = _layout(raw)
+    if field in _SECTIONS:
+        table[_SECTIONS.index(field)][1] = value
+    else:
+        header[{"dim": 3, "count": 4, "num_pivots": 6, "prefix_len": 7}[field]] = value
+    path.write_bytes(_repack(raw, header, table))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="x.index"):
+            load_index(str(path), IndexConfig(dim=header[3], mode="perm-prefix"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16

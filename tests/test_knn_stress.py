@@ -185,7 +185,7 @@ def test_chunk_mixes_finite_and_infinite_slack(tiles):
     huge = 1e19 * rng.standard_normal((3, 8))  # float32 may overflow: every row is kept
     queries = np.concatenate([1e16 * rng.standard_normal((5, 8)), huge])[[0, 5, 1, 2, 6, 3, 7, 4]]
     index = build_index_from_arrays([f"v{i}" for i in range(120)], matrix, IndexConfig(dim=8))
-    slack = index_module._rank_slack(8, index._ensure_caches().max_norm, np.linalg.norm(queries, axis=1))
+    slack = index_module._rank_slack(8, index.max_norm, np.linalg.norm(queries, axis=1))
     assert np.isinf(slack[:4]).any() and np.isfinite(slack[:4]).any()
     check_exact(matrix, queries, 7)
 
