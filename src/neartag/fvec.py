@@ -3,10 +3,9 @@
 Layout: one ASCII header line ``FVEC 1 <dim> <count>\\n`` followed by
 ``count`` records. Each record is a little-endian uint16 giving the byte
 length of the UTF-8 image id, the id bytes themselves, then ``dim``
-float32 components (little endian). ``_write_records`` and
-``_read_records`` are the only code that writes or reads them; saved
-indexes (``index.py``) have a layout of their own, whose ids keep to the
-record's length limit.
+float32 components (little endian). ``_write_records`` and ``_read_records``
+are the only code that writes or reads them; saved indexes (``index.py``)
+have their own layout, with the same id length limit.
 
 ``_replacing`` is the one way the package writes an output file, text
 or binary: a failed write leaves whatever was at the path before.

@@ -494,6 +494,30 @@ def test_load_refuses_ids_that_do_not_strictly_increase(tmp_path, blob):
     assert path in str(exc.value)
 
 
+def _with_max_norm(raw, value):
+    header, table = _layout(raw)
+    header[8] = value  # position of the largest row norm in _HEADER
+    return _repack(raw, header, table)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: _with_section(raw, "norms", np.array([5.0, np.nan], dtype="<f4").tobytes()),
+    lambda raw: _with_section(raw, "norms", np.array([-5.0, 25.0], dtype="<f4").tobytes()),
+    lambda raw: _with_max_norm(raw, np.nan),
+    lambda raw: _with_max_norm(raw, 4.9999),  # the rows' largest norm is 5
+], ids=["nan-norm", "negative-norm", "nan-largest-norm", "low-largest-norm"])
+def test_load_refuses_row_norms_that_are_nan_negative_or_above_the_largest(tmp_path, edit):
+    path = _patched(tmp_path, edit)
+    with pytest.raises(FormatError, match="row norm") as exc:
+        load_index(path, IndexConfig(dim=2))
+    assert path in str(exc.value)
+
+
+def test_load_accepts_the_largest_norm_within_float32_rounding(tmp_path):
+    path = _patched(tmp_path, lambda raw: _with_max_norm(raw, 5.0 * (1 - 2.0 ** -25)))
+    assert load_index(path, IndexConfig(dim=2)).max_norm == 5.0 * (1 - 2.0 ** -25)
+
+
 def test_load_refuses_a_version_1_file_with_the_rebuild_message(tmp_path):
     path = tmp_path / "x.index"
     header = struct.pack("<4sIBIqIIIQ", b"NTIX", 1, 0, 2, 0, 0, 0, 0, 1)  # the version-1 header, one row
