@@ -142,6 +142,7 @@ class NeighborWords:
     vocabulary: tuple[str, ...]
     queries: int
 
+    # Serves annotate_from_words, which perfbench observes by name, and an empty search batch.
     @classmethod
     def from_lists(cls, batch: list[list[tuple[str, list[str]]]]) -> NeighborWords:
         """From per-query (image id, words) lists in ascending-distance order;

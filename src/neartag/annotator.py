@@ -270,6 +270,7 @@ def annotate_words(queries: list[Query], neighbor_words: NeighborWords, lexicon:
                                             walk.query_converged.tolist())]
 
 
+# perfbench's annotator.from_words_self_ms and annotator.no_signal observe this function by name.
 def annotate_from_words(query: Query, neighbor_words: list[tuple[str, list[str]]],
                         lexicon: Lexicon, concepts: dict[str, ConceptDef],
                         params: EngineParams) -> Annotation:

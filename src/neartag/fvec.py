@@ -3,7 +3,7 @@
 Layout: one ASCII header line ``FVEC 1 <dim> <count>\\n`` followed by
 ``count`` records. Each record is a little-endian uint16 giving the byte
 length of the UTF-8 image id, the id bytes themselves, then ``dim``
-float32 components (little endian). ``_write_records`` and ``_read_records``
+float32 components (little endian). ``write_vectors`` and ``read_vectors``
 are the only code that writes or reads them; saved indexes (``index.py``)
 have their own layout, with the same id length limit.
 
@@ -62,63 +62,12 @@ def _replacing(path: str, binary: bool = True):
         raise
 
 
-def _write_records(path: str, header: bytes, ids: list[str], matrix: np.ndarray) -> None:
-    """Write ``header``, then one record per (id, row), to ``path``.
-
-    Every id is checked before the file is opened, and the file replaces
-    ``path`` only once it is whole.
-    """
-    raw_ids = [_check_id(image_id) for image_id in ids]
-    data = np.ascontiguousarray(matrix, dtype="<f4")
-    with _replacing(path) as fh:
-        fh.write(header)
-        for raw, row in zip(raw_ids, data):
-            fh.write(_ID_LEN.pack(len(raw)))
-            fh.write(raw)
-            fh.write(row.tobytes())
-
-
-def _read_records(fh, path: str, count: int, dim: int) -> tuple[list[str], np.ndarray]:
-    """Read ``count`` records from ``fh``: (ids, float32 matrix of shape (count, dim)).
-
-    Truncation, empty or non-UTF-8 ids and non-finite components raise
-    FormatError naming ``path``. A count or dim the rest of the file
-    cannot hold is refused before anything is allocated.
-    """
-    # An id length and the values, the least a record can hold; an empty
-    # id is then reported as such below, not as a short file.
-    need = count * (_ID_LEN.size + 4 * dim)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if need > left:
-        raise FormatError(f"truncated file: {count} records of dim {dim} need at least {need} bytes, "
-                          f"{left} remain", path=path)
-    ids: list[str] = []
-    matrix = np.empty((count, dim), dtype="<f4")
-    rec_bytes = dim * 4
-    for i in range(count):
-        head = fh.read(2)
-        if len(head) != 2:
-            raise FormatError(f"truncated file in record {i}", path=path)
-        (id_len,) = _ID_LEN.unpack(head)
-        if id_len == 0:
-            raise FormatError(f"record {i} has an empty id", path=path)
-        raw = fh.read(id_len)
-        if len(raw) != id_len or fh.readinto(matrix[i]) != rec_bytes:  # values land in place
-            raise FormatError(f"truncated file in record {i}", path=path)
-        try:
-            ids.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise FormatError(f"record {i} id is not valid UTF-8", path=path) from None
-    if count and not np.isfinite(matrix).all():
-        raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
-    return ids, matrix
-
-
 def write_vectors(path: str, ids: list[str], matrix: np.ndarray) -> None:
     """Write ids and a (count, dim) array to ``path``.
 
     Values are stored as float32; the write fails on non-finite
-    components rather than persisting a corrupt file.
+    components or a bad id rather than persisting a corrupt file, and the
+    file replaces ``path`` only once it is whole.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
@@ -130,11 +79,23 @@ def write_vectors(path: str, ids: list[str], matrix: np.ndarray) -> None:
     count, dim = matrix.shape
     if dim < 1:
         raise ValueError("vector dimensionality must be at least 1")
-    _write_records(path, f"{MAGIC} {VERSION} {dim} {count}\n".encode("ascii"), ids, matrix)
+    raw_ids = [_check_id(image_id) for image_id in ids]
+    data = np.ascontiguousarray(matrix, dtype="<f4")
+    with _replacing(path) as fh:
+        fh.write(f"{MAGIC} {VERSION} {dim} {count}\n".encode("ascii"))
+        for raw, row in zip(raw_ids, data):
+            fh.write(_ID_LEN.pack(len(raw)))
+            fh.write(raw)
+            fh.write(row.tobytes())
 
 
 def read_vectors(path: str) -> tuple[list[str], np.ndarray]:
-    """Read a feature file, returning (ids, float32 matrix of shape (count, dim))."""
+    """Read a feature file, returning (ids, float32 matrix of shape (count, dim)).
+
+    Truncation, empty or non-UTF-8 ids and non-finite components raise
+    FormatError naming ``path``. A count or dim the rest of the file
+    cannot hold is refused before anything is allocated.
+    """
     with open(path, "rb") as fh:
         header = fh.readline(128)
         if not header.endswith(b"\n"):
@@ -150,7 +111,32 @@ def read_vectors(path: str) -> tuple[list[str], np.ndarray]:
             raise FormatError(f"unsupported format version {version} (expected {VERSION})", path=path)
         if dim < 1 or count < 0:
             raise FormatError(f"invalid header values dim={dim} count={count}", path=path)
-        ids, matrix = _read_records(fh, path, count, dim)
+        # An id length and the values, the least a record can hold; an empty
+        # id is then reported as such below, not as a short file.
+        need = count * (_ID_LEN.size + 4 * dim)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise FormatError(f"truncated file: {count} records of dim {dim} need at least {need} bytes, "
+                              f"{left} remain", path=path)
+        ids: list[str] = []
+        matrix = np.empty((count, dim), dtype="<f4")
+        rec_bytes = dim * 4
+        for i in range(count):
+            head = fh.read(2)
+            if len(head) != 2:
+                raise FormatError(f"truncated file in record {i}", path=path)
+            (id_len,) = _ID_LEN.unpack(head)
+            if id_len == 0:
+                raise FormatError(f"record {i} has an empty id", path=path)
+            raw = fh.read(id_len)
+            if len(raw) != id_len or fh.readinto(matrix[i]) != rec_bytes:  # values land in place
+                raise FormatError(f"truncated file in record {i}", path=path)
+            try:
+                ids.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"record {i} id is not valid UTF-8", path=path) from None
+        if count and not np.isfinite(matrix).all():
+            raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
         if fh.read(1):
             raise FormatError(f"trailing data after {count} records", path=path)
     return ids, matrix

@@ -35,7 +35,7 @@ Two modes share one query interface and one exact top-k routine:
 
 Vectors are held only as float32, rows in id order, with their float32
 squared norms and the largest norm computed once at build. Results
-order by (distance, id ascending), which is (d², row), so ties are
+order by (distance, id ascending), which is (distance, row), so ties are
 stable across runs and platforms. Indexes are immutable once built; any
 number of threads may query one concurrently.
 
@@ -50,7 +50,6 @@ exact mode only the first four). ``load_index`` reads it with one
 
 from __future__ import annotations
 
-import copy
 import operator
 import os
 import struct
@@ -124,14 +123,17 @@ def _rank_slack(dim: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
     Summed, the error is at most E = gamma_{D+3} (M^2 + 2M|q|) for every
     row, M being the largest row norm. Underflow adds at most
     A = (D + 1)(1 + M) 2^-149, and the float64 re-scoring of sum (x - q)^2
-    is off by at most e = gamma64_{D+2} (M + |q|)^2. With t the k-th
-    smallest float32 score, k rows score at most t, so the k-th smallest
-    exact score is at most t + E + A; a row of the re-scored top k (ties
-    included) scores exactly at most 2e above that, so in float32 at most
-    t + 2(E + A + e). The bound assumes no float32 overflow: once M + 2|q|
-    reaches half the root of the float32 maximum, every row is kept.
+    is off by at most gamma64_{D+2} (M + |q|)^2. Rows rank by the float64
+    root of that, and two re-scored values with one root differ by at most
+    4 u64 (1 + O(u64)) (M + |q|)^2, so e = gamma64_{D+5} (M + |q|)^2 covers
+    both. With t the k-th smallest float32 score, k rows score at most t,
+    so the k-th smallest exact score is at most t + E + A; a row of the
+    re-scored top k (ties included) scores exactly at most 2e above that,
+    so in float32 at most t + 2(E + A + e). The bound assumes no float32
+    overflow: once M + 2|q| reaches half the root of the float32 maximum,
+    every row is kept.
     """
-    m, nu32, nu64 = max_norm, (dim + 3) * _U32, (dim + 2) * _U64
+    m, nu32, nu64 = max_norm, (dim + 3) * _U32, (dim + 5) * _U64
     err32 = nu32 / (1.0 - nu32) * (m * m + 2.0 * m * q_norms)
     err64 = nu64 / (1.0 - nu64) * (m + q_norms) ** 2
     slack = 2.0 * (err32 + (dim + 1) * (1.0 + m) * _TINY32 + err64)
@@ -231,12 +233,6 @@ class VectorIndex:
     def dim(self) -> int:
         return self.config.dim
 
-    def with_candidate_budget(self, candidate_budget: int) -> "VectorIndex":
-        """A view scanning another number of candidates, sharing every array with this index."""
-        view = copy.copy(self)
-        view.config = replace(self.config, candidate_budget=candidate_budget)
-        return view
-
     # -- ranking ----------------------------------------------------------
 
     def _topk(self, queries: np.ndarray, k: int, rows: np.ndarray | None = None) -> list[NeighborList]:
@@ -245,7 +241,8 @@ class VectorIndex:
         Queries go in chunks of up to ``_CHUNK``, fewer for a large k (see
         the module docstring). Each query re-scores the rows ``_candidates``
         finds for it, all of them once k reaches the row count, in float64,
-        ordered by (d², row), which is (d², id).
+        ordered by (distance, row), which is (distance, id). The distance is
+        the root of d², so rows whose d² differ by an ulp can tie.
         """
         base = self.vectors if rows is None else self.vectors[rows]
         norms = self.norms if rows is None else self.norms[rows]
@@ -262,9 +259,9 @@ class VectorIndex:
             for q, cand in zip(block, pools):
                 cand = cand if rows is None else rows[cand]
                 diff = self.vectors[cand] - q
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                order = np.lexsort((cand, d2))[:kk]
-                out.append(list(zip(map(self.ids.__getitem__, cand[order].tolist()), np.sqrt(d2[order]).tolist())))
+                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                order = np.lexsort((cand, dist))[:kk]
+                out.append(list(zip(map(self.ids.__getitem__, cand[order].tolist()), dist[order].tolist())))
         return out
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:

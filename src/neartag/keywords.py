@@ -35,16 +35,11 @@ class KeywordStore:
     def __len__(self) -> int:
         return len(self._row)
 
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self._row
-
-    def ids(self) -> list[str]:
-        return list(self._row)
-
     def rows(self, image_ids) -> np.ndarray:
         """The row of each id, -1 for an unknown id."""
         return np.fromiter(map(self._row.get, image_ids, repeat(-1)), dtype=np.intp, count=len(image_ids))
 
+    # perfbench's keywords.words_for_calls observes this method by name.
     def words_for(self, image_ids) -> tuple[list[tuple[str, list[str]]], int]:
         """Word lists for the requested ids, in request order.
 

@@ -64,10 +64,8 @@ class Lexicon:
     target) as ``related`` returns them.
     """
 
-    def __init__(self, lemmas: dict[str, list[str]], senses: dict[str, list[str]],
-                 edges: set[tuple[str, RelationType, str]]):
-        self._lemmas = lemmas
-        self.synset_names = tuple(sorted(lemmas))
+    def __init__(self, synsets, senses: dict[str, list[str]], edges: set[tuple[str, RelationType, str]]):
+        self.synset_names = tuple(sorted(synsets))
         self.word_names = tuple(sorted(senses))
         self._synset_number = {sid: i for i, sid in enumerate(self.synset_names)}
         self._word_number = {word: i for i, word in enumerate(self.word_names)}
@@ -82,24 +80,14 @@ class Lexicon:
         self.relation_targets = table[:, 2].copy()
 
     def __contains__(self, synset_id: str) -> bool:
-        return synset_id in self._lemmas
-
-    def synset_ids(self) -> list[str]:
-        return list(self._lemmas)
-
-    def lemmas(self, synset_id: str) -> list[str]:
-        if synset_id not in self._lemmas:
-            raise ValueError(f"undeclared synset {synset_id!r}")
-        return list(self._lemmas[synset_id])
-
-    def words(self) -> list[str]:
-        return list(self.word_names)
+        return synset_id in self._synset_number
 
     def word_numbers(self, words) -> np.ndarray:
         """Each word's number, lowercased as ``senses`` looks it up; -1 for a word without senses."""
         get = self._word_number.get
         return np.array([get(word.lower(), -1) for word in words], dtype=np.intp)
 
+    # perfbench's lexicon.senses_calls and lexicon.oov_words observe this method by name.
     def senses(self, word: str, s: int) -> list[str]:
         """The word's synsets by descending sense frequency, at most s of them.
 
@@ -114,16 +102,17 @@ class Lexicon:
         lo, hi = self.sense_ptr[w], self.sense_ptr[w + 1]
         return [self.synset_names[x] for x in self.sense_synsets[lo : min(hi, lo + s)].tolist()]
 
+    # perfbench's lexicon.related_calls observes this method by name.
     def related(self, synset_id: str, types) -> list[tuple[str, RelationType]]:
         """Outgoing (target, relation) pairs of the given relation types.
 
         Ordered by (relation type, target id) so traversals are
         deterministic.
         """
-        if synset_id not in self._lemmas:
+        x = self._synset_number.get(synset_id)
+        if x is None:
             raise ValueError(f"undeclared synset {synset_id!r}")
         wanted = frozenset(types)
-        x = self._synset_number[synset_id]
         lo, hi = self.relation_ptr[x], self.relation_ptr[x + 1]
         pairs = zip(self.relation_targets[lo:hi].tolist(), self.relation_types[lo:hi].tolist())
         return [(self.synset_names[t], RELATIONS[r]) for t, r in pairs if RELATIONS[r] in wanted]

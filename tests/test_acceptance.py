@@ -8,6 +8,7 @@ so failures carry the numbers.
 import os
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from neartag.annotator import (
 from neartag.cli import main
 from neartag.evaluation import average_precision, evaluate, load_ground_truth, sample_prf
 from neartag.fvec import read_vectors
-from neartag.index import IndexConfig, VectorIndex, build_index_from_arrays
+from neartag.index import IndexConfig, VectorIndex, build_index_from_arrays, load_index, save_index
 from neartag.keywords import load_keywords
 from neartag.lexicon import ALL_RELATIONS, RelationType, load_lexicon
 from neartag.synth import SynthConfig, generate_corpus
@@ -306,17 +307,18 @@ def test_09_exact_search_throughput(desk_corpus, tmp_path, capsys):
     assert "search throughput" in out
 
 
-def test_10_perm_prefix_recall(desk_corpus):
+def test_10_perm_prefix_recall(desk_corpus, tmp_path):
     """Approximate mode reaches recall@10 >= 0.8 against the exact oracle at
     a candidate budget of 5% of N, and recall never drops as the budget grows."""
     ids, points, queries, truth10 = desk_corpus
     cfg = IndexConfig(dim=DESK_DIM, mode="perm-prefix", num_pivots=64,
                       prefix_len=8, candidate_budget=10_000, rng_seed=0)
-    index = build_index_from_arrays(ids, points, cfg)
+    path = str(tmp_path / "desk.index")
+    save_index(build_index_from_arrays(ids, points, cfg), path)
     recalls = {}
     for budget in (1000, 2000, 5000, 10_000):
-        view = index.with_candidate_budget(budget)
-        got = [set(i for i, _ in view.knn(q, 10)) for q in queries[:100]]
+        index = load_index(path, replace(cfg, candidate_budget=budget))
+        got = [set(i for i, _ in index.knn(q, 10)) for q in queries[:100]]
         recalls[budget] = sum(len(g & t) for g, t in zip(got, truth10)) / (10.0 * len(truth10))
     curve = "  ".join(f"r@{b}={recalls[b]:.3f}" for b in sorted(recalls))
     print(f"perm-prefix recall: {curve}")

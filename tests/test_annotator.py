@@ -15,6 +15,7 @@ from neartag.annotator import (
     Query,
     annotate,
     annotate_batch,
+    annotate_from_words,
     gather_neighbor_words,
     load_candidate_lists,
     load_concepts,
@@ -25,11 +26,13 @@ from neartag.annotator import (
     select_top,
     write_annotations,
 )
-from neartag.analysis import WEIGHTING_RECIPROCAL, AnalysisConfig
+from neartag.analysis import WEIGHTING_RECIPROCAL, WEIGHTING_UNIFORM, AnalysisConfig
 from neartag.errors import EngineError, FormatError
+from neartag.fvec import read_vectors
 from neartag.index import MODE_PERM_PREFIX, IndexConfig, build_index_from_arrays
 from neartag.keywords import KeywordStore, load_keywords
 from neartag.lexicon import RelationType, load_lexicon
+from neartag.synth import SynthConfig, generate_corpus
 
 
 def write(tmp_path, name, text):
@@ -164,8 +167,8 @@ def test_gather_neighbor_words_batches_lookups_and_keeps_merged_order():
 
 def test_equal_distances_rank_by_id_though_their_squares_differ(tmp_path):
     # From this query, row "b"'s d² is one ulp below row "a"'s, and both
-    # square roots are the same float: the search lists b first, by d², and
-    # the merge ranks a first, by (distance, id), for one dataset as for two.
+    # square roots are the same float: the search and the merge both rank a
+    # first, by (distance, id), for one dataset as for two.
     lex = load_lexicon(write(tmp_path, "lex.tsv", "".join(f"S\t{w}.n.1\t{w}\nW\t{w}\t{w}.n.1\t1\n"
                                                          for w in ("cat", "dog"))))
     concepts = load_concepts(write(tmp_path, "con.tsv", "C\tcat\tcat.n.1\nC\tdog\tdog.n.1\n"), lex)
@@ -175,7 +178,7 @@ def test_equal_distances_rank_by_id_though_their_squares_differ(tmp_path):
     d2 = ((matrix.astype(np.float64) - feature) ** 2).sum(axis=1)
     assert np.nextafter(d2[0], np.inf) == d2[1] and np.sqrt(d2[0]) == np.sqrt(d2[1])
     found = index.knn_batch(feature[None, :], 2)
-    assert [image_id for image_id, _dist in found[0]] == ["b", "a"]
+    assert [image_id for image_id, _dist in found[0]] == ["a", "b"]
     store = KeywordStore({"a": ["cat"], "b": ["dog"]})
     for lists, stores in (([found], [store]), ([found, [[]]], [store, KeywordStore({})])):
         words, _missing = gather_neighbor_words(lists, stores, 2)
@@ -319,6 +322,31 @@ def test_each_query_of_a_batch_is_annotated_as_alone(tmp_path, analysis):
     for batch in (queries, queries[::-1], queries[1::3], queries[12:], [queries[5], queries[13]]):
         for annotation in annotate_batch(batch, datasets, lex, concepts, params):
             assert annotation == alone[annotation.id]
+
+
+@pytest.mark.parametrize("weighting", [WEIGHTING_UNIFORM, WEIGHTING_RECIPROCAL])
+def test_annotate_from_words_equals_annotate(tmp_path, weighting):
+    # The synthetic world, with every fifth reference's keyword record dropped.
+    paths = generate_corpus(SynthConfig(rng_seed=3, dim=8, num_concepts=8, refs_per_concept=20, num_queries=40),
+                            str(tmp_path))
+    lex = load_lexicon(paths.lexicon)
+    concepts = load_concepts(paths.concepts, lex)
+    ids, matrix = read_vectors(paths.refs)
+    index = build_index_from_arrays(ids, matrix, IndexConfig(dim=8))
+    lines = Path(paths.keywords).read_text(encoding="utf-8").splitlines(keepends=True)
+    store = load_keywords(write(tmp_path, "kw.tsv", "".join(lines[i] for i in range(len(lines)) if i % 5)))
+    candidates = load_candidate_lists(paths.candidates)
+    qids, features = read_vectors(paths.queries)
+    params = EngineParams(k=12, analysis=AnalysisConfig(neighbor_weighting=weighting))
+    rankings = set()
+    for qid, feature in zip(qids, features):
+        query = Query(qid, feature, candidates[qid])
+        found, missing = store.words_for([image_id for image_id, _dist in index.knn(feature, params.k)])
+        assert len(found) + missing == params.k
+        expected = annotate(query, [Dataset(index, store)], lex, concepts, params)
+        assert annotate_from_words(query, found, lex, concepts, params) == expected
+        rankings.add(expected.ranked)
+    assert len(rankings) > 1
 
 
 def test_search_stage_yields_in_the_given_order(tmp_path):

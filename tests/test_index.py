@@ -215,17 +215,16 @@ def test_perm_prefix_results_are_subset_of_data_and_ordered():
 def test_perm_prefix_recall_monotone_in_budget():
     rng = np.random.default_rng(10)
     ids, matrix = clustered(rng, n_clusters=10, per=60)
-    base = make_index(ids, matrix, mode="perm-prefix", num_pivots=24, prefix_len=6,
-                      candidate_budget=10, rng_seed=2)
     exact = make_index(ids, matrix)
     queries = rng.standard_normal((20, 16)) * 3.0
     prev = -1.0
     for budget in (10, 40, 120, 600):
-        view = base.with_candidate_budget(budget)
+        index = make_index(ids, matrix, mode="perm-prefix", num_pivots=24, prefix_len=6,
+                           candidate_budget=budget, rng_seed=2)
         hits = total = 0
         for q in queries:
             truth = {i for i, _ in exact.knn(q, 10)}
-            got = {i for i, _ in view.knn(q, 10)}
+            got = {i for i, _ in index.knn(q, 10)}
             hits += len(truth & got)
             total += len(truth)
         recall = hits / total
@@ -237,32 +236,27 @@ def test_perm_prefix_recall_monotone_in_budget():
 def test_perm_prefix_budget_growth_gives_candidate_superset():
     rng = np.random.default_rng(11)
     ids, matrix = clustered(rng)
-    index = make_index(ids, matrix, mode="perm-prefix", num_pivots=16, prefix_len=4,
-                       candidate_budget=30, rng_seed=3)
+    cfg = dict(mode="perm-prefix", num_pivots=16, prefix_len=4, rng_seed=3)
+    index = make_index(ids, matrix, candidate_budget=30, **cfg)
     q = rng.standard_normal(16)
     small = index._perm_candidates(np.asarray(q, dtype=np.float64))
-    big = index.with_candidate_budget(90)
+    big = make_index(ids, matrix, candidate_budget=90, **cfg)
     larger = big._perm_candidates(np.asarray(q, dtype=np.float64))
     assert set(small.tolist()) <= set(larger.tolist())
 
 
-def test_budget_view_shares_caches_and_matches_fresh_index():
+def test_index_loaded_at_a_budget_matches_one_built_at_it(tmp_path):
     rng = np.random.default_rng(13)
     ids, matrix = clustered(rng)
     cfg = dict(mode="perm-prefix", num_pivots=16, prefix_len=4, rng_seed=3)
-    base = make_index(ids, matrix, candidate_budget=30, **cfg)
-    early = base.with_candidate_budget(60)  # made before any query
+    path = str(tmp_path / "x.index")
+    save_index(make_index(ids, matrix, candidate_budget=30, **cfg), path)
     queries = rng.standard_normal((12, 16))
-    early.knn(queries[0], 5)
-    norms, assignments = base.norms, base.assignments
-    assert norms is not None and assignments is not None
     for budget in (60, 90, 320):
-        view = base.with_candidate_budget(budget)
+        loaded = load_index(path, IndexConfig(dim=16, candidate_budget=budget, **cfg))
         fresh = make_index(ids, matrix, candidate_budget=budget, **cfg)
-        assert view.knn_batch(queries, 10) == fresh.knn_batch(queries, 10)
-        assert [view.knn(q, 10) for q in queries] == [fresh.knn(q, 10) for q in queries]
-        # querying the view built no per-row arrays of its own
-        assert view.norms is norms and view.assignments is assignments and base.norms is norms
+        assert loaded.knn_batch(queries, 10) == fresh.knn_batch(queries, 10)
+        assert [loaded.knn(q, 10) for q in queries] == [fresh.knn(q, 10) for q in queries]
 
 
 def test_perm_prefix_k_over_budget_rejected():
@@ -376,9 +370,9 @@ def test_load_takes_candidate_budget_from_caller(tmp_path):
     loaded = load_index(path, IndexConfig(dim=16, candidate_budget=70, **cfg))
     assert loaded.config.candidate_budget == 70
     queries = rng.standard_normal((20, 16)) * 3.0
-    view = index.with_candidate_budget(70)
-    assert loaded.knn_batch(queries, 10) == view.knn_batch(queries, 10)
-    assert view.knn_batch(queries, 10) != index.knn_batch(queries, 10)
+    built = make_index(ids, matrix, candidate_budget=70, **cfg)
+    assert loaded.knn_batch(queries, 10) == built.knn_batch(queries, 10)
+    assert built.knn_batch(queries, 10) != index.knn_batch(queries, 10)
 
 
 def test_save_overlong_id_raises_value_error_and_leaves_no_file(tmp_path):

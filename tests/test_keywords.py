@@ -34,7 +34,7 @@ def test_missing_ids_counted_not_fatal(tmp_path):
 def test_comments_and_blank_lines_ignored(tmp_path):
     store = load_keywords(write(tmp_path, "# header\n\nimg1\tcat\n   \n# tail\n"))
     assert len(store) == 1
-    assert "img1" in store
+    assert store.rows(["img1"]).tolist() == [0]
 
 
 def test_empty_file_is_an_empty_store(tmp_path):
@@ -68,8 +68,10 @@ def test_load_is_idempotent(tmp_path):
     path = write(tmp_path, "img1\tcat,dog\nimg2\tbird\n")
     a = load_keywords(path)
     b = load_keywords(path)
-    assert a.ids() == b.ids()
-    assert a.words_for(a.ids()) == b.words_for(b.ids())
+    ids = ["img1", "img2"]
+    assert len(a) == len(b) == 2
+    assert a.rows(ids).tolist() == b.rows(ids).tolist() == [0, 1]
+    assert a.words_for(ids) == b.words_for(ids)
 
 
 def test_returned_lists_are_copies(tmp_path):

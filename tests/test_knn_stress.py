@@ -64,6 +64,9 @@ def test_duplicate_rows_tie_by_id(tiles):
     ids = [f"d{i:04d}" for i in rng.permutation(400)]
     queries = np.concatenate([matrix[:5].astype(np.float64), rng.standard_normal((6, 16))])
     check_exact(matrix, queries, 25, ids=ids)
+    # Row b's d² is one ulp below row a's, and their roots are one float: a ranks first.
+    query = [float.fromhex("0x1.37e8f2fee9faep-2"), float.fromhex("0x1.aa3f4340269f9p-2")]
+    check_exact([[0.3, 0.0], [0.0, 0.7]], np.array([query, query]), 2, ids=["b", "a"])
 
 
 def test_rows_one_float32_bit_apart(tiles):

@@ -73,7 +73,7 @@ def test_inverse_closure_mero_holo(tmp_path):
 
 def test_mirror_invariant_full_scan(tmp_path):
     lex = load_lexicon(write(tmp_path, SMALL))
-    for synset in lex.synset_ids():
+    for synset in lex.synset_names:
         for target, rel in lex.related(synset, ALL_RELATIONS):
             assert (synset, INVERSE[rel]) in lex.related(target, ALL_RELATIONS)
 
@@ -99,9 +99,8 @@ def test_related_undeclared_synset(tmp_path):
         lex.related("ghost.n.1", ALL_RELATIONS)
 
 
-def test_lemmas(tmp_path):
+def test_contains_declared_synsets(tmp_path):
     lex = load_lexicon(write(tmp_path, SMALL))
-    assert lex.lemmas("cat.n.1") == ["cat", "feline"]
     assert "cat.n.1" in lex
     assert "ghost.n.1" not in lex
 
@@ -166,9 +165,9 @@ def test_load_idempotent(tmp_path):
     path = write(tmp_path, SMALL)
     a = load_lexicon(path)
     b = load_lexicon(path)
-    assert a.synset_ids() == b.synset_ids()
-    assert a.words() == b.words()
-    for synset in a.synset_ids():
+    assert a.synset_names == b.synset_names
+    assert a.word_names == b.word_names
+    for synset in a.synset_names:
         assert a.related(synset, ALL_RELATIONS) == b.related(synset, ALL_RELATIONS)
 
 

@@ -42,7 +42,7 @@ def test_all_outputs_parse_with_package_loaders(tmp_path):
     assert len(qids) == SMALL.num_queries
 
     store = load_keywords(paths.keywords)
-    assert set(store.ids()) == set(ids)
+    assert len(store) == len(ids) and (store.rows(ids) >= 0).all()
     lex = load_lexicon(paths.lexicon)
     concepts = load_concepts(paths.concepts, lex)
     # every keyword resolves to at least one synset
@@ -70,7 +70,7 @@ def test_lexicon_structure(tmp_path):
     deeper = dict(lex.related("cat00", ALL_RELATIONS))
     assert "anc00_2" in deeper  # lexicon_depth=2 adds one ancestor level
     # mirror closure holds everywhere
-    for synset in lex.synset_ids():
+    for synset in lex.synset_names:
         for target, rel in lex.related(synset, ALL_RELATIONS):
             assert (synset, INVERSE[rel]) in lex.related(target, ALL_RELATIONS)
 
@@ -94,7 +94,9 @@ def test_label_noise_zero_keywords_always_match_cluster(tmp_path):
                       synonym_rate=0.0, part_rate=0.0, category_rate=0.0)
     paths = generate_corpus(cfg, str(tmp_path / "f"))
     store = load_keywords(paths.keywords)
-    for rid in store.ids():
+    ids, _matrix = fvec.read_vectors(paths.refs)
+    assert len(store) == len(ids) and (store.rows(ids) >= 0).all()
+    for rid in ids:
         concept_idx = int(rid[1:5])
         (entry,), _ = store.words_for([rid])
         assert entry[1] == [f"w{concept_idx:03d}"]

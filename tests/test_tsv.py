@@ -46,11 +46,11 @@ _LIST_CASES = {"fields": "q3", "empty id": "\tcat", "duplicate id": "q1\tcow",
 READERS = {
     "keywords": Reader(
         lambda path, tmp: load_keywords(path),
-        lambda store: store.words_for(store.ids())[0],
+        lambda store: (len(store), store.words_for(["q1", "q2"])[0]),
         ("q1\tCat,dog,cat", "q2\tbird"), _LIST_CASES),
     "lexicon": Reader(
         lambda path, tmp: load_lexicon(path),
-        lambda lex: [(sid, lex.lemmas(sid)) for sid in lex.synset_ids()],
+        lambda lex: lex.synset_names,
         ("S\ta\tx,Y,x", "S\tb\tz"),
         {"fields": "S\tc", "empty id": "S\t\tw", "duplicate id": "S\ta\tw", "empty item": "S\tc\tw,,v"}),
     "concepts": Reader(
