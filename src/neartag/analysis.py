@@ -21,7 +21,8 @@ asc)" tie-break is an integer ``np.lexsort``.
    dangling nodes return their mass through the restart vector, so the
    distribution keeps total mass 1 every iteration. All walks step
    together, one ``np.bincount`` over every edge per iteration; a walk
-   that has converged is frozen. Its scores are aligned with the nodes.
+   that has stopped is frozen in place, not renumbered. Its scores are
+   aligned with the nodes.
 6. ``rank_synsets``: nodes and scores -> synset ``Weights`` ordered by
    (score desc, synset asc).
 
@@ -337,12 +338,13 @@ def propagate(graph: SynsetGraph, config: AnalysisConfig) -> PropagationResult:
     """Iterate every query's restart walk to its fixed point.
 
     A walk stops when the L1 change between its successive distributions
-    drops below ``config.tol`` or after ``config.max_iters`` updates, and
-    its scores are final from then on: the walks still running are
-    renumbered without it. Returns the final scores, aligned with
-    ``graph.nodes``, and per query the iteration count, convergence, and
-    the worst deviation of total mass from 1 seen at any iteration. A
-    query without nodes takes no iterations and counts as converged.
+    drops below ``config.tol`` or after ``config.max_iters`` updates; its
+    scores are copied out then, and its nodes keep their batch positions
+    and keep stepping until the last walk stops. Returns the final scores,
+    aligned with ``graph.nodes``, and per query the iteration count,
+    convergence, and the worst deviation of total mass from 1 seen at any
+    iteration. A query without nodes takes no iterations and counts as
+    converged.
     """
     n, queries = len(graph.nodes), graph.queries
     src, rel, dst = (np.ascontiguousarray(column) for column in graph.edges.T)
@@ -353,46 +355,33 @@ def propagate(graph: SynsetGraph, config: AnalysisConfig) -> PropagationResult:
     src, dst = src[keep], dst[keep]
     weights = lam[keep] / out_weight[src]
 
-    scores = graph.restart.copy()
+    owner, restart, alpha = graph.owner, graph.restart, config.alpha
+    scores = restart.copy()
     iterations = np.zeros(queries, dtype=np.intp)
-    converged = np.bincount(graph.owner, minlength=queries) == 0
+    converged = np.bincount(owner, minlength=queries) == 0
     mass_error = np.zeros(queries)
-    # The walks still running, renumbered: their queries, nodes (each
-    # query's sums add its nodes in node order), edges and dangling nodes.
-    walking = np.flatnonzero(~converged)
-    owner = (np.cumsum(~converged) - 1)[graph.owner]
-    nodes, dangling_owner = np.arange(n), owner[dangling]
-    alpha, restart, p = config.alpha, graph.restart, graph.restart
-    base = alpha * restart
-    error = np.abs(np.bincount(owner, weights=p, minlength=len(walking)) - 1.0)
+    limit = np.where(converged, -np.inf, config.tol)  # -inf: a walk without nodes, or one already stopped
+    running = queries - int(converged.sum())
+    dangling_owner, base, p = owner[dangling], alpha * restart, restart
+    error = np.abs(np.bincount(owner, weights=p, minlength=queries) - 1.0)
     for step in range(1, config.max_iters + 1):
-        if not len(walking):
+        if not running:
             break
-        flow = np.bincount(dst, weights=weights * p[src], minlength=len(p))
-        dangling_mass = np.bincount(dangling_owner, weights=p[dangling], minlength=len(walking))
+        flow = np.bincount(dst, weights=weights * p[src], minlength=n)
+        dangling_mass = np.bincount(dangling_owner, weights=p[dangling], minlength=queries)
         new_p = base + (1.0 - alpha) * (flow + dangling_mass[owner] * restart)
-        change = np.bincount(owner, weights=np.abs(new_p - p), minlength=len(walking))
-        error = np.maximum(error, np.abs(np.bincount(owner, weights=new_p, minlength=len(walking)) - 1.0))
+        change = np.bincount(owner, weights=np.abs(new_p - p), minlength=queries)
+        error = np.maximum(error, np.abs(np.bincount(owner, weights=new_p, minlength=queries) - 1.0))
         p = new_p
-        stop = change < config.tol
-        if step == config.max_iters:
-            stop[:] = True
+        stop = change < limit if step < config.max_iters else limit > -np.inf
         if stop.any():
             ended = stop[owner]
-            scores[nodes[ended]] = p[ended]
-            iterations[walking[stop]] = step
-            converged[walking[stop]] = (change < config.tol)[stop]
-            mass_error[walking[stop]] = error[stop]
-            # Renumber the walks still running without the ones that stopped.
-            go, running = ~ended, ~stop
-            node_number, walk_number = np.cumsum(go) - 1, np.cumsum(running) - 1
-            on = go[src]
-            src, dst, weights = node_number[src[on]], node_number[dst[on]], weights[on]
-            on = go[dangling]
-            dangling, dangling_owner = node_number[dangling[on]], walk_number[dangling_owner[on]]
-            nodes, owner, p = nodes[go], walk_number[owner[go]], p[go]
-            restart, base = restart[go], base[go]
-            walking, error = walking[running], error[running]
+            scores[ended] = p[ended]
+            iterations[stop] = step
+            converged[stop] = (change < config.tol)[stop]
+            mass_error[stop] = error[stop]
+            limit[stop] = -np.inf
+            running -= int(stop.sum())
     return PropagationResult(scores, iterations, converged, mass_error)
 
 

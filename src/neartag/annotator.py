@@ -97,8 +97,9 @@ class EngineParams:
 def load_concepts(path: str, lexicon: Lexicon) -> dict[str, ConceptDef]:
     """Concept definitions: lines ``C\\t<name>\\t<synset>(,<synset>)*``.
 
-    Names are lowercased and must be unique; every synset must exist in
-    the lexicon.
+    Names are lowercased, must be unique and hold no comma (candidate
+    lists and annotation files separate names with commas); every synset
+    must exist in the lexicon.
     """
     concepts: dict[str, ConceptDef] = {}
     layout = "'C\\t<name>\\t<synset,synset,...>'"
@@ -108,6 +109,8 @@ def load_concepts(path: str, lexicon: Lexicon) -> dict[str, ConceptDef]:
         name = name.strip().lower()
         if not name:
             raise FormatError("empty concept name", path=path, line=lineno)
+        if "," in name:
+            raise FormatError(f"concept name {name!r} holds a comma", path=path, line=lineno)
         if name in concepts:
             raise FormatError(f"duplicate concept {name!r}", path=path, line=lineno)
         synsets = []
@@ -284,6 +287,8 @@ def search_neighbor_words(queries: list[Query], datasets: list[Dataset], k: int,
     """The search stage: the queries' merged top-k neighbours' keywords, in query order, from one
     ``knn_batch`` per dataset and one ``gather_neighbor_words``. Seconds go to ``timings``: the search
     as ``SIMILARITY_SEARCH``, the merge and gather as ``KEYWORD_FETCH``."""
+    if not datasets:
+        raise EngineError("no dataset to search")
     if not queries:
         return NeighborWords.from_lists([])
     timings = {} if timings is None else timings

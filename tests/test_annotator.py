@@ -212,6 +212,17 @@ def test_annotate_degenerate_single_word(tmp_path):
     assert not ann.no_keyword_signal
 
 
+def test_no_dataset_to_search(tmp_path):
+    # An empty dataset list fails as an engine error, alone and in a batch.
+    _dataset, lex, concepts = single_word_world(tmp_path)
+    query = Query("q", np.zeros(4, dtype=np.float32), ("cat",))
+    with pytest.raises(EngineError, match="no dataset to search"):
+        annotate(query, [], lex, concepts, EngineParams(k=5))
+    with pytest.raises(EngineError, match="no dataset to search"):
+        annotate_batch([query, Query("r", np.ones(4, dtype=np.float32), ("cat",))], [], lex, concepts,
+                       EngineParams(k=5))
+
+
 def test_annotate_two_node_example_end_to_end(tmp_path):
     # One candidate synset a with all the evidence, hypernym edge a -> b,
     # hyponym excluded so b keeps no out-edges: fixed point (2/3, 1/3).
@@ -408,6 +419,16 @@ def test_load_concepts_duplicate_name(tmp_path):
     lex = load_lexicon(write(tmp_path, "lex.tsv", "S\ta\tx\n"))
     with pytest.raises(FormatError, match="duplicate"):
         load_concepts(write(tmp_path, "con.tsv", "C\tcat\ta\nC\tCAT\ta\n"), lex)
+
+
+def test_load_concepts_comma_in_name(tmp_path):
+    # Candidate lists and annotation files separate names with commas, so
+    # such a name could be loaded but never listed nor read back.
+    lex = load_lexicon(write(tmp_path, "lex.tsv", "S\ta\tx\n"))
+    path = write(tmp_path, "con.tsv", "C\tcat\ta\n# note\nC\tfoo,bar\ta\n")
+    with pytest.raises(FormatError, match="comma") as exc:
+        load_concepts(path, lex)
+    assert (exc.value.path, exc.value.line) == (path, 3)
 
 
 def test_load_candidate_lists(tmp_path):

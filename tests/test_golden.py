@@ -15,17 +15,25 @@ a refactor that moves one score by one printed digit fails here.
   analysis settings, one file each: reciprocal-rank weighting with
   uneven and zero relation weights and a low restart probability, and
   expansion depth 0 with few senses and candidates.
+* ``walk.txt``: the restart walk alone on one fixed batch, every score,
+  iteration count, convergence flag and mass error written with
+  ``float.hex``, so a change of summation order that moves one score by
+  one ulp fails here though every annotation file still matches.
 
 To regenerate after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py [WORLD...]`` (every world
-when none is named) and review the diff.
+and the walk when none is named; ``walk`` names the walk) and review the
+diff.
 """
 
 import os
 import sys
 import tempfile
 
-from neartag.analysis import AnalysisConfig
+import numpy as np
+from oracles import concatenate_graphs, one_query_graph, random_graph
+
+from neartag.analysis import AnalysisConfig, propagate
 from neartag.annotator import (
     Dataset,
     EngineParams,
@@ -43,6 +51,7 @@ from neartag.lexicon import RelationType, load_lexicon
 from neartag.synth import SynthConfig, generate_corpus
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+WALK = "walk"
 
 WORLDS = {
     "exact-two-datasets": dict(
@@ -126,6 +135,32 @@ def annotate_world(name: str, out_dir: str,
         write_annotations(os.path.join(out_dir, file_name), annotations)
 
 
+def walk_text() -> str:
+    """The walk golden: one line per query of a fixed batch, with its
+    iteration count, convergence (0/1), worst mass error and scores in node
+    order, every float as ``float.hex``.
+
+    The batch holds eight seeded random graphs, a graph without nodes, a
+    dangling-only graph and the 2-cycle, which at alpha 0.1 stops at
+    ``max_iters``; meronym edges weigh 0, so some nodes turn dangling.
+    """
+    rng = np.random.default_rng(0)
+    graphs = [random_graph(rng, max_nodes=8)[0] for _ in range(8)]
+    cycle = one_query_graph([1.0, 0.0], [(0, RelationType.HYPERNYM, 1), (1, RelationType.HYPONYM, 0)])
+    batch = concatenate_graphs([*graphs[:4], one_query_graph([], []), one_query_graph([0.5, 0.3, 0.2], []),
+                                *graphs[4:], cycle])
+    config = AnalysisConfig(alpha=0.1, max_iters=100,
+                            lambdas={RelationType.HYPERNYM: 1.0, RelationType.HYPONYM: 0.5,
+                                     RelationType.MERONYM: 0.0, RelationType.HOLONYM: 2.0})
+    result = propagate(batch, config)
+    lines = ["# query\titerations\tconverged\tmass error\tscores"]
+    for q in range(batch.queries):
+        scores = " ".join(float(score).hex() for score in result.scores[batch.owner == q])
+        lines.append(f"{q}\t{result.query_iterations[q]}\t{int(result.query_converged[q])}\t"
+                     f"{float(result.query_mass_error[q]).hex()}\t{scores}")
+    return "\n".join(lines) + "\n"
+
+
 def _golden(file_name):
     with open(os.path.join(GOLDEN_DIR, file_name), "rb") as fh:
         return fh.read()
@@ -147,6 +182,10 @@ def test_golden_perm_prefix(tmp_path):
 
 def test_golden_analysis_settings(tmp_path):
     _check("analysis", tmp_path)
+
+
+def test_golden_walk():
+    assert walk_text() == _golden(f"{WALK}.txt").decode()
 
 
 def test_golden_analysis_settings_differ_from_default(tmp_path):
@@ -179,11 +218,16 @@ def test_golden_perm_prefix_through_cli(tmp_path, capsys):
 
 
 if __name__ == "__main__":
-    names = sys.argv[1:] or list(WORLDS)
-    unknown = [world_name for world_name in names if world_name not in WORLDS]
+    names = sys.argv[1:] or [*WORLDS, WALK]
+    unknown = [world_name for world_name in names if world_name not in (*WORLDS, WALK)]
     if unknown:
-        sys.exit(f"unknown world(s) {', '.join(unknown)}; expected some of {', '.join(WORLDS)}")
+        sys.exit(f"unknown world(s) {', '.join(unknown)}; expected some of {', '.join(WORLDS)}, {WALK}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
+    if WALK in names:
+        names.remove(WALK)
+        with open(os.path.join(GOLDEN_DIR, f"{WALK}.txt"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(walk_text())
+        print(f"wrote {WALK}.txt", file=sys.stderr)
     for world_name in names:
         annotate_world(world_name, GOLDEN_DIR)
         for file_name in golden_files(world_name):
