@@ -7,6 +7,7 @@ ever scores the given candidates (closed world).
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from .fvec import _replacing
 from .index import VectorIndex
 from .keywords import KeywordStore
 from .lexicon import Lexicon
-from .tsv import id_error, read_id_lists, records
+from .tsv import id_error, read_id_lists, records, skipped
 
 # Phase names: keys of annotate_batch's ``timings`` and rows of the CLI's timing table.
 SIMILARITY_SEARCH = "similarity search"
@@ -331,9 +332,15 @@ def annotate(query: Query, datasets: list[Dataset], lexicon: Lexicon,
 def write_annotations(path: str, annotations: list[Annotation]) -> None:
     """Write ``<id>\\t<name>:<score>,...`` lines, scores with 6 decimals.
 
-    Output goes through a temp file and an atomic rename so a failure
-    never leaves a partial file behind.
+    An id that ``read_annotations`` could not read back, one holding a
+    tab or a line end or one its line would be skipped for, fails before
+    any byte is written. Output goes through a temp file and an atomic
+    rename so a failure never leaves a partial file behind.
     """
+    for ann in annotations:
+        if skipped(ann.id) or "\t" in ann.id or "\r" in ann.id or "\n" in ann.id:
+            raise EngineError(f"cannot write annotation id {ann.id!r} to {path}: it is blank, its first "
+                              "non-blank character is '#', or it holds a tab or a line end")
     with _replacing(path, binary=False) as fh:
         for ann in annotations:
             ranked = ",".join(f"{name}:{score:.6f}" for name, score in ann.ranked)
@@ -356,7 +363,9 @@ def read_annotations(path: str) -> list[Annotation]:
             try:
                 score = float(score_text)
             except ValueError:
-                raise FormatError(f"malformed score in entry {token!r}", path=path, line=lineno) from None
+                score = math.nan
+            if not math.isfinite(score):  # write_annotations writes no nan or inf
+                raise FormatError(f"malformed score in entry {token!r}", path=path, line=lineno)
             ranked.append((name, score))
         annotations.append(Annotation(image_id, tuple(ranked)))
     return annotations

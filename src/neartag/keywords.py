@@ -1,17 +1,17 @@
 """Image-id to keyword mapping loaded from tab-separated text.
 
 One line per image: ``<image_id>\\t<word>(,<word>)*``, read by
-``tsv.read_id_lists``: words are lowercased and deduplicated per image,
+``tsv.read_id_columns``: words are lowercased and deduplicated per image,
 keeping first-occurrence order.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
-from .tsv import read_id_lists
+from .tsv import IdLists, read_id_columns
 
 
 class KeywordStore:
@@ -19,18 +19,14 @@ class KeywordStore:
 
     Words are numbered in sorted order (``vocabulary``). Images are rows
     in the order the records came; row ``i``'s words are the numbers
-    ``words[ptr[i]:ptr[i + 1]]``, in the record's order. A record must not
-    repeat a word, which ``read_id_lists`` ensures.
+    ``words[ptr[i]:ptr[i + 1]]``, in the record's order, each once.
     """
 
-    def __init__(self, records: dict[str, list[str]]):
-        self._row = dict(zip(records, range(len(records))))
-        counts = np.fromiter(map(len, records.values()), dtype=np.intp, count=len(records))
-        flat = list(chain.from_iterable(records.values()))
-        self.vocabulary = tuple(sorted(set(flat)))
-        number = dict(zip(self.vocabulary, range(len(self.vocabulary))))
-        self.words = np.fromiter(map(number.__getitem__, flat), dtype=np.intp, count=len(flat))
-        self.ptr = np.concatenate(([0], np.cumsum(counts)))
+    def __init__(self, lists: IdLists):
+        self._row = lists.rows
+        self.vocabulary = lists.vocabulary
+        self.words = lists.items
+        self.ptr = lists.ptr
 
     def __len__(self) -> int:
         return len(self._row)
@@ -58,4 +54,4 @@ class KeywordStore:
 
 
 def load_keywords(path: str) -> KeywordStore:
-    return KeywordStore(read_id_lists(path, "keyword"))
+    return KeywordStore(read_id_columns(path, "keyword"))

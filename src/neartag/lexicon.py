@@ -127,18 +127,21 @@ def _check_synset_token(token: str, path: str, lineno: int) -> str:
 
 
 def load_lexicon(path: str) -> Lexicon:
+    synset_lines: list[int] = []  # the S records' lines, ids and lemma lists, in file order
+    synset_ids: list[str] = []
+    lemma_lists: list[str] = []
     sense_records: list[tuple[str, int, str, int]] = []  # word, rank, synset, line
     relation_records: list[tuple[str, RelationType, str, int]] = []  # from, type, to, line
-
-    def synset_rows():
-        """The S records' (line, (id, lemmas)), in file order; the W and R
-        records are checked and kept as they go by."""
+    fault = None
+    try:
         for lineno, parts in records(path):
             kind = parts[0]
             if kind == "S":
                 if len(parts) != 3:
                     raise FormatError("S record needs '<id>\\t<lemma,lemma,...>'", path=path, line=lineno)
-                yield lineno, parts[1:]
+                synset_ids.append(_check_synset_token(parts[1], path, lineno))
+                synset_lines.append(lineno)
+                lemma_lists.append(parts[2])
             elif kind == "W":
                 if len(parts) != 4:
                     raise FormatError("W record needs '<word>\\t<synset>\\t<rank>'", path=path, line=lineno)
@@ -166,13 +169,17 @@ def load_lexicon(path: str) -> Lexicon:
                 relation_records.append((src, _TAGS[tag], dst, lineno))
             else:
                 raise FormatError(f"unknown record type {kind!r} (expected S, W, or R)", path=path, line=lineno)
-
-    lemmas = id_lists(synset_rows(), path, "lemma", what="synset", check=_check_synset_token)
+    except FormatError as exc:
+        fault = exc
+    # The S records read before a fault are checked first: one of them may hold an earlier one.
+    declared = id_lists(synset_ids, lemma_lists, synset_lines, path, "lemma", what="synset").rows
+    if fault is not None:
+        raise fault
 
     # Referential validation now that every declaration is in.
     by_word: dict[str, dict[int, str]] = {}
     for word, rank, synset_id, lineno in sense_records:
-        if synset_id not in lemmas:
+        if synset_id not in declared:
             raise FormatError(f"word {word!r} references undeclared synset {synset_id!r}", path=path, line=lineno)
         ranks = by_word.setdefault(word, {})
         if rank in ranks:
@@ -189,10 +196,10 @@ def load_lexicon(path: str) -> Lexicon:
 
     edge_set: set[tuple[str, RelationType, str]] = set()
     for src, rel, dst, lineno in relation_records:
-        if src not in lemmas:
+        if src not in declared:
             raise FormatError(f"relation references undeclared synset {src!r}", path=path, line=lineno)
-        if dst not in lemmas:
+        if dst not in declared:
             raise FormatError(f"relation references undeclared synset {dst!r}", path=path, line=lineno)
         edge_set.add((src, rel, dst))
         edge_set.add((dst, INVERSE[rel], src))
-    return Lexicon(lemmas, senses, edge_set)
+    return Lexicon(declared, senses, edge_set)

@@ -3,18 +3,38 @@
 UTF-8, one record per line, fields split on tabs. Lines that are blank
 or whose first non-blank character is ``#`` are skipped; there are no
 inline comments. Errors name the path and the 1-based line.
+
+A file is read and decoded whole, in text mode, so ``\\r\\n`` and ``\\r``
+end a line as ``\\n`` does. ``<id>\\t<item>(,<item>)*`` files are then
+split, lowercased and checked column by column, with whole-text string
+operations and numpy rather than a loop over lines; a fault is placed
+by its position in the split text.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
+
 from .errors import FormatError
+
+_MAYBE_SKIPPED = re.compile(r"\n(?=[#\s])")  # a line end before a line that starts blank or with '#'
+_TWO_TABS = re.compile(r"\t[^\t\n]*\t")
+
+
+def skipped(line: str) -> bool:
+    """Whether the readers skip ``line``, given without its line end."""
+    return line.lstrip()[:1] in ("", "#")
 
 
 def decode_error(path: str) -> FormatError:
     """The error for a file that is not UTF-8, naming its first bad line.
 
-    Text mode decodes in chunks and cannot say which line failed, so the
-    bytes are decoded again, whole, on this error path only.
+    Text mode does not say where decoding failed, so the bytes are
+    decoded again, on this error path only.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -26,57 +46,139 @@ def decode_error(path: str) -> FormatError:
     return FormatError("not UTF-8", path=path)
 
 
+def _record_text(path: str) -> tuple[str, np.ndarray]:
+    """The file's record lines as one text, each line ended by ``\\n``,
+    and the 1-based line number of each in the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise decode_error(path) from None
+    if text and not text.endswith("\n"):
+        text += "\n"
+    numbers = np.arange(1, text.count("\n") + 1)
+    drop: list[tuple[int, int, int]] = []  # (line index, start, end past the line end)
+    row = at = 0
+    for match in _MAYBE_SKIPPED.finditer("\n" + text):  # the match starts where its line starts in text
+        start = match.start()
+        row += text.count("\n", at, start)
+        at = start
+        end = text.index("\n", start) + 1
+        if skipped(text[start:end - 1]):
+            drop.append((row, start, end))
+    if drop:
+        rows, starts, ends = zip(*drop)
+        text = "".join(text[a:b] for a, b in zip((0, *ends), (*starts, len(text))))
+        numbers = np.delete(numbers, rows)
+    return text, numbers
+
+
 def records(path: str, fields: int = 0, layout: str = ""):
     """Yield ``(line number, fields)`` per record line. With ``fields``
     set, a line with another field count fails, quoting ``layout``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                first = line[0]  # only a line that starts blank needs stripping to be judged
-                if first == "#" or (first.isspace() and (line.isspace() or line.lstrip().startswith("#"))):
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if fields and len(parts) != fields:
-                    raise FormatError(f"expected {layout}, got {len(parts)} tab-separated fields",
-                                      path=path, line=lineno)
-                yield lineno, parts
-    except UnicodeDecodeError:
-        raise decode_error(path) from None
+    text, numbers = _record_text(path)
+    for lineno, line in zip(numbers.tolist(), text.split("\n")):
+        parts = line.split("\t")
+        if fields and len(parts) != fields:
+            raise FormatError(f"expected {layout}, got {len(parts)} tab-separated fields", path=path, line=lineno)
+        yield lineno, parts
 
 
 def id_error(image_id: str, path: str, lineno: int, what: str = "image id") -> FormatError:
-    """The error for an id that is empty or repeated; callers test inline."""
+    """The error for an id that is empty or repeated."""
     message = f"duplicate {what} {image_id!r}" if image_id else f"empty {what}"
     return FormatError(message, path=path, line=lineno)
 
 
-def read_id_lists(path: str, item: str, known=None) -> dict[str, list[str]]:
-    """``<id>\\t<item>(,<item>)*`` lines as {id: items}, in file order (see ``id_lists``)."""
-    return id_lists(records(path, 2, f"'<id>\\t<{item},{item},...>'"), path, item, known)
+@dataclass(frozen=True)
+class IdLists:
+    """``<id>\\t<item>(,<item>)*`` records as columns.
 
-
-def id_lists(rows, path: str, item: str, known=None, what: str = "image id",
-             check=None) -> dict[str, list[str]]:
-    """``(line number, (id, "<item>,<item>,..."))`` rows as {id: items}, in order.
-
-    Ids are non-empty and unique, and pass ``check(id, path, line)`` when
-    it is given. Items are stripped, lowercased, non-empty, in ``known``
-    when it is given, and de-duplicated in first-seen order. ``what``
-    names an id and ``item`` an item in errors.
+    ``rows`` maps each id to its record number, in file order. Record
+    ``r``'s items are the numbers ``items[ptr[r]:ptr[r + 1]]`` into the
+    sorted ``vocabulary``, in first-seen order, each once.
     """
-    lists: dict[str, list[str]] = {}
-    for lineno, (key, field) in rows:
-        if check is not None:
-            check(key, path, lineno)
-        if not key or key in lists:
-            raise id_error(key, path, lineno, what)
-        items = []
-        for name in field.split(","):
-            name = name.strip().lower()
-            if not name:
-                raise FormatError(f"empty {item}", path=path, line=lineno)
-            if known is not None and name not in known:
-                raise FormatError(f"unknown {item} {name!r}", path=path, line=lineno)
-            items.append(name)
-        lists[key] = items if len(items) == 1 else list(dict.fromkeys(items))
+
+    rows: dict[str, int]
+    vocabulary: tuple[str, ...]
+    items: np.ndarray
+    ptr: np.ndarray
+
+    def lists(self) -> dict[str, list[str]]:
+        """{id: items}, in file order."""
+        names = [self.vocabulary[i] for i in self.items.tolist()]
+        bounds = self.ptr.tolist()
+        return {key: names[bounds[r]:bounds[r + 1]] for key, r in self.rows.items()}
+
+
+def read_id_columns(path: str, item: str, known=None) -> IdLists:
+    """An ``<id>\\t<item>(,<item>)*`` file as columns (see ``id_lists``)."""
+    text, numbers = _record_text(path)
+    bad = None
+    if text.count("\t") != len(numbers) or _TWO_TABS.search(text):  # some line has no tab, or two
+        lines = text.split("\n")
+        bad = next(i for i, line in enumerate(lines) if line.count("\t") != 1)
+        text = "\n".join(lines[:bad]) + "\n" if bad else ""  # the lines before it may hold an earlier fault
+    cells = text[:-1].replace("\n", "\t").split("\t") if text else []
+    lists = id_lists(cells[0::2], cells[1::2], numbers, path, item, known)
+    if bad is not None:
+        fields = lines[bad].count("\t") + 1
+        raise FormatError(f"expected '<id>\\t<{item},{item},...>', got {fields} tab-separated fields",
+                          path=path, line=int(numbers[bad]))
     return lists
+
+
+def read_id_lists(path: str, item: str, known=None) -> dict[str, list[str]]:
+    """An ``<id>\\t<item>(,<item>)*`` file as {id: items}, in file order (see ``id_lists``)."""
+    return read_id_columns(path, item, known).lists()
+
+
+def id_lists(keys: list[str], fields: list[str], numbers, path: str, item: str, known=None,
+             what: str = "image id") -> IdLists:
+    """Records given as columns: ids, ``<item>,<item>,...`` fields and line numbers.
+
+    Ids are non-empty and unique. Items are stripped, lowercased,
+    non-empty, in ``known`` when it is given, and de-duplicated per
+    record in first-seen order. The first faulty record fails, with its
+    id checked before its items and its items in order. ``what`` names
+    an id and ``item`` an item in errors.
+    """
+    n = len(keys)
+    text = ",".join(fields).lower()  # ',' bounds a final-sigma context as the end of an item does
+    names = list(map(str.strip, text.split(","))) if n else []
+    ptr = np.arange(n + 1)
+    if len(names) > n:
+        counts = np.fromiter(map(str.count, fields, repeat(",")), np.intp, n) + 1
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+    rows = dict(zip(keys, range(n)))
+    present = set(names)
+    wrong = present & {""}
+    if known is not None:
+        wrong |= present.difference(known)
+    if wrong or len(rows) < n or "" in rows:
+        raise _first_fault(keys, names, ptr, wrong, numbers, path, item, what)
+    vocabulary = tuple(sorted(present))
+    number = dict(zip(vocabulary, range(len(vocabulary))))
+    items = np.fromiter(map(number.__getitem__, names), np.intp, len(names))
+    if len(names) > n:  # drop repeated items, each record's first stays
+        owner = np.repeat(np.arange(n), np.diff(ptr))
+        first = np.unique(owner * len(vocabulary) + items, return_index=True)[1]
+        if len(first) < len(items):
+            first.sort()
+            items = items[first]
+            ptr = np.concatenate(([0], np.cumsum(np.bincount(owner[first], minlength=n))))
+    return IdLists(rows, vocabulary, items, ptr)
+
+
+def _first_fault(keys, names, ptr, wrong, numbers, path, item, what) -> FormatError:
+    """The error for the first record with an empty or repeated id or an
+    item in ``wrong``; within a record the id comes first."""
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each id's first record
+    r = next((r for r, key in enumerate(keys) if not key or first[key] != r), len(keys))
+    j = next((j for j, name in enumerate(names) if name in wrong), None)
+    if j is not None:
+        owner = int(np.searchsorted(ptr, j, side="right")) - 1
+        if owner < r:
+            message = f"unknown {item} {names[j]!r}" if names[j] else f"empty {item}"
+            return FormatError(message, path=path, line=int(numbers[owner]))
+    return id_error(keys[r], path, int(numbers[r]), what)

@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from neartag.analysis import AnalysisConfig, SynsetGraph, Weights
+from neartag.errors import FormatError
 from neartag.lexicon import RELATIONS, RelationType
+from neartag.tsv import IdLists
 
 
 def brute_force_knn(ids, matrix, query, k):
@@ -44,6 +46,48 @@ def dense_fixed_point(graph: SynsetGraph, config: AnalysisConfig) -> np.ndarray:
     a = m.T + np.outer(restart, dangling)
     system = np.eye(n) - (1.0 - config.alpha) * a
     return np.linalg.solve(system, config.alpha * restart)
+
+
+def read_id_lists_by_line(path: str, item: str, known=None) -> dict[str, list[str]]:
+    """``<id>\\t<item>(,<item>)*`` lines as {id: items}, one line at a time,
+    as ``tsv.read_id_lists`` read them before it worked column-wise: the
+    reference its results and errors must equal. Valid UTF-8 only."""
+    lists: dict[str, list[str]] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            first = line[0]
+            if first == "#" or (first.isspace() and (line.isspace() or line.lstrip().startswith("#"))):
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 2:
+                raise FormatError(f"expected '<id>\\t<{item},{item},...>', got {len(parts)} tab-separated fields",
+                                  path=path, line=lineno)
+            key, field = parts
+            if not key or key in lists:
+                raise FormatError(f"duplicate image id {key!r}" if key else "empty image id", path=path, line=lineno)
+            items = []
+            for name in field.split(","):
+                name = name.strip().lower()
+                if not name:
+                    raise FormatError(f"empty {item}", path=path, line=lineno)
+                if known is not None and name not in known:
+                    raise FormatError(f"unknown {item} {name!r}", path=path, line=lineno)
+                items.append(name)
+            lists[key] = list(dict.fromkeys(items))
+    return lists
+
+
+def id_lists_from_dict(records: dict[str, list[str]]) -> IdLists:
+    """Columns over {id: distinct items}, as the reader gives them, built
+    without the reader (a ``KeywordStore`` takes them)."""
+    vocabulary = tuple(sorted({name for names in records.values() for name in names}))
+    number = {name: i for i, name in enumerate(vocabulary)}
+    items = [number[name] for names in records.values() for name in names]
+    ptr = [0]
+    for names in records.values():
+        ptr.append(ptr[-1] + len(names))
+    return IdLists(rows={key: r for r, key in enumerate(records)}, vocabulary=vocabulary,
+                   items=np.array(items, dtype=np.intp), ptr=np.array(ptr, dtype=np.intp))
 
 
 def weights_from_lists(batch, names=None) -> Weights:

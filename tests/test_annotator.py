@@ -2,8 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import weight_lists, weights_from_lists
+from oracles import id_lists_from_dict, weight_lists, weights_from_lists
 
 from neartag.annotator import (
     KEYWORD_FETCH,
@@ -139,7 +140,7 @@ def decoded(words):
 
 class CountingStore(KeywordStore):
     def __init__(self, records):
-        super().__init__(records)
+        super().__init__(id_lists_from_dict(records))
         self.calls = 0
 
     def rows(self, image_ids):
@@ -179,8 +180,8 @@ def test_equal_distances_rank_by_id_though_their_squares_differ(tmp_path):
     assert np.nextafter(d2[0], np.inf) == d2[1] and np.sqrt(d2[0]) == np.sqrt(d2[1])
     found = index.knn_batch(feature[None, :], 2)
     assert [image_id for image_id, _dist in found[0]] == ["a", "b"]
-    store = KeywordStore({"a": ["cat"], "b": ["dog"]})
-    for lists, stores in (([found], [store]), ([found, [[]]], [store, KeywordStore({})])):
+    store = KeywordStore(id_lists_from_dict({"a": ["cat"], "b": ["dog"]}))
+    for lists, stores in (([found], [store]), ([found, [[]]], [store, KeywordStore(id_lists_from_dict({}))])):
         words, _missing = gather_neighbor_words(lists, stores, 2)
         assert decoded(words) == [[["cat"], ["dog"]]]
     # Under reciprocal-rank weighting, a's word weighs 1 and b's 1/2.
@@ -469,6 +470,30 @@ def test_read_annotations_malformed_line_number(tmp_path):
     path = write(tmp_path, "out.tsv", "q1\tcat:0.5\nq2\tno-score\n")
     with pytest.raises(FormatError, match="line 2"):
         read_annotations(path)
+
+
+@pytest.mark.parametrize("entry", ["dog:nan", "dog:inf", "dog:-inf", "dog:NaN", "dog:Infinity"])
+def test_read_annotations_refuses_non_finite_scores(tmp_path, entry):
+    path = write(tmp_path, "out.tsv", f"q1\tcat:0.5\nq2\tcat:0.25,{entry}\n")
+    with pytest.raises(FormatError, match=f"line 2: malformed score in entry '{entry}'") as exc:
+        read_annotations(path)
+    assert exc.value.path == path
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ids=st.lists(st.text(st.sampled_from("q1#\t\r\n \xa0\x0b\x85\u2028Σ"), max_size=4), min_size=1, max_size=4,
+                    unique=True))
+def test_written_annotations_read_back_or_nothing_is_written(tmp_path, ids):
+    path = tmp_path / "out.tsv"
+    path.unlink(missing_ok=True)
+    anns = [Annotation(i, (("cat", 0.5), ("dog", 0.25))) for i in ids]
+    try:
+        write_annotations(str(path), anns)
+    except EngineError:
+        assert not path.exists()
+        assert any(not i.strip() or i.lstrip().startswith("#") or set(i) & set("\t\r\n") for i in ids)
+    else:
+        assert [(a.id, a.ranked) for a in read_annotations(str(path))] == [(a.id, a.ranked) for a in anns]
 
 
 def test_read_annotations_duplicate_id(tmp_path):

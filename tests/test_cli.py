@@ -1,9 +1,11 @@
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from neartag.cli import main
+from neartag.fvec import write_vectors
 
 
 @pytest.fixture(scope="module")
@@ -177,14 +179,25 @@ def test_timing_table_has_load_rows_and_no_search_percentiles(corpus, capsys):
                  "--candidates", os.path.join(corpus, "candidates.tsv")]) == 0
     rows = {}
     for line in capsys.readouterr().out.splitlines():
-        for phase in ("index load", "lexicon load", "feature load", "similarity search",
+        for phase in ("index load", "keyword load", "lexicon load", "feature load", "similarity search",
                       "keyword fetch", "semantic analysis"):
             if line.startswith(phase):
                 rows[phase] = line[len(phase):].split()
-    assert len(rows) == 6
+    assert len(rows) == 7
     for phase, (total, per_query, *percentiles) in rows.items():
         assert percentiles == ["-", "-", "-"], phase  # loads and batch phases: not timed query by query
         assert float(total) >= 0.0 and float(per_query) >= 0.0, phase
+
+
+@pytest.mark.parametrize("bad_id", ["q\t1", "q\n2", "q\r3", "#q4", " # q5", " "])
+def test_annotate_refuses_a_query_id_it_could_not_read_back(corpus, tmp_path, capsys, bad_id):
+    queries = str(tmp_path / "queries.fvec")
+    write_vectors(queries, ["q0", bad_id], np.zeros((2, 8), dtype=np.float32))
+    out_path = tmp_path / "out.tsv"
+    assert main(["annotate", "--config", conf(corpus), "--k", "10", "--queries", queries,
+                 "--output", str(out_path)]) == 2
+    assert repr(bad_id) in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_annotate_loads_prebuilt_index(corpus, capsys):

@@ -31,7 +31,7 @@ import sys
 import tempfile
 
 import numpy as np
-from oracles import concatenate_graphs, one_query_graph, random_graph
+from oracles import concatenate_graphs, id_lists_from_dict, one_query_graph, random_graph
 
 from neartag.analysis import AnalysisConfig, propagate
 from neartag.annotator import (
@@ -124,7 +124,7 @@ def annotate_world(name: str, out_dir: str,
             records = {rid: words for (rid, words) in store.words_for(part_ids)[0]
                        if int(rid[-5:]) % 7 != 3}
             datasets.append(Dataset(build_index_from_arrays(part_ids, matrix[rows], index_cfg),
-                                    KeywordStore(records)))
+                                    KeywordStore(id_lists_from_dict(records))))
     else:
         datasets = [Dataset(build_index_from_arrays(ids, matrix, index_cfg), store)]
     queries = [Query(id=qid, feature=qmatrix[i], candidates=candidates[qid])

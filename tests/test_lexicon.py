@@ -143,6 +143,17 @@ def test_duplicate_synset_rejected(tmp_path):
         load_lexicon(write(tmp_path, "S\ta\tx\nS\ta\ty\n"))
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("S\ta\tx\nS\ta\ty\nW\t\tb\t1\n", 2, "duplicate synset 'a'"),  # an S fault before a W fault
+    ("S\ta\tx,,y\nR\tbad\ta\ta\n", 1, "empty lemma"),  # ... and before an R fault
+    ("W\t\tb\t1\nS\ta\tx\nS\ta\ty\n", 1, "empty word"),
+    ("S\tc\t\nS\ta b\tx\n", 1, "empty lemma"),
+])
+def test_first_faulty_line_fails_whatever_its_record_type(tmp_path, text, line, message):
+    with pytest.raises(FormatError, match=f"line {line}: {message}$"):
+        load_lexicon(write(tmp_path, text))
+
+
 def test_unknown_record_type(tmp_path):
     with pytest.raises(FormatError, match="line 1"):
         load_lexicon(write(tmp_path, "Q\twhat\n"))

@@ -10,6 +10,8 @@ import re
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import id_lists_from_dict, read_id_lists_by_line
 
 from neartag.annotator import load_candidate_lists, load_concepts, read_annotations
 from neartag.config import parse_config_file
@@ -180,3 +182,64 @@ def test_id_lists_keep_id_case_and_whitespace(tmp_path):
 def test_annotations_keep_case_and_repeated_names(tmp_path):
     path = _write(tmp_path, b"q1\tCat:0.5,cat:0.5,Cat:0.25\n")
     assert read_annotations(path)[0].ranked == (("Cat", 0.5), ("cat", 0.5), ("Cat", 0.25))
+
+
+# Characters that stress the column-wise reader: Unicode blanks (none of which ends a line in
+# text mode), a capital sigma whose lowercase depends on its neighbours, case-ignorable marks
+# ("'" and a combining acute), and İ, which lowercases to two characters.
+_BLANKS = " \xa0\u2003\x0b\x0c\x1c\x85\u2028"
+_LETTERS = "aBΣς'\u0301İ"
+_ANY = _LETTERS + _BLANKS + "#,"
+_ITEM = st.builds("".join, st.tuples(st.text(_BLANKS, max_size=2), st.text(_LETTERS, min_size=1, max_size=3),
+                                     st.text(_BLANKS, max_size=2)))
+_ITEMS = st.lists(_ITEM, min_size=1, max_size=4).map(",".join)
+_KEY = st.builds("".join, st.tuples(st.sampled_from(["", " "]), st.text("aBΣİ", min_size=1, max_size=2),
+                                    st.text(" #\xa0", max_size=1)))
+_RECORD = st.builds("{}\t{}".format, _KEY, _ITEMS)
+_SKIPPED = st.builds("".join, st.tuples(st.text(_BLANKS, max_size=2), st.sampled_from(["", "#", "# a\tb"])))
+_FAULTY = st.one_of(
+    st.text(_ANY, max_size=4),  # one field, unless it is blank or a comment
+    st.builds("\t".join, st.lists(st.text(_ANY, max_size=2), min_size=3, max_size=4)),
+    st.builds("\t{}".format, _ITEMS),  # empty id
+    st.builds("{}\t{},{}".format, _KEY, st.text(_BLANKS, max_size=1), _ITEMS),  # empty item
+)
+
+
+@st.composite
+def _id_list_files(draw) -> str:
+    """Records (some with a repeated id) and skipped lines, with up to two faulty lines among them."""
+    lines = draw(st.lists(st.one_of(_RECORD, _RECORD, _SKIPPED), max_size=8))
+    for fault in draw(st.lists(_FAULTY, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(read, *args):
+    """What a reader gives: its result, or its error's message, path and line."""
+    try:
+        return read(*args)
+    except FormatError as exc:
+        return str(exc), exc.path, exc.line
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_id_list_files(), data=st.data())
+def test_id_lists_equal_the_line_by_line_reference(tmp_path, text, data):
+    path = _write(tmp_path, text.encode())
+    expected = _outcome(read_id_lists_by_line, path, "keyword")
+    store = _outcome(load_keywords, path)
+    if isinstance(expected, dict):
+        columns = id_lists_from_dict(expected)
+        assert store.vocabulary == columns.vocabulary
+        assert store.words.tolist() == columns.items.tolist()
+        assert store.ptr.tolist() == columns.ptr.tolist()
+        assert store.rows(list(expected)).tolist() == list(range(len(expected)))
+        assert len(store) == len(expected)
+    else:
+        assert store == expected
+    names = sorted({name for items in expected.values() for name in items}) if isinstance(expected, dict) else []
+    known = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(names))) if names else st.none(), label="known")
+    assert _outcome(read_id_lists, path, "keyword", known) == _outcome(read_id_lists_by_line, path, "keyword", known)
