@@ -332,15 +332,18 @@ def annotate(query: Query, datasets: list[Dataset], lexicon: Lexicon,
 def write_annotations(path: str, annotations: list[Annotation]) -> None:
     """Write ``<id>\\t<name>:<score>,...`` lines, scores with 6 decimals.
 
-    An id that ``read_annotations`` could not read back, one holding a
-    tab or a line end or one its line would be skipped for, fails before
-    any byte is written. Output goes through a temp file and an atomic
+    An annotation that ``read_annotations`` could not read back fails
+    before any byte is written: one with no ranked concepts, or an id
+    holding a tab or a line end, starting with a byte-order mark or whose
+    line would be skipped. Output goes through a temp file and an atomic
     rename so a failure never leaves a partial file behind.
     """
     for ann in annotations:
-        if skipped(ann.id) or "\t" in ann.id or "\r" in ann.id or "\n" in ann.id:
+        if skipped(ann.id) or ann.id.startswith("\ufeff") or "\t" in ann.id or "\r" in ann.id or "\n" in ann.id:
             raise EngineError(f"cannot write annotation id {ann.id!r} to {path}: it is blank, its first "
-                              "non-blank character is '#', or it holds a tab or a line end")
+                              "non-blank character is '#', it starts with U+FEFF, or it holds a tab or a line end")
+        if not ann.ranked:
+            raise EngineError(f"cannot write annotation {ann.id!r} to {path}: it ranks no concept")
     with _replacing(path, binary=False) as fh:
         for ann in annotations:
             ranked = ",".join(f"{name}:{score:.6f}" for name, score in ann.ranked)

@@ -18,7 +18,7 @@ from .annotator import EngineParams
 from .errors import EngineError, FormatError
 from .index import IndexConfig
 from .lexicon import RelationType
-from .tsv import decode_error
+from .tsv import lines
 
 
 @dataclass(frozen=True)
@@ -146,24 +146,20 @@ PRESETS: dict[str, dict[str, str]] = {
 def parse_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blanks ignored."""
     values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise FormatError(f"expected 'key = value', got {line!r}", path=path, line=lineno)
-                key, value = line.split("=", 1)
-                key = key.strip()
-                value = value.strip()
-                if not key:
-                    raise FormatError("empty key", path=path, line=lineno)
-                if key in values:
-                    raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
-                values[key] = value
-    except UnicodeDecodeError:
-        raise decode_error(path) from None
+    for lineno, line in lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"expected 'key = value', got {line!r}", path=path, line=lineno)
+        key, value = line.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise FormatError("empty key", path=path, line=lineno)
+        if key in values:
+            raise FormatError(f"duplicate key {key!r}", path=path, line=lineno)
+        values[key] = value
     return values
 
 

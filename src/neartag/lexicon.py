@@ -2,7 +2,8 @@
 
 File format, one record per line, tab separated:
 
-* ``S\\t<synset_id>\\t<lemma>(,<lemma>)*`` declares a synset.
+* ``S\\t<synset_id>\\t<lemma>(,<lemma>)*`` declares a synset. Ids are
+  unique and non-empty and hold no blank or comma; lemmas are non-empty.
 * ``W\\t<word>\\t<synset_id>\\t<rank>`` maps a word sense; rank 1 is the
   most frequent sense and ranks for one word must form 1..q.
 * ``R\\t<tag>\\t<from>\\t<to>`` declares a directed relation. Tags:
@@ -22,7 +23,7 @@ import enum
 import numpy as np
 
 from .errors import FormatError
-from .tsv import id_lists, records
+from .tsv import records
 
 
 class RelationType(enum.Enum):
@@ -127,54 +128,47 @@ def _check_synset_token(token: str, path: str, lineno: int) -> str:
 
 
 def load_lexicon(path: str) -> Lexicon:
-    synset_lines: list[int] = []  # the S records' lines, ids and lemma lists, in file order
-    synset_ids: list[str] = []
-    lemma_lists: list[str] = []
+    declared: set[str] = set()
     sense_records: list[tuple[str, int, str, int]] = []  # word, rank, synset, line
     relation_records: list[tuple[str, RelationType, str, int]] = []  # from, type, to, line
-    fault = None
-    try:
-        for lineno, parts in records(path):
-            kind = parts[0]
-            if kind == "S":
-                if len(parts) != 3:
-                    raise FormatError("S record needs '<id>\\t<lemma,lemma,...>'", path=path, line=lineno)
-                synset_ids.append(_check_synset_token(parts[1], path, lineno))
-                synset_lines.append(lineno)
-                lemma_lists.append(parts[2])
-            elif kind == "W":
-                if len(parts) != 4:
-                    raise FormatError("W record needs '<word>\\t<synset>\\t<rank>'", path=path, line=lineno)
-                word = parts[1].strip().lower()
-                if not word:
-                    raise FormatError("empty word", path=path, line=lineno)
-                synset_id = _check_synset_token(parts[2], path, lineno)
-                try:
-                    rank = int(parts[3])
-                except ValueError:
-                    raise FormatError(f"sense rank {parts[3]!r} is not an integer", path=path,
-                                      line=lineno) from None
-                if rank < 1:
-                    raise FormatError(f"sense rank must be >= 1, got {rank}", path=path, line=lineno)
-                sense_records.append((word, rank, synset_id, lineno))
-            elif kind == "R":
-                if len(parts) != 4:
-                    raise FormatError("R record needs '<tag>\\t<from>\\t<to>'", path=path, line=lineno)
-                tag = parts[1].strip()
-                if tag not in _TAGS:
-                    raise FormatError(f"unknown relation tag {tag!r} (expected one of {sorted(_TAGS)})",
-                                      path=path, line=lineno)
-                src = _check_synset_token(parts[2], path, lineno)
-                dst = _check_synset_token(parts[3], path, lineno)
-                relation_records.append((src, _TAGS[tag], dst, lineno))
-            else:
-                raise FormatError(f"unknown record type {kind!r} (expected S, W, or R)", path=path, line=lineno)
-    except FormatError as exc:
-        fault = exc
-    # The S records read before a fault are checked first: one of them may hold an earlier one.
-    declared = id_lists(synset_ids, lemma_lists, synset_lines, path, "lemma", what="synset").rows
-    if fault is not None:
-        raise fault
+    for lineno, parts in records(path):
+        kind = parts[0]
+        if kind == "S":
+            if len(parts) != 3:
+                raise FormatError("S record needs '<id>\\t<lemma,lemma,...>'", path=path, line=lineno)
+            synset_id = _check_synset_token(parts[1], path, lineno)
+            if synset_id in declared:
+                raise FormatError(f"duplicate synset {synset_id!r}", path=path, line=lineno)
+            if any(not lemma.strip() for lemma in parts[2].split(",")):
+                raise FormatError("empty lemma", path=path, line=lineno)
+            declared.add(synset_id)
+        elif kind == "W":
+            if len(parts) != 4:
+                raise FormatError("W record needs '<word>\\t<synset>\\t<rank>'", path=path, line=lineno)
+            word = parts[1].strip().lower()
+            if not word:
+                raise FormatError("empty word", path=path, line=lineno)
+            synset_id = _check_synset_token(parts[2], path, lineno)
+            try:
+                rank = int(parts[3])
+            except ValueError:
+                raise FormatError(f"sense rank {parts[3]!r} is not an integer", path=path,
+                                  line=lineno) from None
+            if rank < 1:
+                raise FormatError(f"sense rank must be >= 1, got {rank}", path=path, line=lineno)
+            sense_records.append((word, rank, synset_id, lineno))
+        elif kind == "R":
+            if len(parts) != 4:
+                raise FormatError("R record needs '<tag>\\t<from>\\t<to>'", path=path, line=lineno)
+            tag = parts[1].strip()
+            if tag not in _TAGS:
+                raise FormatError(f"unknown relation tag {tag!r} (expected one of {sorted(_TAGS)})",
+                                  path=path, line=lineno)
+            src = _check_synset_token(parts[2], path, lineno)
+            dst = _check_synset_token(parts[3], path, lineno)
+            relation_records.append((src, _TAGS[tag], dst, lineno))
+        else:
+            raise FormatError(f"unknown record type {kind!r} (expected S, W, or R)", path=path, line=lineno)
 
     # Referential validation now that every declaration is in.
     by_word: dict[str, dict[int, str]] = {}

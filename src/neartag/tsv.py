@@ -1,11 +1,13 @@
-"""The one reader of the tab-separated text inputs.
+"""The one reader of the text inputs: the tab-separated files and config files.
 
 UTF-8, one record per line, fields split on tabs. Lines that are blank
 or whose first non-blank character is ``#`` are skipped; there are no
-inline comments. Errors name the path and the 1-based line.
+inline comments (config files add their own). Errors name the path and
+the 1-based line.
 
-A file is read and decoded whole, in text mode, so ``\\r\\n`` and ``\\r``
-end a line as ``\\n`` does. ``<id>\\t<item>(,<item>)*`` files are then
+A file is read whole, in binary, and decoded once; one leading
+byte-order mark is dropped, and ``\\r\\n`` and ``\\r`` end a line as
+``\\n`` does. ``<id>\\t<item>(,<item>)*`` files are then
 split, lowercased and checked column by column, with whole-text string
 operations and numpy rather than a loop over lines; a fault is placed
 by its position in the split text.
@@ -30,30 +32,17 @@ def skipped(line: str) -> bool:
     return line.lstrip()[:1] in ("", "#")
 
 
-def decode_error(path: str) -> FormatError:
-    """The error for a file that is not UTF-8, naming its first bad line.
-
-    Text mode does not say where decoding failed, so the bytes are
-    decoded again, on this error path only.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[:exc.start] + b"x").splitlines())  # line ends as text mode splits them
-        return FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", path=path, line=line)
-    return FormatError("not UTF-8", path=path)
-
-
 def _record_text(path: str) -> tuple[str, np.ndarray]:
     """The file's record lines as one text, each line ended by ``\\n``,
     and the 1-based line number of each in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise decode_error(path) from None
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b"x").splitlines())  # bytes end lines where the text does
+        raise FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", path=path, line=line) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     if text and not text.endswith("\n"):
         text += "\n"
     numbers = np.arange(1, text.count("\n") + 1)
@@ -73,20 +62,25 @@ def _record_text(path: str) -> tuple[str, np.ndarray]:
     return text, numbers
 
 
+def lines(path: str):
+    """Yield ``(line number, line)`` per record line, without its line end."""
+    text, numbers = _record_text(path)
+    yield from zip(numbers.tolist(), text.split("\n"))
+
+
 def records(path: str, fields: int = 0, layout: str = ""):
     """Yield ``(line number, fields)`` per record line. With ``fields``
     set, a line with another field count fails, quoting ``layout``."""
-    text, numbers = _record_text(path)
-    for lineno, line in zip(numbers.tolist(), text.split("\n")):
+    for lineno, line in lines(path):
         parts = line.split("\t")
         if fields and len(parts) != fields:
             raise FormatError(f"expected {layout}, got {len(parts)} tab-separated fields", path=path, line=lineno)
         yield lineno, parts
 
 
-def id_error(image_id: str, path: str, lineno: int, what: str = "image id") -> FormatError:
+def id_error(image_id: str, path: str, lineno: int) -> FormatError:
     """The error for an id that is empty or repeated."""
-    message = f"duplicate {what} {image_id!r}" if image_id else f"empty {what}"
+    message = f"duplicate image id {image_id!r}" if image_id else "empty image id"
     return FormatError(message, path=path, line=lineno)
 
 
@@ -133,15 +127,14 @@ def read_id_lists(path: str, item: str, known=None) -> dict[str, list[str]]:
     return read_id_columns(path, item, known).lists()
 
 
-def id_lists(keys: list[str], fields: list[str], numbers, path: str, item: str, known=None,
-             what: str = "image id") -> IdLists:
+def id_lists(keys: list[str], fields: list[str], numbers, path: str, item: str, known=None) -> IdLists:
     """Records given as columns: ids, ``<item>,<item>,...`` fields and line numbers.
 
     Ids are non-empty and unique. Items are stripped, lowercased,
     non-empty, in ``known`` when it is given, and de-duplicated per
     record in first-seen order. The first faulty record fails, with its
-    id checked before its items and its items in order. ``what`` names
-    an id and ``item`` an item in errors.
+    id checked before its items and its items in order. ``item`` names
+    an item in errors.
     """
     n = len(keys)
     text = ",".join(fields).lower()  # ',' bounds a final-sigma context as the end of an item does
@@ -156,7 +149,7 @@ def id_lists(keys: list[str], fields: list[str], numbers, path: str, item: str, 
     if known is not None:
         wrong |= present.difference(known)
     if wrong or len(rows) < n or "" in rows:
-        raise _first_fault(keys, names, ptr, wrong, numbers, path, item, what)
+        raise _first_fault(keys, names, ptr, wrong, numbers, path, item)
     vocabulary = tuple(sorted(present))
     number = dict(zip(vocabulary, range(len(vocabulary))))
     items = np.fromiter(map(number.__getitem__, names), np.intp, len(names))
@@ -170,7 +163,7 @@ def id_lists(keys: list[str], fields: list[str], numbers, path: str, item: str, 
     return IdLists(rows, vocabulary, items, ptr)
 
 
-def _first_fault(keys, names, ptr, wrong, numbers, path, item, what) -> FormatError:
+def _first_fault(keys, names, ptr, wrong, numbers, path, item) -> FormatError:
     """The error for the first record with an empty or repeated id or an
     item in ``wrong``; within a record the id comes first."""
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # each id's first record
@@ -181,4 +174,4 @@ def _first_fault(keys, names, ptr, wrong, numbers, path, item, what) -> FormatEr
         if owner < r:
             message = f"unknown {item} {names[j]!r}" if names[j] else f"empty {item}"
             return FormatError(message, path=path, line=int(numbers[owner]))
-    return id_error(keys[r], path, int(numbers[r]), what)
+    return id_error(keys[r], path, int(numbers[r]))

@@ -90,6 +90,94 @@ def id_lists_from_dict(records: dict[str, list[str]]) -> IdLists:
                    items=np.array(items, dtype=np.intp), ptr=np.array(ptr, dtype=np.intp))
 
 
+def read_lexicon_by_line(path: str) -> dict:
+    """A lexicon file read one line at a time by README's rules, as plain
+    values: ``synset_names`` and ``word_names`` sorted, ``senses`` {word:
+    synsets by rank} and ``related`` {synset: (relation value, target)
+    pairs, inverses added, ordered as ``Lexicon.related`` orders them}.
+    The reference ``load_lexicon``'s results and errors must equal.
+    Valid UTF-8 only."""
+    mirror = {"hyper": ("hypernym", "hyponym"), "hypo": ("hyponym", "hypernym"),
+              "mero": ("meronym", "holonym"), "holo": ("holonym", "meronym")}
+    declared: list[str] = []
+    senses: list[tuple[int, str, str, int]] = []  # line, word, synset, rank
+    relations: list[tuple[int, str, str, str]] = []  # line, tag, from, to
+
+    def fail(message, line=None):
+        raise FormatError(message, path=path, line=line)
+
+    def synset(token, line):
+        if not token:
+            fail("empty synset id", line)
+        if "," in token or token.split() != [token]:
+            fail(f"synset id {token!r} contains whitespace or a comma", line)
+        return token
+
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.removesuffix("\n")
+            if not line.strip() or line.strip()[0] == "#":
+                continue
+            fields = line.split("\t")
+            kind = fields[0]
+            if kind == "S":
+                if len(fields) != 3:
+                    fail("S record needs '<id>\\t<lemma,lemma,...>'", lineno)
+                name = synset(fields[1], lineno)
+                if name in declared:
+                    fail(f"duplicate synset {name!r}", lineno)
+                if "" in [lemma.strip() for lemma in fields[2].split(",")]:
+                    fail("empty lemma", lineno)
+                declared.append(name)
+            elif kind == "W":
+                if len(fields) != 4:
+                    fail("W record needs '<word>\\t<synset>\\t<rank>'", lineno)
+                word = fields[1].strip().lower()
+                if word == "":
+                    fail("empty word", lineno)
+                name = synset(fields[2], lineno)
+                try:
+                    rank = int(fields[3])
+                except ValueError:
+                    fail(f"sense rank {fields[3]!r} is not an integer", lineno)
+                if rank <= 0:
+                    fail(f"sense rank must be >= 1, got {rank}", lineno)
+                senses.append((lineno, word, name, rank))
+            elif kind == "R":
+                if len(fields) != 4:
+                    fail("R record needs '<tag>\\t<from>\\t<to>'", lineno)
+                tag = fields[1].strip()
+                if tag not in mirror:
+                    fail(f"unknown relation tag {tag!r} (expected one of {sorted(mirror)})", lineno)
+                relations.append((lineno, tag, synset(fields[2], lineno), synset(fields[3], lineno)))
+            else:
+                fail(f"unknown record type {kind!r} (expected S, W, or R)", lineno)
+
+    by_rank: dict[str, dict[int, str]] = {}
+    for lineno, word, name, rank in senses:
+        if name not in declared:
+            fail(f"word {word!r} references undeclared synset {name!r}", lineno)
+        if rank in by_rank.get(word, {}):
+            fail(f"duplicate sense rank {rank} for word {word!r}", lineno)
+        by_rank.setdefault(word, {})[rank] = name
+    for word, ranks in by_rank.items():
+        if sorted(ranks) != list(range(1, len(ranks) + 1)):
+            fail(f"sense ranks for word {word!r} must form 1..{len(ranks)}, got {sorted(ranks)}")
+    related: dict[str, set[tuple[str, str]]] = {name: set() for name in declared}
+    for lineno, tag, src, dst in relations:
+        for end in (src, dst):
+            if end not in declared:
+                fail(f"relation references undeclared synset {end!r}", lineno)
+        forward, backward = mirror[tag]
+        related[src].add((forward, dst))
+        related[dst].add((backward, src))
+    order = [rel.value for rel in RELATIONS]
+    return {"synset_names": sorted(declared), "word_names": sorted(by_rank),
+            "senses": {word: [ranks[r] for r in sorted(ranks)] for word, ranks in by_rank.items()},
+            "related": {name: sorted(pairs, key=lambda pair: (order.index(pair[0]), pair[1]))
+                        for name, pairs in related.items()}}
+
+
 def weights_from_lists(batch, names=None) -> Weights:
     """A stage's ``Weights`` from per-query (name, weight) lists, rows in the
     order given; ``names`` defaults to the sorted names the lists use."""

@@ -481,17 +481,21 @@ def test_read_annotations_refuses_non_finite_scores(tmp_path, entry):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(ids=st.lists(st.text(st.sampled_from("q1#\t\r\n \xa0\x0b\x85\u2028Σ"), max_size=4), min_size=1, max_size=4,
-                    unique=True))
-def test_written_annotations_read_back_or_nothing_is_written(tmp_path, ids):
+@given(ids=st.lists(st.text(st.sampled_from("q1#\t\r\n \xa0\x0b\x85\u2028Σ\ufeff"), max_size=4), min_size=1,
+                    max_size=4, unique=True),
+       data=st.data())
+def test_written_annotations_read_back_or_nothing_is_written(tmp_path, ids, data):
     path = tmp_path / "out.tsv"
     path.unlink(missing_ok=True)
-    anns = [Annotation(i, (("cat", 0.5), ("dog", 0.25))) for i in ids]
+    ranked = st.sampled_from([(("cat", 0.5), ("dog", 0.25)), ()])
+    anns = [Annotation(i, data.draw(ranked, label=f"ranked {i!r}")) for i in ids]
     try:
         write_annotations(str(path), anns)
-    except EngineError:
+    except EngineError as exc:
         assert not path.exists()
-        assert any(not i.strip() or i.lstrip().startswith("#") or set(i) & set("\t\r\n") for i in ids)
+        unreadable = [a.id for a in anns if not a.ranked or not a.id.strip() or a.id.lstrip().startswith("#")
+                      or a.id.startswith("\ufeff") or set(a.id) & set("\t\r\n")]
+        assert unreadable and repr(unreadable[0]) in str(exc)
     else:
         assert [(a.id, a.ranked) for a in read_annotations(str(path))] == [(a.id, a.ranked) for a in anns]
 

@@ -27,14 +27,28 @@ def write(tmp_path, text):
     return str(path)
 
 
+def write_lines(tmp_path, lines, end):
+    path = tmp_path / "engine.conf"
+    path.write_bytes("".join(line + end for line in lines).encode())
+    return str(path)
+
+
 def test_parse_config_file(tmp_path):
     path = write(tmp_path, "k = 25\n# comment\nalpha = 0.7  # trailing\n\nm=7\n")
     assert parse_config_file(path) == {"k": "25", "alpha": "0.7", "m": "7"}
+    lines = ["k = 25", "", " \t ", "# comment", "  # indented", "alpha = 0.7  # trailing", "m=7"]
+    for end in ("\n", "\r\n", "\r"):
+        assert parse_config_file(write_lines(tmp_path, lines, end)) == {"k": "25", "alpha": "0.7", "m": "7"}
 
 
 def test_parse_config_rejects_junk_line(tmp_path):
     with pytest.raises(FormatError, match="line 2"):
         parse_config_file(write(tmp_path, "k = 25\nwhat is this\n"))
+    for end in ("\n", "\r\n", "\r"):
+        path = write_lines(tmp_path, ["k = 25", "", "# comment", "what is this"], end)
+        with pytest.raises(FormatError, match="expected 'key = value'") as exc:
+            parse_config_file(path)
+        assert (exc.value.path, exc.value.line) == (path, 4)
 
 
 def test_parse_config_rejects_duplicate_key(tmp_path):

@@ -1,8 +1,11 @@
+from itertools import accumulate
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import read_lexicon_by_line
 
 from neartag.errors import FormatError
-from neartag.lexicon import ALL_RELATIONS, INVERSE, RelationType, load_lexicon
+from neartag.lexicon import ALL_RELATIONS, INVERSE, RELATIONS, RelationType, load_lexicon
 
 
 def write(tmp_path, text, name="lex.tsv"):
@@ -197,3 +200,67 @@ def test_senses_prefix_property_hypothesis(s1, s2):
         assert lex.senses("word", lo) == lex.senses("word", hi)[:lo]
     finally:
         os.unlink(path)
+
+
+_IDS = ["a", "b", "B", "c.n.1"]
+_LEMMA = st.sampled_from(["x", "Y", " z ", "x\x85", "Σ", "\xa0w"])
+_LEMMAS = st.lists(_LEMMA, min_size=1, max_size=3).map(",".join)
+_BLANK_LEMMAS = st.sampled_from(["", " ", "\x85", "x,", "x,,Y", "\xa0 ,x"])  # each holds a lemma blank once trimmed
+_BAD_TOKEN = st.sampled_from(["", "a b", "a,b", " a", "a\x85", "zz"])  # zz is among no valid file's ids
+_TAG = st.sampled_from(["hyper", "hypo", "mero", "holo"])
+
+
+def _lexicon_faults(ids):
+    """Lines that may be faulty, their ids mostly among ``ids``."""
+    token = st.one_of(st.sampled_from(ids), st.sampled_from(ids), _BAD_TOKEN)
+    return st.one_of(
+        st.builds("S\t{}\t{}".format, st.sampled_from(ids), st.one_of(_LEMMAS, _BLANK_LEMMAS)),  # a repeated id
+        st.builds("S\t{}\t{}".format, st.sampled_from(["d", "e.n.2"]), _BLANK_LEMMAS),  # a new id, a blank lemma
+        st.builds("S\t{}\t{}".format, _BAD_TOKEN, st.one_of(_LEMMAS, _BLANK_LEMMAS)),
+        st.builds("W\t{}\t{}\t{}".format, st.sampled_from(["cat", " Dog", "", " "]), token,
+                  st.sampled_from(["1", "2", "3", "9", "0", "-1", " 2", "x", ""])),
+        st.builds("R\t{}\t{}\t{}".format, st.one_of(_TAG, st.sampled_from(["sib", "Hyper", " holo", ""])), token, token),
+        st.sampled_from(["S\ta", "S\ta\tx\ty", "W\tcat\ta", "R\thyper\ta", "X\ta\tb", "s\ta\tx"]),
+    )
+
+
+@st.composite
+def _lexicon_files(draw) -> str:
+    """A valid lexicon's records in any order, skipped lines, and up to two faulty lines among them."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=4, unique=True))
+    lines = [f"S\t{sid}\t{draw(_LEMMAS)}" for sid in ids]
+    for word in draw(st.lists(st.sampled_from(["cat", " Dog", "bird "]), max_size=3, unique=True)):
+        ranked = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+        lines += [f"W\t{word}\t{sid}\t{rank}" for rank, sid in enumerate(ranked, 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(f"R\t{draw(_TAG)}\t{draw(st.sampled_from(ids))}\t{draw(st.sampled_from(ids))}")
+    lines = draw(st.permutations(lines + draw(st.lists(st.sampled_from(["", "# c", "  ", "\t# S\ta\tx"]), max_size=2))))
+    for fault in draw(st.lists(_lexicon_faults(ids), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_lexicon_files())
+def test_lexicon_equals_the_line_by_line_reference(tmp_path, text):
+    path = tmp_path / "lex.tsv"
+    path.write_bytes(text.encode())
+    path = str(path)
+    try:
+        expected = read_lexicon_by_line(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            load_lexicon(path)
+        assert (str(got.value), got.value.path, got.value.line) == (str(exc), exc.path, exc.line)
+        return
+    lex = load_lexicon(path)
+    synsets, words = expected["synset_names"], expected["word_names"]
+    assert (lex.synset_names, lex.word_names) == (tuple(synsets), tuple(words))
+    senses = [expected["senses"][word] for word in words]
+    assert lex.sense_ptr.tolist() == list(accumulate(map(len, senses), initial=0))
+    assert lex.sense_synsets.tolist() == [synsets.index(sid) for ranked in senses for sid in ranked]
+    related = [expected["related"][sid] for sid in synsets]
+    assert lex.relation_ptr.tolist() == list(accumulate(map(len, related), initial=0))
+    assert lex.relation_types.tolist() == [RELATIONS.index(RelationType(rel)) for pairs in related for rel, _ in pairs]
+    assert lex.relation_targets.tolist() == [synsets.index(dst) for pairs in related for _, dst in pairs]

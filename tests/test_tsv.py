@@ -6,13 +6,16 @@ item and a byte that is not UTF-8 each fail with a FormatError naming
 the path and the line.
 """
 
+import ast
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles import id_lists_from_dict, read_id_lists_by_line
 
+import neartag
 from neartag.annotator import load_candidate_lists, load_concepts, read_annotations
 from neartag.config import parse_config_file
 from neartag.errors import FormatError
@@ -147,6 +150,41 @@ def test_config_file_with_non_utf8_byte(tmp_path):
     with pytest.raises(FormatError, match="not UTF-8") as exc:
         parse_config_file(path)
     assert (exc.value.path, exc.value.line) == (path, 2)
+    # The whole file is decoded before any line is read, so a bad byte fails first, past
+    # an earlier malformed line and past the first read chunk.
+    path = _write(tmp_path, b"dim = 4\nwhat is this\n" + b"# padding\n" * 1000 + b"k = \xff\n")
+    with pytest.raises(FormatError, match="not UTF-8") as exc:
+        parse_config_file(path)
+    assert (exc.value.path, exc.value.line) == (path, 1003)
+
+
+_CONFIG = Reader(lambda path, tmp: parse_config_file(path), lambda values: values, ("dim = 4", "k = 3  # near"), {})
+
+
+@pytest.mark.parametrize("name", [*READERS, "config"])
+def test_byte_order_mark_is_dropped(tmp_path, name):
+    reader = READERS.get(name, _CONFIG)
+    text = "\n".join(reader.good).encode() + b"\n"
+    plain = reader.load(_write(tmp_path, text), tmp_path)
+    marked = reader.load(_write(tmp_path, "\ufeff".encode() + text), tmp_path)
+    assert reader.view(marked) == reader.view(plain)
+
+
+def test_only_tsv_opens_a_file_to_read_text():
+    """Every text input goes through ``tsv``: no other module opens a file
+    in a mode that reads text (no mode, or ``r`` without ``b``)."""
+    package = Path(neartag.__file__).parent
+    readers = []
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            text = not isinstance(mode, ast.Constant) or ("r" in mode.value and "b" not in mode.value)
+            if text and source.name != "tsv.py":
+                readers.append(f"{source.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_records_yield_line_numbers_and_fields(tmp_path):
@@ -184,8 +222,8 @@ def test_annotations_keep_case_and_repeated_names(tmp_path):
     assert read_annotations(path)[0].ranked == (("Cat", 0.5), ("cat", 0.5), ("Cat", 0.25))
 
 
-# Characters that stress the column-wise reader: Unicode blanks (none of which ends a line in
-# text mode), a capital sigma whose lowercase depends on its neighbours, case-ignorable marks
+# Characters that stress the column-wise reader: Unicode blanks (none of which ends a line for
+# the reader), a capital sigma whose lowercase depends on its neighbours, case-ignorable marks
 # ("'" and a combining acute), and İ, which lowercases to two characters.
 _BLANKS = " \xa0\u2003\x0b\x0c\x1c\x85\u2028"
 _LETTERS = "aBΣς'\u0301İ"
