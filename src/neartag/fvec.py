@@ -5,7 +5,12 @@ Layout: one ASCII header line ``FVEC 1 <dim> <count>\\n`` followed by
 length of the UTF-8 image id, the id bytes themselves, then ``dim``
 float32 components (little endian). ``write_vectors`` and ``read_vectors``
 are the only code that writes or reads them; saved indexes (``index.py``)
-have their own layout, with the same id length limit.
+have their own layout, with the same id length limit and the same id
+codec (``_encode_ids``, ``_decode_ids``).
+
+Both work on blocks of about ``_BLOCK`` bytes of whole records, one run of
+records with equal id lengths at a time: a run's length fields are checked
+with one comparison, and its ids and values move as two strided copies.
 
 ``_replacing`` is the one way the package writes an output file, text
 or binary: a failed write leaves whatever was at the path before.
@@ -14,8 +19,8 @@ or binary: a failed write leaves whatever was at the path before.
 from __future__ import annotations
 
 import os
-import struct
 from contextlib import contextmanager
+from itertools import pairwise
 
 import numpy as np
 
@@ -25,16 +30,7 @@ MAGIC = "FVEC"
 VERSION = 1
 
 _MAX_ID_BYTES = 0xFFFF
-_ID_LEN = struct.Struct("<H")
-
-
-def _check_id(image_id: str) -> bytes:
-    if not image_id:
-        raise ValueError("image id must be non-empty")
-    raw = image_id.encode("utf-8")
-    if len(raw) > _MAX_ID_BYTES:
-        raise ValueError(f"image id too long ({len(raw)} bytes, limit {_MAX_ID_BYTES})")
-    return raw
+_BLOCK = 1 << 22  # bytes of records read or written at a time
 
 
 @contextmanager
@@ -62,39 +58,109 @@ def _replacing(path: str, binary: bool = True):
         raise
 
 
+def _all_finite(matrix: np.ndarray) -> bool:
+    """Whether every component of a 2-d array is finite, checked in row blocks
+    of about ``_BLOCK`` bytes, so that no bool array of the whole is made."""
+    rows = max(1, _BLOCK // max(1, matrix.itemsize * matrix.shape[1]))
+    return all(np.isfinite(matrix[i : i + rows]).all() for i in range(0, len(matrix), rows))
+
+
+def _encode_ids(ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids' UTF-8 bytes as one uint8 blob, and the int64 byte offsets
+    where each id starts, then the blob's size."""
+    blob = np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
+    chars = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)), out=chars[1:])
+    starts = np.append(np.flatnonzero((blob & 0xC0) != 0x80), blob.size)  # where each character starts
+    return starts[chars], blob
+
+
+def _decode_ids(ends: np.ndarray, blob: np.ndarray, path: str) -> list[str]:
+    """The ids between byte offsets ``ends`` of the UTF-8 ``blob``, which must
+    rise strictly from 0 to its size; an id that is not UTF-8 on its own,
+    a character split across two ids included, is named by its record."""
+    ends = np.asarray(ends, dtype=np.int64)
+    if ends[0] != 0 or ends[-1] != blob.size or (np.diff(ends) <= 0).any():
+        raise FormatError("empty id, or id offsets that do not rise from 0 to the ids' size", path=path)
+    inner = (blob & 0xC0) == 0x80  # UTF-8 continuation bytes
+    try:
+        text = str(blob, "utf-8")
+    except UnicodeDecodeError:
+        text = None
+    if text is None or inner[ends[:-1]].any():
+        for record, (a, b) in enumerate(pairwise(ends.tolist())):
+            try:
+                str(blob[a:b], "utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"record {record} id is not valid UTF-8", path=path) from None
+    chars = (ends - np.searchsorted(np.flatnonzero(inner), ends)).tolist()  # offsets in ``text``
+    return [text[a:b] for a, b in pairwise(chars)]
+
+
 def write_vectors(path: str, ids: list[str], matrix: np.ndarray) -> None:
     """Write ids and a (count, dim) array to ``path``.
 
-    Values are stored as float32; the write fails on non-finite
-    components or a bad id rather than persisting a corrupt file, and the
-    file replaces ``path`` only once it is whole.
+    Values are stored as float32; the write fails on components that are
+    not finite in float32 or on a bad id rather than persisting a corrupt
+    file, and the file replaces ``path`` only once it is whole.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-d array of vectors, got shape {matrix.shape}")
     if len(ids) != matrix.shape[0]:
         raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} vectors")
-    if not np.isfinite(matrix).all():
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(matrix, dtype="<f4")
+    if not _all_finite(data):
         raise ValueError("feature vectors must be finite (found nan or inf)")
-    count, dim = matrix.shape
+    count, dim = data.shape
     if dim < 1:
         raise ValueError("vector dimensionality must be at least 1")
-    raw_ids = [_check_id(image_id) for image_id in ids]
-    data = np.ascontiguousarray(matrix, dtype="<f4")
+    ends, blob = _encode_ids(ids)
+    sizes = np.diff(ends)
+    if (bad := np.flatnonzero((sizes == 0) | (sizes > _MAX_ID_BYTES))).size:
+        size = sizes[bad[0]]
+        raise ValueError(f"image id too long ({size} bytes, limit {_MAX_ID_BYTES})" if size
+                         else "image id must be non-empty")
+    values = data.view(np.uint8).reshape(count, 4 * dim)
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), count]  # runs of equal id length
+    buf = np.empty(max(_BLOCK, 2 + int(sizes.max(initial=0)) + 4 * dim), dtype=np.uint8)
+    fill = 0
     with _replacing(path) as fh:
         fh.write(f"{MAGIC} {VERSION} {dim} {count}\n".encode("ascii"))
-        for raw, row in zip(raw_ids, data):
-            fh.write(_ID_LEN.pack(len(raw)))
-            fh.write(raw)
-            fh.write(row.tobytes())
+        for record, stop in zip(cuts, cuts[1:]):
+            while record < stop:
+                size = int(sizes[record])
+                step = 2 + size + 4 * dim
+                run = min(stop - record, (buf.size - fill) // step)
+                if not run:
+                    fh.write(buf[:fill])
+                    fill = 0
+                    continue
+                rows = buf[fill : fill + run * step].reshape(run, step)
+                rows[:, :2].view("<u2")[:, 0] = size
+                rows[:, 2 : 2 + size] = blob[ends[record] : ends[record] + run * size].reshape(run, size)
+                rows[:, 2 + size :] = values[record : record + run]
+                fill += run * step
+                record += run
+        fh.write(buf[:fill])
 
 
 def read_vectors(path: str) -> tuple[list[str], np.ndarray]:
     """Read a feature file, returning (ids, float32 matrix of shape (count, dim)).
 
     Truncation, empty or non-UTF-8 ids and non-finite components raise
-    FormatError naming ``path``. A count or dim the rest of the file
-    cannot hold is refused before anything is allocated.
+    FormatError naming ``path``: the first faulty record's fault, then
+    non-finite values, then trailing data. A count or dim the rest of the
+    file cannot hold is refused before anything is allocated.
+
+    Besides the matrix and the ids, the read holds one block of records.
+    From each record on it guesses that the records after it in the block,
+    up to ``window`` of them, have its id length, checks the guess with one
+    comparison and copies the run of records that keeps it. The check runs
+    only when the next record keeps the guess, and the window, twice the
+    last run and at least 256 records, keeps a file whose id lengths often
+    change from rechecking whole blocks.
     """
     with open(path, "rb") as fh:
         header = fh.readline(128)
@@ -113,30 +179,60 @@ def read_vectors(path: str) -> tuple[list[str], np.ndarray]:
             raise FormatError(f"invalid header values dim={dim} count={count}", path=path)
         # An id length and the values, the least a record can hold; an empty
         # id is then reported as such below, not as a short file.
-        need = count * (_ID_LEN.size + 4 * dim)
+        need = count * (2 + 4 * dim)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if need > left:
             raise FormatError(f"truncated file: {count} records of dim {dim} need at least {need} bytes, "
                               f"{left} remain", path=path)
-        ids: list[str] = []
         matrix = np.empty((count, dim), dtype="<f4")
-        rec_bytes = dim * 4
-        for i in range(count):
-            head = fh.read(2)
-            if len(head) != 2:
-                raise FormatError(f"truncated file in record {i}", path=path)
-            (id_len,) = _ID_LEN.unpack(head)
-            if id_len == 0:
-                raise FormatError(f"record {i} has an empty id", path=path)
-            raw = fh.read(id_len)
-            if len(raw) != id_len or fh.readinto(matrix[i]) != rec_bytes:  # values land in place
-                raise FormatError(f"truncated file in record {i}", path=path)
-            try:
-                ids.append(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise FormatError(f"record {i} id is not valid UTF-8", path=path) from None
-        if count and not np.isfinite(matrix).all():
+        values = matrix.view(np.uint8).reshape(count, 4 * dim)
+        ends = np.zeros(count + 1, dtype=np.int64)  # id sizes after the leading 0, summed at the end
+        pieces: list[np.ndarray] = []  # each block's id bytes
+        buf = np.empty(min(left, _BLOCK), dtype=np.uint8)
+        record = have = at = 0
+        want = 2  # the bytes the next record needs: its length field, then the record
+        window, finite, fault = count, True, None
+        while record < count and fault is None:
+            tail = buf[at:have]  # the start of a record the last block cut
+            if want > buf.size:  # a record longer than a block
+                buf = np.empty(want, dtype=np.uint8)
+            buf[: tail.size] = tail
+            have, at = tail.size, 0
+            got = fh.readinto(buf[have:])
+            have += got
+            first, head, runs = record, memoryview(buf), []  # runs: (ids, id size, records)
+            while record < count and have - at >= 2:
+                size = head[at] | head[at + 1] << 8
+                if not size:
+                    fault = f"record {record} has an empty id"
+                    break
+                want = 2 + size + 4 * dim
+                fit = min(count - record, window, (have - at) // want)
+                if not fit:
+                    break
+                rows = buf[at : at + fit * want].reshape(fit, want)
+                run = 1
+                if fit > 1 and (head[at + want] | head[at + want + 1] << 8) == size:
+                    # The first record that breaks the guess; argmin gives 0 if none does.
+                    run = int((rows[:, :2].view("<u2")[:, 0] == size).argmin()) or fit
+                values[record : record + run] = rows[:run, 2 + size :]
+                runs.append((rows[:run, 2 : 2 + size], size, run))
+                window = max(2 * run, 256)
+                record += run
+                at += run * want
+            if runs:
+                blocks, sizes, lengths = zip(*runs)
+                pieces.append(np.concatenate(blocks, axis=None))
+                ends[first + 1 : record + 1] = np.repeat(sizes, lengths)
+            finite = finite and _all_finite(matrix[first:record])
+            if fault is None and record < count and not got:
+                fault = f"truncated file in record {record}"
+        ends = np.cumsum(ends[: record + 1], out=ends[: record + 1])
+        ids = _decode_ids(ends, np.concatenate(pieces) if pieces else np.empty(0, np.uint8), path)
+        if fault is not None:
+            raise FormatError(fault, path=path)
+        if not finite:
             raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
-        if fh.read(1):
+        if at < have or fh.read(1):
             raise FormatError(f"trailing data after {count} records", path=path)
     return ids, matrix

@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, EngineError, FormatError
-from .fvec import _MAX_ID_BYTES, _replacing
+from .fvec import _MAX_ID_BYTES, _all_finite, _decode_ids, _encode_ids, _replacing
 
 MODE_EXACT = "exact"
 MODE_PERM_PREFIX = "perm-prefix"
@@ -305,11 +305,8 @@ class VectorIndex:
     def knn_batch(self, queries: np.ndarray, k: int) -> list[NeighborList]:
         """knn for many queries at once; identical per-query results.
 
-        In exact mode up to 256 queries share each tile's matrix product.
-        On a 100k x 256 store with k = 70 and one BLAS thread of a 2-core
-        Xeon, a batch took 1.03 ms a query (1.63 ms with 64-query products
-        over the whole store and a pass over every score per query), and a
-        lone ``knn`` call 14.3 ms.
+        In exact mode up to 256 queries share each tile's matrix product,
+        where a lone ``knn`` call takes a product per query.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
@@ -321,16 +318,16 @@ class VectorIndex:
 
 def _first_unordered(ids: list[str]) -> int:
     """The first row whose id is not above the one before it; 0 if ids strictly increase."""
-    rising = list(map(operator.lt, ids, ids[1:]))  # one pass: 3.3 ms for 100k ids on a 2-core Xeon
+    rising = list(map(operator.lt, ids, ids[1:]))
     return 0 if all(rising) else rising.index(False) + 1
 
 
 def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexConfig) -> VectorIndex:
     """Build an index from a (count, dim) array, storing its rows in id order.
 
-    Rows in any other order cost a sort of the ids and a sorted copy of ``matrix`` beside the
-    caller's (100k x 256 shuffled, 2-core Xeon: +0.1 s, +98 MB peak). Perm-prefix pivots and prefixes are
-    picked in input order, then move with their rows."""
+    Rows in any other order cost a sort of the ids and a sorted copy of ``matrix`` (count x dim
+    float32) beside the caller's. Perm-prefix pivots and prefixes are picked in input order, then
+    move with their rows."""
     if len(ids) == 0:
         raise ValueError("cannot build an index from zero vectors")
     matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -338,7 +335,10 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
         raise ValueError(f"expected ({len(ids)}, dim) vector array, got shape {matrix.shape}")
     if matrix.shape[1] != config.dim:
         raise DimensionMismatch(f"vector lengths differ: {matrix.shape[1]} vs {config.dim}")
-    if not np.isfinite(matrix).all():
+    # A NaN or inf component makes its row's norm non-finite; a finite float32 squared cannot
+    # overflow a float64 sum.
+    norms = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+    if not np.isfinite(norms).all():
         raise ValueError("feature vectors must be finite (found nan or inf)")
     ids, order = list(ids), None
     if _first_unordered(ids):
@@ -361,7 +361,7 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
     if order is not None:
         matrix = matrix[order]
         assignments = None if assignments is None else assignments[order]
-    norms = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+        norms = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)  # summed as for rows given in id order
     with np.errstate(over="ignore"):
         return VectorIndex(ids, matrix, config, norms.astype(np.float32), float(np.sqrt(norms.max())),
                            pivots, assignments)
@@ -398,12 +398,10 @@ def save_index(index: VectorIndex, path: str) -> None:
     does no rebuild work; ids a ``.fvec`` record cannot hold are refused."""
     cfg = index.config
     perm = cfg.mode == MODE_PERM_PREFIX
-    raw = [image_id.encode("utf-8") for image_id in index.ids]
-    offsets = np.cumsum([0, *map(len, raw)])
+    offsets, blob = _encode_ids(index.ids)
     if (longest := np.diff(offsets).max()) > _MAX_ID_BYTES or offsets[-1] >= 1 << 32:
         raise ValueError(f"image id too long ({longest} bytes, limit {_MAX_ID_BYTES}), or ids over 4 GiB")
-    arrays = [(offsets, "<u4"), (np.frombuffer(b"".join(raw), np.uint8), np.uint8),
-              (index.vectors, "<f4"), (index.norms, "<f4")]
+    arrays = [(offsets, "<u4"), (blob, np.uint8), (index.vectors, "<f4"), (index.norms, "<f4")]
     if perm:
         arrays += [(index.pivots, "<f4"), (index.assignments, "<i4")]
     sections = [np.ascontiguousarray(a, dtype=t).reshape(-1).view(np.uint8) for a, t in arrays]
@@ -482,8 +480,10 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
         raise FormatError(f"trailing data after the index payload ({size - end} bytes)", path=path)
 
     ids = _decode_ids(sections[0].view("<u4"), sections[1], path)
+    if row := _first_unordered(ids):
+        raise FormatError(f"ids must strictly increase: {ids[row]!r} follows {ids[row - 1]!r}", path=path)
     vectors = sections[2].view("<f4").reshape(count, dim)
-    if not np.isfinite(vectors).all():
+    if not _all_finite(vectors):
         raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
     pivots = assignments = None
     if perm:
@@ -499,22 +499,3 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
         raise FormatError(f"row norms negative or nan, or the largest row norm {max_norm} below them", path=path)
     loaded = replace(config, rng_seed=seed, **dict(num_pivots=num_pivots, prefix_len=prefix_len) if perm else {})
     return VectorIndex(ids, vectors, loaded, norms, max_norm, pivots, assignments)
-
-
-def _decode_ids(offsets: np.ndarray, blob: np.ndarray, path: str) -> list[str]:
-    """The ids between byte ``offsets`` of the UTF-8 ``blob``: non-empty and strictly increasing."""
-    ends = offsets.astype(np.int64)
-    if ends[0] != 0 or ends[-1] != blob.size or (np.diff(ends) <= 0).any():
-        raise FormatError("empty id, or id offsets that do not rise from 0 to the ids' size", path=path)
-    try:
-        text = str(blob, "utf-8")
-    except UnicodeDecodeError:
-        raise FormatError("ids are not valid UTF-8", path=path) from None
-    inner = (blob & 0xC0) == 0x80  # UTF-8 continuation bytes
-    if inner[ends[:-1]].any():
-        raise FormatError("an id offset falls inside a UTF-8 character", path=path)
-    chars = (ends - np.searchsorted(np.flatnonzero(inner), ends)).tolist()  # offsets in ``text``
-    ids = [text[a:b] for a, b in zip(chars, chars[1:])]
-    if row := _first_unordered(ids):
-        raise FormatError(f"ids must strictly increase: {ids[row]!r} follows {ids[row - 1]!r}", path=path)
-    return ids

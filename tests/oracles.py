@@ -6,6 +6,9 @@ code: brute-force scans, dense linear algebra, no shared helpers.
 
 from __future__ import annotations
 
+import os
+import struct
+
 import numpy as np
 
 from neartag.analysis import AnalysisConfig, SynsetGraph, Weights
@@ -252,3 +255,82 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 6, connected: bool =
     alpha = float(rng.uniform(0.1, 1.0))
     config = AnalysisConfig(alpha=alpha, lambdas=lambdas, tol=1e-12, max_iters=2000)
     return one_query_graph(restart, edges), config
+
+
+def write_vectors_by_record(path: str, ids: list[str], matrix: np.ndarray) -> None:
+    """A ``.fvec`` file written one record at a time, as ``fvec.write_vectors``
+    wrote it before it worked in blocks: the bytes it must equal."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-d array of vectors, got shape {matrix.shape}")
+    if len(ids) != matrix.shape[0]:
+        raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} vectors")
+    if not np.isfinite(matrix).all():
+        raise ValueError("feature vectors must be finite (found nan or inf)")
+    count, dim = matrix.shape
+    if dim < 1:
+        raise ValueError("vector dimensionality must be at least 1")
+    raw_ids = []
+    for image_id in ids:
+        if not image_id:
+            raise ValueError("image id must be non-empty")
+        raw = image_id.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"image id too long ({len(raw)} bytes, limit {0xFFFF})")
+        raw_ids.append(raw)
+    data = np.ascontiguousarray(matrix, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(f"FVEC 1 {dim} {count}\n".encode("ascii"))
+        for raw, row in zip(raw_ids, data):
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(row.tobytes())
+
+
+def read_vectors_by_record(path: str) -> tuple[list[str], np.ndarray]:
+    """A ``.fvec`` file read one record at a time, as ``fvec.read_vectors``
+    read it before it worked in blocks: the reference its ids, matrix bytes
+    and errors must equal. Faults come in record order (truncation, an
+    empty id, an id that is not UTF-8), then non-finite values, then
+    trailing data."""
+    with open(path, "rb") as fh:
+        header = fh.readline(128)
+        if not header.endswith(b"\n"):
+            raise FormatError("missing or overlong header line", path=path)
+        fields = header[:-1].split(b" ")
+        if len(fields) != 4 or fields[0] != b"FVEC":
+            raise FormatError(f"bad header {header!r}, expected 'FVEC 1 <dim> <count>'", path=path)
+        try:
+            version, dim, count = (int(f) for f in fields[1:])
+        except ValueError:
+            raise FormatError(f"non-numeric header fields in {header!r}", path=path) from None
+        if version != 1:
+            raise FormatError(f"unsupported format version {version} (expected 1)", path=path)
+        if dim < 1 or count < 0:
+            raise FormatError(f"invalid header values dim={dim} count={count}", path=path)
+        need = count * (2 + 4 * dim)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise FormatError(f"truncated file: {count} records of dim {dim} need at least {need} bytes, "
+                              f"{left} remain", path=path)
+        ids: list[str] = []
+        matrix = np.empty((count, dim), dtype="<f4")
+        for i in range(count):
+            head = fh.read(2)
+            if len(head) != 2:
+                raise FormatError(f"truncated file in record {i}", path=path)
+            (id_len,) = struct.unpack("<H", head)
+            if id_len == 0:
+                raise FormatError(f"record {i} has an empty id", path=path)
+            raw = fh.read(id_len)
+            if len(raw) != id_len or fh.readinto(matrix[i]) != dim * 4:
+                raise FormatError(f"truncated file in record {i}", path=path)
+            try:
+                ids.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FormatError(f"record {i} id is not valid UTF-8", path=path) from None
+        if count and not np.isfinite(matrix).all():
+            raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
+        if fh.read(1):
+            raise FormatError(f"trailing data after {count} records", path=path)
+    return ids, matrix

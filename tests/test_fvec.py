@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -7,6 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from neartag import fvec
 from neartag.errors import FormatError
+
+from oracles import read_vectors_by_record, write_vectors_by_record
 
 
 def test_round_trip(tmp_path):
@@ -60,6 +63,32 @@ def test_rejects_nan_on_write(tmp_path):
     with pytest.raises(ValueError, match="finite"):
         fvec.write_vectors(path, ["a"], bad)
     assert not (tmp_path / "v.fvec").exists()
+
+
+def test_rejects_values_past_the_float32_range_on_write(tmp_path):
+    # Stored as float32 they would be inf, which the reader refuses.
+    path = tmp_path / "v.fvec"
+    with pytest.raises(ValueError, match="finite"):
+        fvec.write_vectors(str(path), ["a"], np.array([[1.0, 1e39]]))
+    assert not path.exists()
+
+
+def test_read_holds_one_block_beside_what_it_returns(tmp_path, monkeypatch):
+    # Beyond the ids and the matrix it returns, a read holds one block of records, the id
+    # bytes and the offsets the decode uses: 79 bytes a record over the block for ids of
+    # four to eight bytes when this test landed.
+    monkeypatch.setattr(fvec, "_BLOCK", 1 << 20)
+    count, path = 40000, str(tmp_path / "v.fvec")
+    fvec.write_vectors(path, [f"img{i}" for i in range(1, count + 1)],
+                       np.random.default_rng(1).standard_normal((count, 64)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        ids, matrix = fvec.read_vectors(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == count and held >= matrix.nbytes
+    assert peak - held <= fvec._BLOCK + 80 * count
 
 
 def test_rejects_nan_on_read(tmp_path):
@@ -179,3 +208,79 @@ def test_absurd_header_counts_are_refused_before_allocating(tmp_path, dim, count
     finally:
         tracemalloc.stop()
     assert str(path) in str(exc.value) and peak < 1 << 16
+
+
+def _records(ids, matrix):
+    """Each record's length field, id bytes and value bytes, as a list of mutable parts."""
+    return [[struct.pack("<H", len(raw)), raw, row.astype("<f4").tobytes()]
+            for raw, row in zip((i.encode("utf-8") for i in ids), matrix)]
+
+
+def _doctor(records, edit, data):
+    """Apply one record-level fault to ``records`` in place; return bytes to append."""
+    if edit == "trailing":
+        return data.draw(st.binary(min_size=1, max_size=3), label="trailing")
+    if not records:
+        return b""
+    i = data.draw(st.integers(0, len(records) - 1), label=f"{edit} record")
+    if edit == "non-finite":
+        values = bytearray(records[i][2])
+        at = 4 * data.draw(st.integers(0, len(values) // 4 - 1), label="component")
+        values[at : at + 4] = np.array([data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))], "<f4").tobytes()
+        records[i][2] = bytes(values)
+    elif edit == "empty id":
+        records[i][:2] = [struct.pack("<H", 0), b""]
+    elif i + 1 < len(records):  # a character split across the ids of records i and i + 1
+        joined = records[i][1] + records[i + 1][1]
+        inside = [at for at in range(1, len(joined)) if joined[at] & 0xC0 == 0x80]
+        if inside:
+            at = data.draw(st.sampled_from(inside), label="split at")
+            for r, raw in ((i, joined[:at]), (i + 1, joined[at:])):
+                records[r][:2] = [struct.pack("<H", len(raw)), raw]
+    return b""
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_blocked_codec_equals_the_record_by_record_reference(tmp_path, monkeypatch, data):
+    # Mixed id lengths with multi-byte UTF-8, zero records, blocks of a few bytes up to the whole file
+    # (one ending where the id length changes), then record faults, a cut and a flipped byte.
+    dim = data.draw(st.integers(1, 3), label="dim")
+    ids = data.draw(st.lists(st.text(st.sampled_from("ab\x00é€😀"), min_size=1, max_size=3), max_size=10),
+                    label="ids")
+    floats = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    matrix = np.array(data.draw(st.lists(floats, min_size=len(ids) * dim, max_size=len(ids) * dim), label="values"),
+                      dtype=np.float32).reshape(len(ids), dim)
+    want, got = tmp_path / "want.fvec", tmp_path / "got.fvec"
+    records = _records(ids, matrix)
+    starts = np.cumsum([0] + [sum(map(len, r)) for r in records]).tolist()
+    edges = [starts[i] for i in range(1, len(records)) if len(records[i][1]) != len(records[i - 1][1])]
+    block = data.draw(st.integers(1, starts[-1] + 2) | (st.sampled_from(edges) if edges else st.nothing()),
+                      label="block")
+    monkeypatch.setattr(fvec, "_BLOCK", block)
+    write_vectors_by_record(str(want), ids, matrix)
+    fvec.write_vectors(str(got), ids, matrix)
+    assert got.read_bytes() == want.read_bytes()
+
+    tail = b"".join(_doctor(records, edit, data) for edit in data.draw(
+        st.lists(st.sampled_from(["non-finite", "empty id", "split", "trailing"]), max_size=3), label="edits"))
+    head = f"FVEC 1 {dim} {len(records)}\n".encode("ascii")
+    raw = head + b"".join(b"".join(r) for r in records) + tail
+    rarely = st.sampled_from([False, False, False, True])
+    if data.draw(rarely, label="cut"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut at")]
+    if data.draw(rarely, label="flip") and len(raw) > len(head):  # header faults take the same path as before
+        at = data.draw(st.integers(len(head), len(raw) - 1), label="flip at")
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255), label="xor")]) + raw[at + 1 :]
+    got.write_bytes(raw)
+    try:
+        expected = read_vectors_by_record(str(got))
+    except FormatError as exc:
+        with pytest.raises(FormatError) as caught:
+            fvec.read_vectors(str(got))
+        assert str(caught.value) == str(exc)
+    else:
+        found = fvec.read_vectors(str(got))
+        assert found[0] == expected[0]
+        assert found[1].dtype == expected[1].dtype and found[1].shape == expected[1].shape
+        assert found[1].tobytes() == expected[1].tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from neartag import index as index_module
+from neartag import fvec, index as index_module
 from neartag.errors import DimensionMismatch, EngineError, FormatError
 from neartag.index import (
     _CRC,
@@ -142,7 +142,7 @@ def test_large_k_batch_works_in_a_few_score_tiles():
     rng = np.random.default_rng(10)
     index = make_index([f"v{i:05d}" for i in range(20000)], rng.standard_normal((20000, 8)))
     queries = rng.standard_normal((256, 8))
-    index.knn_batch(queries[:2], 3)  # the lazy caches, which the index keeps
+    index.knn_batch(queries[:2], 3)  # a first call, so that only the batch's own scratch is traced
     tracemalloc.start()
     try:
         found = index.knn_batch(queries, 1000)
@@ -176,6 +176,26 @@ def test_build_empty_rejected():
 def test_build_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         make_index(["a"], [[np.inf, 0.0]])
+
+
+def _traced(call):
+    """``call()``, and the bytes it left allocated and its peak above those."""
+    tracemalloc.start()
+    try:
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak - held
+
+
+def test_build_makes_no_matrix_sized_temporary():
+    # The finite check reads the row norms the build keeps, where a bool array of the
+    # matrix took a byte a component; 21 bytes a row at 40,000 x 64 when this test landed.
+    rng = np.random.default_rng(11)
+    ids, matrix = [f"v{i:05d}" for i in range(40000)], rng.standard_normal((40000, 64)).astype(np.float32)
+    _, _, extra = _traced(lambda: build_index_from_arrays(ids, matrix, IndexConfig(dim=64)))
+    assert extra <= 24 * len(ids)
 
 
 def test_build_dim_mismatch_with_config():
@@ -478,6 +498,26 @@ def test_load_rejects_prefix_len_outside_the_pivots(tmp_path, prefix_len):
     with pytest.raises(FormatError, match="prefix length") as exc:
         load_index(str(path), cfg)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("blob, record", [(b"a\xff", 1), (b"\xc3\xa9", 0)], ids=["bad-byte", "split-character"])
+def test_load_names_the_first_id_that_is_not_utf8(tmp_path, blob, record):
+    path = _patched(tmp_path, lambda raw: _with_section(raw, "ids", blob))
+    with pytest.raises(FormatError, match=f"record {record} id is not valid UTF-8") as exc:
+        load_index(path, IndexConfig(dim=2))
+    assert path in str(exc.value)
+
+
+def test_load_makes_no_matrix_sized_bool_array(tmp_path, monkeypatch):
+    # The finite check goes a block of rows at a time; the rest is the id decode, 54 bytes
+    # a row at 40,000 x 64 when this test landed, where a bool array of the matrix is 64.
+    monkeypatch.setattr(fvec, "_BLOCK", 1 << 20)
+    rng = np.random.default_rng(12)
+    count, dim = 40000, 64
+    path = str(tmp_path / "x.index")
+    save_index(make_index([f"v{i:05d}" for i in range(count)], rng.standard_normal((count, dim))), path)
+    _, _, extra = _traced(lambda: load_index(path, IndexConfig(dim=dim)))
+    assert extra <= fvec._BLOCK // 4 + 56 * count
 
 
 @pytest.mark.parametrize("blob", [b"aa", b"ba"], ids=["repeated", "out-of-order"])
