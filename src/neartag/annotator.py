@@ -147,7 +147,7 @@ def merge_neighbor_lists(per_dataset: list[list[tuple[str, float]]], k: int) -> 
         for pos, neighbors in enumerate(per_dataset)
         for image_id, dist in neighbors
     ]
-    merged.sort(key=lambda t: (t[0], t[1]))
+    merged.sort()  # by (distance, id), one id at one distance in dataset order
     return [(pos, image_id, dist) for dist, image_id, pos in merged[:k]]
 
 

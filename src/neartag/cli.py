@@ -6,13 +6,13 @@ annotation file against ground truth, optionally as a relation-ablation
 sweep), ``generate`` (seeded synthetic corpus), and ``bench``
 (per-phase throughput measurements).
 
-``annotate``, ``bench`` and ``evaluate --ablation`` all run the library's
-search stage, then its semantic stage (``annotate_words``), each once over
-the whole batch, so the timings ``annotate`` and ``bench`` print are of the
-code the library runs. Both print one table: index, lexicon and feature
-loading, then the similarity search, keyword fetch and semantic analysis
-batch phases. No phase is timed query by query, so the percentile columns
-read ``-``.
+``bench`` is ``annotate`` without an output file: one function runs both.
+It loads the inputs, runs the library's search stage and then its semantic
+stage (``annotate_words``), each once over the whole batch, and prints the
+total and per-query time of each phase: index, keyword, lexicon and feature
+loading, then the similarity search, keyword fetch and semantic analysis.
+``annotate`` then writes the file; ``bench`` prints search and end-to-end
+throughput instead. ``evaluate --ablation`` runs the same two stages.
 
 Every command exits nonzero on bad input, without leaving partial
 output files behind.
@@ -203,42 +203,6 @@ def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | N
     return list(queries.values())
 
 
-# A timing row: (phase, total seconds).
-_PhaseRow = tuple[str, float]
-
-
-def _annotate_timed(cfg: EngineConfig, args: argparse.Namespace
-                    ) -> tuple[list[Annotation], list[_PhaseRow], list[_PhaseRow]]:
-    """Load the inputs and annotate the queries, timing each phase.
-
-    Returns (annotations, setup rows, per-query work rows). Setup is
-    loading (or building) the indexes and loading the keyword stores and
-    the lexicon; the work rows are what every query costs, from reading
-    its features on.
-    """
-    datasets, index_s, keyword_s = _load_datasets(cfg)
-    t1 = time.perf_counter()
-    lexicon, concepts = _load_semantics(cfg)
-    t2 = time.perf_counter()
-    queries = _load_queries(cfg, args.queries, args.candidates, concepts)
-    t3 = time.perf_counter()
-    timings: dict[str, list[float]] = {}
-    annotations = annotate_batch(queries, datasets, lexicon, concepts, cfg.params, timings)
-    setup = [("index load", index_s), ("keyword load", keyword_s), ("lexicon load", t2 - t1)]
-    work = [("feature load", t3 - t2)]
-    work += [(name, sum(timings[name])) for name in (SIMILARITY_SEARCH, KEYWORD_FETCH, SEMANTIC_ANALYSIS)]
-    return annotations, setup, work
-
-
-def _phase_table(rows: list[_PhaseRow], num_queries: int) -> str:
-    """Total and mean time per phase. The percentile columns read "-": loads
-    and batch phases have no per-query times."""
-    lines = [f"{'phase':<20} {'total_s':>9} {'ms/query':>10} {'p50_ms':>8} {'p90_ms':>8} {'p99_ms':>8}"]
-    for name, total in rows:
-        lines.append(f"{name:<20} {total:>9.3f} {1000.0 * total / num_queries:>10.3f} {'-':>8} {'-':>8} {'-':>8}")
-    return "\n".join(lines)
-
-
 def _print_warnings(annotations: list[Annotation]) -> None:
     silent = sum(1 for a in annotations if a.no_keyword_signal)
     if silent:
@@ -264,16 +228,37 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    """``annotate``, and ``bench``, which is ``annotate`` without an output file."""
     cfg = _resolve_config(args)
     _require_datasets(cfg)
-    if not cfg.output_path:
+    writes = args.command == "annotate"
+    if writes and not cfg.output_path:
         raise EngineError("no output path configured (output / --output)")
-    annotations, setup, work = _annotate_timed(cfg, args)
-    write_annotations(cfg.output_path, annotations)
-    print(_phase_table(setup + work, len(annotations)))
-    total = sum(row[1] for row in work)
-    qps = len(annotations) / total if total > 0 else float("inf")
-    print(f"annotated {len(annotations)} queries -> {cfg.output_path} ({total:.2f}s, {qps:.1f} q/s)")
+    datasets, index_s, keyword_s = _load_datasets(cfg)
+    t1 = time.perf_counter()
+    lexicon, concepts = _load_semantics(cfg)
+    t2 = time.perf_counter()
+    queries = _load_queries(cfg, args.queries, args.candidates, concepts)
+    t3 = time.perf_counter()
+    timings: dict[str, list[float]] = {}
+    annotations = annotate_batch(queries, datasets, lexicon, concepts, cfg.params, timings)
+    if writes:
+        write_annotations(cfg.output_path, annotations)
+    # Throughput counts the work rows, from feature load on, not the three one-off loads.
+    setup = [("index load", index_s), ("keyword load", keyword_s), ("lexicon load", t2 - t1)]
+    work = [("feature load", t3 - t2)]
+    work += [(name, sum(timings[name])) for name in (SIMILARITY_SEARCH, KEYWORD_FETCH, SEMANTIC_ANALYSIS)]
+    print(f"{'phase':<20} {'total_s':>9} {'ms/query':>10}")
+    for name, seconds in setup + work:
+        print(f"{name:<20} {seconds:>9.3f} {1000.0 * seconds / len(annotations):>10.3f}")
+    total = sum(seconds for _name, seconds in work)
+    if writes:
+        qps = len(annotations) / total if total > 0 else float("inf")
+        print(f"annotated {len(annotations)} queries -> {cfg.output_path} ({total:.2f}s, {qps:.1f} q/s)")
+    else:
+        search_qps = len(annotations) / sum(timings[SIMILARITY_SEARCH])
+        print(f"search throughput: {search_qps:.1f} q/s ({len(annotations)} queries)")
+        print(f"end-to-end throughput: {len(annotations) / total:.1f} q/s")
     _print_warnings(annotations)
     return 0
 
@@ -342,19 +327,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    _require_datasets(cfg)
-    annotations, setup, work = _annotate_timed(cfg, args)
-    print(_phase_table(setup + work, len(annotations)))
-    search_total = next(row[1] for row in work if row[0] == SIMILARITY_SEARCH)
-    total = sum(row[1] for row in work)
-    print(f"search throughput: {len(annotations) / search_total:.1f} q/s ({len(annotations)} queries)")
-    print(f"end-to-end throughput: {len(annotations) / total:.1f} q/s")
-    _print_warnings(annotations)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="neartag",
                                      description="Search-based image annotation engine")
@@ -364,11 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("annotate", help="annotate query images")
-    _add_engine_flags(p)
-    p.add_argument("--queries", required=True, help="query feature file")
-    p.add_argument("--candidates", help="per-query candidate concept lists")
-    p.set_defaults(func=cmd_annotate)
+    for name, text in (("annotate", "annotate query images"),
+                       ("bench", "measure per-phase throughput (annotate without writing)")):
+        p = sub.add_parser(name, help=text)
+        _add_engine_flags(p)
+        p.add_argument("--queries", required=True, help="query feature file")
+        p.add_argument("--candidates", help="per-query candidate lists (default: all concepts)")
+        p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("evaluate", help="score annotations against ground truth")
     _add_engine_flags(p)
@@ -402,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambiguous-fraction", type=float)
     p.add_argument("--candidates-per-query", type=int)
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="measure per-phase throughput")
-    _add_engine_flags(p)
-    p.add_argument("--queries", required=True, help="query feature file")
-    p.add_argument("--candidates", help="per-query candidate lists (default: all concepts)")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

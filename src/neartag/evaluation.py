@@ -107,12 +107,17 @@ def evaluate(annotations: list[Annotation], truth: dict[str, set[str]],
     Annotations without a truth entry, and truth entries that are empty
     sets, are skipped and counted. Concepts that never occur (neither
     relevant nor predicted) are skipped from the concept averages and
-    counted. Every name on either side must be a known concept.
+    counted. Every name on either side must be a known concept, and an
+    annotation may rank each concept once.
     """
     for ann in annotations:
+        seen: set[str] = set()
         for name, _score in ann.ranked:
             if name not in concepts:
                 raise EngineError(f"annotation {ann.id!r} references unknown concept {name!r}")
+            if name in seen:
+                raise EngineError(f"annotation {ann.id!r} ranks concept {name!r} twice")
+            seen.add(name)
     for sample_id, names in truth.items():
         for name in names:
             if name not in concepts:

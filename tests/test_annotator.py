@@ -123,6 +123,13 @@ def test_merge_neighbor_lists_orders_by_distance_then_id():
     assert got == [(1, "z", 0.2), (1, "w", 0.5), (0, "x", 0.5)]
 
 
+def test_merge_neighbor_lists_keeps_one_id_at_one_distance_in_dataset_order():
+    a = [("x", 0.5), ("y", 0.7)]
+    b = [("x", 0.5), ("w", 0.6)]
+    c = [("x", 0.5)]
+    assert merge_neighbor_lists([c, b, a], 4) == [(0, "x", 0.5), (1, "x", 0.5), (2, "x", 0.5), (1, "w", 0.6)]
+
+
 def test_merge_neighbor_lists_truncates_to_k():
     a = [("x", 0.1), ("y", 0.2)]
     assert len(merge_neighbor_lists([a], 1)) == 1

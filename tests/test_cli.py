@@ -168,25 +168,50 @@ def test_bench_reports_phases_and_throughput(corpus, capsys):
     out = capsys.readouterr().out
     for phase in ("feature load", "similarity search", "keyword fetch", "semantic analysis"):
         assert phase in out
-    assert "p50_ms" in out
+    assert out.splitlines()[0].split() == ["phase", "total_s", "ms/query"]
     assert "search throughput" in out
     assert "end-to-end throughput" in out
+
+
+PHASES = ("index load", "keyword load", "lexicon load", "feature load", "similarity search",
+          "keyword fetch", "semantic analysis")
+
+
+def _timing_table(out):
+    """The header and the (phase, cells) rows of a printed timing table, in order."""
+    lines = out.splitlines()
+    rows = [(phase, line[len(phase):].split()) for line in lines[1:]
+            for phase in PHASES if line.startswith(phase)]
+    return lines[0].split(), rows
 
 
 def test_timing_table_has_load_rows_and_no_search_percentiles(corpus, capsys):
     assert main(["bench", "--config", conf(corpus), "--k", "10",
                  "--queries", os.path.join(corpus, "queries.fvec"),
                  "--candidates", os.path.join(corpus, "candidates.tsv")]) == 0
-    rows = {}
-    for line in capsys.readouterr().out.splitlines():
-        for phase in ("index load", "keyword load", "lexicon load", "feature load", "similarity search",
-                      "keyword fetch", "semantic analysis"):
-            if line.startswith(phase):
-                rows[phase] = line[len(phase):].split()
-    assert len(rows) == 7
-    for phase, (total, per_query, *percentiles) in rows.items():
-        assert percentiles == ["-", "-", "-"], phase  # loads and batch phases: not timed query by query
+    header, rows = _timing_table(capsys.readouterr().out)
+    assert header == ["phase", "total_s", "ms/query"]  # no phase is timed query by query
+    assert [phase for phase, _cells in rows] == list(PHASES)
+    for phase, cells in rows:
+        assert len(cells) == 2, phase
+        total, per_query = cells
         assert float(total) >= 0.0 and float(per_query) >= 0.0, phase
+
+
+def test_annotate_and_bench_print_one_table(corpus, tmp_path, capsys):
+    inputs = ["--config", conf(corpus), "--k", "10", "--queries", os.path.join(corpus, "queries.fvec"),
+              "--candidates", os.path.join(corpus, "candidates.tsv")]
+    out_path = tmp_path / "out.tsv"
+    assert main(["annotate", *inputs, "--output", str(out_path)]) == 0
+    annotate_out = capsys.readouterr().out
+    assert main(["bench", *inputs, "--output", str(tmp_path / "bench.tsv")]) == 0
+    bench_out = capsys.readouterr().out
+    assert not (tmp_path / "bench.tsv").exists()
+    tables = [_timing_table(out) for out in (annotate_out, bench_out)]
+    assert [(header, [phase for phase, _ in rows]) for header, rows in tables] == \
+        [(["phase", "total_s", "ms/query"], list(PHASES))] * 2
+    assert f"annotated 12 queries -> {out_path} (" in annotate_out and "throughput" not in annotate_out
+    assert "search throughput" in bench_out and "annotated" not in bench_out
 
 
 @pytest.mark.parametrize("bad_id", ["q\t1", "q\n2", "q\r3", "#q4", " # q5", " "])

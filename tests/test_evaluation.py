@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neartag.annotator import Annotation, ConceptDef
+from neartag.annotator import Annotation, ConceptDef, read_annotations
 from neartag.errors import EngineError, FormatError
 from neartag.evaluation import (
     average_precision,
@@ -176,6 +176,16 @@ def test_evaluate_removing_a_correct_prediction_never_helps():
 def test_evaluate_unknown_concept_in_annotation():
     with pytest.raises(EngineError, match="unicorn"):
         evaluate([ann("s1", "unicorn")], {"s1": {"cat"}}, CONCEPTS)
+
+
+def test_evaluate_refuses_a_concept_ranked_twice(tmp_path):
+    """Average precision would count the second hit too: MAP-samples read 200% here."""
+    path = tmp_path / "ann.tsv"
+    path.write_text("s1\tcat:0.9,cat:0.5\n", encoding="utf-8")
+    annotations = read_annotations(str(path))
+    assert [name for name, _score in annotations[0].ranked] == ["cat", "cat"]
+    with pytest.raises(EngineError, match="annotation 's1' ranks concept 'cat' twice"):
+        evaluate(annotations, {"s1": {"cat"}}, CONCEPTS)
 
 
 def test_evaluate_unknown_concept_in_truth():

@@ -243,7 +243,7 @@ def test_overflow_chunk_memory_is_per_query(tiles):
         finally:
             tracemalloc.stop()
 
-    index.knn(queries[0], 3)  # build the lazy caches outside the measurement
+    index.knn(queries[0], 3)  # a first call, so that only each call's own scratch is traced
     one = peak(lambda: index.knn(queries[0], 3))
     chunk = peak(lambda: index.knn_batch(queries, 3))
     assert chunk < 2 * one
