@@ -42,7 +42,6 @@ from .errors import DimensionMismatch, EngineError, FormatError
 from .evaluation import (
     MetricsReport,
     average_precision,
-    concept_prf,
     evaluate,
     format_report,
     load_ground_truth,

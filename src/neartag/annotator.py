@@ -333,21 +333,36 @@ def write_annotations(path: str, annotations: list[Annotation]) -> None:
     """Write ``<id>\\t<name>:<score>,...`` lines, scores with 6 decimals.
 
     An annotation that ``read_annotations`` could not read back fails
-    before any byte is written: one with no ranked concepts, or an id
-    holding a tab or a line end, starting with a byte-order mark or whose
-    line would be skipped. Output goes through a temp file and an atomic
-    rename so a failure never leaves a partial file behind.
+    before any byte is written: one with no ranked concepts, an id given
+    twice, holding a tab or a line end, starting with a byte-order mark
+    or whose line would be skipped, or a ranked name that is empty or
+    holds ``,``, a tab or a line end, or a score that is not finite.
+    Output goes through a temp file and an atomic rename so a failure
+    never leaves a partial file behind.
     """
+    lines = []
+    ids: set[str] = set()
     for ann in annotations:
         if skipped(ann.id) or ann.id.startswith("\ufeff") or "\t" in ann.id or "\r" in ann.id or "\n" in ann.id:
             raise EngineError(f"cannot write annotation id {ann.id!r} to {path}: it is blank, its first "
                               "non-blank character is '#', it starts with U+FEFF, or it holds a tab or a line end")
+        if ann.id in ids:
+            raise EngineError(f"cannot write annotation id {ann.id!r} to {path}: it is given twice")
+        ids.add(ann.id)
         if not ann.ranked:
             raise EngineError(f"cannot write annotation {ann.id!r} to {path}: it ranks no concept")
+        names, scores = zip(*ann.ranked)
+        joined = "".join(names)
+        if not all(names) or "," in joined or "\t" in joined or "\r" in joined or "\n" in joined:
+            name = next(name for name in names if not name or set(name) & set(",\t\r\n"))
+            raise EngineError(f"cannot write annotation {ann.id!r} to {path}: concept name {name!r}"
+                              " is empty or holds ',', a tab or a line end")
+        if not all(map(math.isfinite, scores)):
+            raise EngineError(f"cannot write annotation {ann.id!r} to {path}: a score is not a finite number")
+        ranked = ",".join(f"{name}:{score:.6f}" for name, score in ann.ranked)
+        lines.append(f"{ann.id}\t{ranked}\n")
     with _replacing(path, binary=False) as fh:
-        for ann in annotations:
-            ranked = ",".join(f"{name}:{score:.6f}" for name, score in ann.ranked)
-            fh.write(f"{ann.id}\t{ranked}\n")
+        fh.writelines(lines)
 
 
 def read_annotations(path: str) -> list[Annotation]:

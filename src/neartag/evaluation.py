@@ -1,19 +1,24 @@
-"""Annotation quality metrics.
+"""Annotation quality metrics, taken in one pass over the annotations.
 
 Sample-oriented: precision/recall/F1 per annotated image, plus average
 precision over the ranked prediction list, each averaged over evaluated
-samples. Concept-oriented: precision/recall/F1 per concept from pooled
-TP/FP/FN counts, averaged over concepts that were relevant or predicted
-at least once. Mean F is always the mean of per-unit F values, never
-the F of mean precision and recall.
+samples. Concept-oriented: precision/recall/F1 per concept from TP/FP/FN
+counts pooled over the evaluated samples as the same pass reads them,
+averaged over concepts that were relevant or predicted at least once.
+Mean F is always the mean of per-unit F values, never the F of mean
+precision and recall.
 
 Only positively scored entries of an annotation count as predictions;
-zero rows are placeholders for inspection, not claims.
+zero rows are placeholders for inspection, not claims. An annotation id
+given twice is refused, as is a concept ranked twice in one annotation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .annotator import Annotation, ConceptDef
 from .errors import EngineError
@@ -70,29 +75,20 @@ def average_precision(ranked: list[str], truth: set[str]) -> float:
     return total / len(truth)
 
 
-def concept_prf(predictions: dict[str, set[str]], truth: dict[str, set[str]],
-                concept: str) -> tuple[float, float, float] | None:
-    """Pooled precision/recall/F1 for one concept across samples.
-
-    Counts each sample as TP, FP, or FN for the concept. Returns None
-    when the concept is never relevant and never predicted (nothing to
-    measure).
-    """
-    tp = fp = fn = 0
-    for sample_id, predicted in predictions.items():
-        in_pred = concept in predicted
-        in_truth = concept in truth.get(sample_id, set())
-        if in_pred and in_truth:
-            tp += 1
-        elif in_pred:
-            fp += 1
-        elif in_truth:
-            fn += 1
+def _concept_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float] | None:
+    """Precision/recall/F1 from one concept's pooled counts; None when the
+    concept was never relevant and never predicted (nothing to measure)."""
     if tp + fn == 0 and fp == 0:
         return None
     p = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     r = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     return (p, r, _f1(p, r))
+
+
+def _means(rows: list[tuple[float, ...]]) -> list[float]:
+    """Column means of ``rows``, each column added up in row order one
+    float at a time (``sum`` compensates on Python 3.12+)."""
+    return [reduce(add, column, 0.0) / len(rows) for column in zip(*rows)]
 
 
 def load_ground_truth(path: str, concepts: dict[str, ConceptDef]) -> dict[str, set[str]]:
@@ -107,10 +103,20 @@ def evaluate(annotations: list[Annotation], truth: dict[str, set[str]],
     Annotations without a truth entry, and truth entries that are empty
     sets, are skipped and counted. Concepts that never occur (neither
     relevant nor predicted) are skipped from the concept averages and
-    counted. Every name on either side must be a known concept, and an
-    annotation may rank each concept once.
+    counted. Every name on either side must be a known concept, each
+    annotation id may be given once, and an annotation may rank each
+    concept once.
     """
+    tp: Counter[str] = Counter()
+    fp: Counter[str] = Counter()
+    fn: Counter[str] = Counter()
+    ids: set[str] = set()
+    samples: list[tuple[float, float, float, float]] = []  # (P, R, F, AP) per evaluated sample
+    missing = empty = 0
     for ann in annotations:
+        if ann.id in ids:
+            raise EngineError(f"annotation id {ann.id!r} is given twice")
+        ids.add(ann.id)
         seen: set[str] = set()
         for name, _score in ann.ranked:
             if name not in concepts:
@@ -118,63 +124,38 @@ def evaluate(annotations: list[Annotation], truth: dict[str, set[str]],
             if name in seen:
                 raise EngineError(f"annotation {ann.id!r} ranks concept {name!r} twice")
             seen.add(name)
+        relevant = truth.get(ann.id)
+        if relevant is None:
+            missing += 1
+            continue
+        if not relevant:
+            empty += 1
+            continue
+        positive = [name for name, score in ann.ranked if score > 0.0]
+        predicted = set(positive)
+        samples.append((*sample_prf(predicted, relevant), average_precision(positive, relevant)))
+        tp.update(predicted & relevant)
+        fp.update(predicted - relevant)
+        fn.update(relevant - predicted)
     for sample_id, names in truth.items():
         for name in names:
             if name not in concepts:
                 raise EngineError(f"ground truth for {sample_id!r} references unknown concept {name!r}")
-
-    predictions: dict[str, set[str]] = {}
-    ranked_lists: dict[str, list[str]] = {}
-    missing = empty = 0
-    for ann in annotations:
-        if ann.id not in truth:
-            missing += 1
-            continue
-        if not truth[ann.id]:
-            empty += 1
-            continue
-        positive = [name for name, score in ann.ranked if score > 0.0]
-        predictions[ann.id] = set(positive)
-        ranked_lists[ann.id] = positive
-
-    if not predictions:
+    if not samples:
         raise EngineError("no samples to evaluate (all annotations lacked usable ground truth)")
 
-    p_sum = r_sum = f_sum = ap_sum = 0.0
-    for sample_id, predicted in predictions.items():
-        p, r, f = sample_prf(predicted, truth[sample_id])
-        p_sum += p
-        r_sum += r
-        f_sum += f
-        ap_sum += average_precision(ranked_lists[sample_id], truth[sample_id])
-    count = len(predictions)
-
-    eval_truth = {sid: truth[sid] for sid in predictions}
-    per_concept: dict[str, tuple[float, float, float] | None] = {}
-    skipped = 0
-    cp_sum = cr_sum = cf_sum = 0.0
-    measured = 0
-    for name in sorted(concepts):
-        prf = concept_prf(predictions, eval_truth, name)
-        per_concept[name] = prf
-        if prf is None:
-            skipped += 1
-        else:
-            cp_sum += prf[0]
-            cr_sum += prf[1]
-            cf_sum += prf[2]
-            measured += 1
-
+    per_concept = {name: _concept_prf(tp[name], fp[name], fn[name]) for name in sorted(concepts)}
+    # every evaluated sample has a relevant concept, so at least one concept is measured
+    measured = [prf for prf in per_concept.values() if prf is not None]
+    mp_s, mr_s, mf_s, map_s = _means(samples)
+    mp_c, mr_c, mf_c = _means(measured)
     return MetricsReport(
-        mp_s=p_sum / count, mr_s=r_sum / count, mf_s=f_sum / count, map_s=ap_sum / count,
-        mp_c=cp_sum / measured if measured else 0.0,
-        mr_c=cr_sum / measured if measured else 0.0,
-        mf_c=cf_sum / measured if measured else 0.0,
+        mp_s=mp_s, mr_s=mr_s, mf_s=mf_s, map_s=map_s, mp_c=mp_c, mr_c=mr_c, mf_c=mf_c,
         per_concept=per_concept,
-        samples_evaluated=count,
+        samples_evaluated=len(samples),
         samples_missing_truth=missing,
         samples_empty_truth=empty,
-        concepts_skipped=skipped,
+        concepts_skipped=len(per_concept) - len(measured),
     )
 
 

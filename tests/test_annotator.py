@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -489,22 +490,40 @@ def test_read_annotations_refuses_non_finite_scores(tmp_path, entry):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ids=st.lists(st.text(st.sampled_from("q1#\t\r\n \xa0\x0b\x85\u2028Σ\ufeff"), max_size=4), min_size=1,
-                    max_size=4, unique=True),
+                    max_size=4),
        data=st.data())
 def test_written_annotations_read_back_or_nothing_is_written(tmp_path, ids, data):
     path = tmp_path / "out.tsv"
     path.unlink(missing_ok=True)
-    ranked = st.sampled_from([(("cat", 0.5), ("dog", 0.25)), ()])
+    name = st.text(st.sampled_from("ca:,\t\r\n \x85#"), max_size=3)
+    score = st.sampled_from([0.5, 0.25, 0.0, float("nan"), float("inf")])
+    ranked = st.lists(st.tuples(name, score), max_size=3).map(tuple)
     anns = [Annotation(i, data.draw(ranked, label=f"ranked {i!r}")) for i in ids]
     try:
         write_annotations(str(path), anns)
     except EngineError as exc:
         assert not path.exists()
-        unreadable = [a.id for a in anns if not a.ranked or not a.id.strip() or a.id.lstrip().startswith("#")
-                      or a.id.startswith("\ufeff") or set(a.id) & set("\t\r\n")]
+        unreadable = [a.id for n, a in enumerate(anns) if not a.ranked or not a.id.strip()
+                      or a.id.lstrip().startswith("#") or a.id.startswith("\ufeff") or set(a.id) & set("\t\r\n")
+                      or a.id in ids[:n] or any(not name or set(name) & set(",\t\r\n") for name, _ in a.ranked)
+                      or any(not math.isfinite(score) for _, score in a.ranked)]
         assert unreadable and repr(unreadable[0]) in str(exc)
     else:
         assert [(a.id, a.ranked) for a in read_annotations(str(path))] == [(a.id, a.ranked) for a in anns]
+
+
+@pytest.mark.parametrize("anns, message", [
+    ([Annotation("q1", (("cat", 0.5),)), Annotation("q1", (("dog", 0.5),))], "id 'q1' to .*: it is given twice"),
+    ([Annotation("q1", (("a,b", 0.5),))], "'q1' to .*: concept name 'a,b' is empty or holds ','"),
+    ([Annotation("q1", (("cat", 0.5), ("", 0.25)))], "'q1' to .*: concept name '' is empty"),
+    ([Annotation("q1", (("c\nat", 0.5),))], "'q1' to .*: concept name 'c.nat'"),
+    ([Annotation("q1", (("cat", float("nan")),))], "'q1' to .*: a score is not a finite number"),
+], ids=["repeated id", "comma", "empty name", "line end", "nan score"])
+def test_write_annotations_refuses_what_it_could_not_read_back(tmp_path, anns, message):
+    path = tmp_path / "out.tsv"
+    with pytest.raises(EngineError, match=message):
+        write_annotations(str(path), anns)
+    assert not path.exists()
 
 
 def test_read_annotations_duplicate_id(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import evaluate_per_concept
 
 from neartag.annotator import Annotation, ConceptDef, read_annotations
 from neartag.errors import EngineError, FormatError
 from neartag.evaluation import (
     average_precision,
-    concept_prf,
     evaluate,
     format_report,
     load_ground_truth,
@@ -64,29 +66,26 @@ def test_average_precision_later_hits_score_less():
     assert late == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-# -- concept_prf -------------------------------------------------------------------
+# -- per-concept measures -------------------------------------------------------
 
-def test_concept_prf_counts():
-    predictions = {"s1": {"cat"}, "s2": {"cat"}, "s3": set(), "s4": {"dog"}}
+def test_evaluate_per_concept_counts():
+    annotations = [ann("s1", "cat"), ann("s2", "cat"), ann("s3"), ann("s4", "dog")]
     truth = {"s1": {"cat"}, "s2": {"dog"}, "s3": {"cat"}, "s4": {"dog"}}
+    per_concept = evaluate(annotations, truth, CONCEPTS).per_concept
     # cat: TP=1 (s1), FP=1 (s2), FN=1 (s3) -> P=0.5 R=0.5 F=0.5
-    assert concept_prf(predictions, truth, "cat") == (0.5, 0.5, 0.5)
+    assert per_concept["cat"] == (0.5, 0.5, 0.5)
     # dog: TP=1 (s4), FP=0, FN=1 (s2) -> P=1 R=0.5 F=2/3
-    p, r, f = concept_prf(predictions, truth, "dog")
+    p, r, f = per_concept["dog"]
     assert (p, r) == (1.0, 0.5)
     assert f == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-def test_concept_prf_never_seen_is_skipped():
-    predictions = {"s1": {"cat"}}
-    truth = {"s1": {"cat"}}
-    assert concept_prf(predictions, truth, "rock") is None
+def test_evaluate_per_concept_never_seen_is_skipped():
+    assert evaluate([ann("s1", "cat")], {"s1": {"cat"}}, CONCEPTS).per_concept["rock"] is None
 
 
-def test_concept_prf_predicted_but_never_relevant():
-    predictions = {"s1": {"rock"}}
-    truth = {"s1": {"cat"}}
-    assert concept_prf(predictions, truth, "rock") == (0.0, 0.0, 0.0)
+def test_evaluate_per_concept_predicted_but_never_relevant():
+    assert evaluate([ann("s1", "rock")], {"s1": {"cat"}}, CONCEPTS).per_concept["rock"] == (0.0, 0.0, 0.0)
 
 
 # -- evaluate -----------------------------------------------------------------------
@@ -186,6 +185,53 @@ def test_evaluate_refuses_a_concept_ranked_twice(tmp_path):
     assert [name for name, _score in annotations[0].ranked] == ["cat", "cat"]
     with pytest.raises(EngineError, match="annotation 's1' ranks concept 'cat' twice"):
         evaluate(annotations, {"s1": {"cat"}}, CONCEPTS)
+
+
+@pytest.mark.parametrize("truth", [{"s1": {"cat"}}, {}], ids=["with truth", "without truth"])
+def test_evaluate_refuses_an_annotation_id_given_twice(truth):
+    """The last annotation silently won: MF-samples read 0.0 in one order and 1.0 in the other."""
+    with pytest.raises(EngineError, match="annotation id 's1' is given twice"):
+        evaluate([ann("s1", "cat"), ann("s1", "dog")], truth, CONCEPTS)
+
+
+_NAMES = sorted(CONCEPTS)
+
+
+@st.composite
+def _scored_batches(draw):
+    """Distinct ids, each with a ranking (maybe empty, maybe all zero) and a
+    truth entry that may be missing or empty; some truth ids rank nothing.
+    Now and then either side names an unknown concept."""
+    unknown = draw(st.sampled_from([""] * 5 + ["ranked", "truth", "ranked truth"]))
+    ranked_names = st.sampled_from(_NAMES + ["unicorn"] if "ranked" in unknown else _NAMES)
+    truth_names = st.sampled_from(_NAMES + ["unicorn"] if "truth" in unknown else _NAMES)
+    ids = draw(st.lists(st.sampled_from([f"s{i}" for i in range(12)]), max_size=8, unique=True))
+    annotations, truth = [], {}
+    for sample_id in ids:
+        names = draw(st.lists(ranked_names, max_size=4, unique=True))
+        scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=len(names), max_size=len(names)))
+        annotations.append(Annotation(sample_id, tuple(zip(names, scores))))
+        size = draw(st.sampled_from([None, 0, 1, 2, 3]))
+        if size is not None:
+            truth[sample_id] = set(draw(st.lists(truth_names, min_size=size, max_size=size)))
+    for extra in draw(st.lists(st.sampled_from(["t1", "t2"]), unique=True)):
+        truth[extra] = set(draw(st.lists(truth_names, min_size=1, max_size=2)))
+    return annotations, truth
+
+
+def _outcome(score, annotations, truth):
+    try:
+        return score(annotations, truth, CONCEPTS)
+    except EngineError as exc:
+        return str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(batch=_scored_batches())
+def test_evaluate_equals_the_per_concept_reference(batch):
+    """The same report, float for float, or the same first error."""
+    annotations, truth = batch
+    assert _outcome(evaluate, annotations, truth) == _outcome(evaluate_per_concept, annotations, truth)
 
 
 def test_evaluate_unknown_concept_in_truth():
