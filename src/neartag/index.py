@@ -29,9 +29,20 @@ Two modes share one query interface and one exact top-k routine:
   float32, and every query once k reaches the row count, keeps every row
   without ranking.
 * ``perm-prefix``: an approximate filter. Each stored vector is
-  described by the permutation prefix of its nearest pivots; queries
+  described by the permutation prefix of its L nearest pivots; queries
   scan only the ``candidate_budget`` rows whose prefixes agree most
-  with the query's own, then rank those exactly as above.
+  with the query's own, then rank those exactly as above. A row's
+  agreement is the length of its exact positional match, ties broken
+  by how many pivots the two prefixes share as sets, then by row. The
+  index keeps two views for this, made once when it is built or
+  loaded: the prefixes as L contiguous byte columns (wider only past
+  256 pivots), and each row's pivot set as ceil(P / 64) uint64 bit
+  words, word-major, P being the pivot count; about L + 8 ceil(P / 64)
+  bytes a row. A query scans the first column, follows only the rows
+  whose match is still running through the rest, takes one
+  ``bitwise_count`` of each word against its own prefix's, and sorts the
+  one key agree * (L + 1) + shared, descending, with a stable argsort:
+  O(N L) byte and O(N ceil(P / 64)) word operations for N rows.
 
 Vectors are held only as float32, rows in id order, with their float32
 squared norms and the largest norm computed once at build. Results
@@ -225,6 +236,15 @@ class VectorIndex:
         self.max_norm = max_norm  # the largest row norm, in float64
         self.pivots = pivots  # (num_pivots, dim) float32 in perm-prefix mode
         self.assignments = assignments  # (count, prefix_len) int32 pivot indices
+        if assignments is not None:
+            # The filter's views: prefix column j, and bit p % 64 of word p // 64 set
+            # when pivot p is in the row's prefix.
+            self._columns = assignments.T.astype(np.min_scalar_type(config.num_pivots - 1))
+            self._words = np.zeros((-(-config.num_pivots // 64), len(ids)), dtype=np.uint64)
+            for column in self._columns:
+                bit, word_of = np.left_shift(np.uint64(1), column & 63, dtype=np.uint64), column >> 6
+                for i, words in enumerate(self._words):
+                    np.bitwise_or(words, bit, out=words, where=word_of == i)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -267,16 +287,26 @@ class VectorIndex:
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
         diff = self.pivots.astype(np.float64) - q
         pivot_d2 = np.einsum("ij,ij->i", diff, diff)
-        q_prefix = np.argsort(pivot_d2, kind="stable")[: self.config.prefix_len].astype(np.int32)
+        radix = self.config.prefix_len + 1
+        q_prefix = np.argsort(pivot_d2, kind="stable")[: self.config.prefix_len].tolist()
         # Primary key: length of the exact positional prefix match. That
         # alone is coarse (deep positions rarely match exactly), so break
         # ties by how many pivots the prefixes share as sets, which keeps
         # near neighbors whose permutations are slightly shuffled ahead of
         # unrelated vectors. Ties stay in row order, which is id order, so a
-        # larger budget always extends the candidate list.
-        agree = np.logical_and.accumulate(self.assignments == q_prefix, axis=1).sum(axis=1)
-        shared = np.isin(self.assignments, q_prefix).sum(axis=1)
-        order = np.lexsort((-shared, -agree))
+        # larger budget always extends the candidate list. One key sorts by
+        # both: agree * (L + 1) + shared, at most (L + 1)^2 - 1.
+        key = np.zeros(len(self.ids), dtype=np.min_scalar_type(radix * radix - 1))
+        q_words = np.zeros(len(self._words), dtype=np.uint64)
+        for p in q_prefix:
+            q_words[p >> 6] |= np.uint64(1) << np.uint64(p & 63)
+        for words, q_word in zip(self._words, q_words):
+            key += np.bitwise_count(words & q_word)
+        run = None  # the rows whose prefix matches the query's so far
+        for column, p in zip(self._columns, q_prefix):
+            run = np.flatnonzero(column == p) if run is None else run[column[run] == p]
+            key[run] += radix
+        order = np.argsort(radix * radix - 1 - key, kind="stable")
         return order[: min(self.config.candidate_budget, len(self.ids))]
 
     def _search(self, queries: np.ndarray, k) -> list[NeighborList]:
@@ -498,4 +528,8 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
     if not (norms.min() >= 0 and max_norm >= top * (1 - _U32)):
         raise FormatError(f"row norms negative or nan, or the largest row norm {max_norm} below them", path=path)
     loaded = replace(config, rng_seed=seed, **dict(num_pivots=num_pivots, prefix_len=prefix_len) if perm else {})
-    return VectorIndex(ids, vectors, loaded, norms, max_norm, pivots, assignments)
+    index = VectorIndex(ids, vectors, loaded, norms, max_norm, pivots, assignments)
+    # A prefix holds distinct pivots, so its bit words hold prefix_len set bits.
+    if perm and len(row := np.flatnonzero(np.bitwise_count(index._words).sum(axis=0) != prefix_len)):
+        raise FormatError(f"prefix row {row[0]} repeats a pivot", path=path)
+    return index

@@ -26,6 +26,19 @@ def brute_force_knn(ids, matrix, query, k):
     return [(ids[i], float(dists[i])) for i in order[: min(k, len(ids))]]
 
 
+def perm_candidates_by_matrix(index, query) -> np.ndarray:
+    """The perm-prefix filter's candidate rows for one float64 query, computed
+    on the (count, prefix_len) assignment matrix with ``isin``, a running
+    ``logical_and`` and a two-key ``lexsort``, as ``VectorIndex`` once did:
+    the reference its array, order included, must equal."""
+    diff = index.pivots.astype(np.float64) - query
+    q_prefix = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[: index.config.prefix_len]
+    agree = np.logical_and.accumulate(index.assignments == q_prefix, axis=1).sum(axis=1)
+    shared = np.isin(index.assignments, q_prefix).sum(axis=1)
+    order = np.lexsort((-shared, -agree))
+    return order[: min(index.config.candidate_budget, len(index.ids))]
+
+
 def dense_fixed_point(graph: SynsetGraph, config: AnalysisConfig) -> np.ndarray:
     """Solve the stationary distribution of a one-query graph as a dense linear system.
 

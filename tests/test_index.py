@@ -22,7 +22,7 @@ from neartag.index import (
 )
 
 
-from oracles import brute_force_knn
+from oracles import brute_force_knn, perm_candidates_by_matrix
 
 
 def make_index(ids, matrix, **cfg):
@@ -265,6 +265,48 @@ def test_perm_prefix_budget_growth_gives_candidate_superset():
     assert set(small.tolist()) <= set(larger.tolist())
 
 
+# (pivots, prefix length) pairs at the edges: one, two and three bit words, and prefixes on
+# either side of 15, past which the key needs more than a byte. None: both drawn.
+_PERM_SHAPES = [(1, 1), (16, 15), (16, 16), (40, 16), (64, 8), (65, 17), (128, 64), (130, 130), None]
+
+
+@pytest.mark.parametrize("shape", _PERM_SHAPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_perm_filter_equals_the_matrix_reference(shape, data):
+    # Grid points give duplicate vectors and queries tied in pivot distance.
+    if shape is None:
+        num_pivots = data.draw(st.integers(1, 130), label="num_pivots")
+        shape = num_pivots, data.draw(st.integers(1, num_pivots), label="prefix_len")
+    num_pivots, prefix_len = shape
+    count = num_pivots + data.draw(st.integers(0, 80), label="extra rows")
+    dim = data.draw(st.integers(1, 3), label="dim")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(-2, 3, size=(count, dim)).astype(np.float32)
+    budget = data.draw(st.integers(1, count + 5), label="budget")
+    index = make_index([f"v{i:03d}" for i in range(count)], matrix, mode="perm-prefix", num_pivots=num_pivots,
+                       prefix_len=prefix_len, candidate_budget=budget, rng_seed=seed)
+    queries = np.concatenate([matrix[rng.integers(0, count, size=3)], rng.integers(-3, 4, size=(3, dim))])
+    for q in queries.astype(np.float64):
+        got = index._perm_candidates(q)
+        assert np.array_equal(got, perm_candidates_by_matrix(index, q))
+
+
+def test_perm_query_scratch_is_a_few_bytes_a_row():
+    # The filter holds a byte key beside one word-sized temporary at a time (the bit
+    # words' common pivots, then the argsort): 10.4 bytes a row at 40,000 rows when
+    # this test landed, where the filter over the assignment matrix took 92.2.
+    rng = np.random.default_rng(20)
+    count = 40000
+    index = make_index([f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 16)), mode="perm-prefix",
+                       num_pivots=64, prefix_len=8, candidate_budget=200)
+    queries = rng.standard_normal((2, 16))
+    index.knn(queries[0], 10)  # a first call, so that only the query's own scratch is traced
+    _, _, extra = _traced(lambda: index.knn(queries[1], 10))
+    assert extra <= 11 * count
+
+
 def test_index_loaded_at_a_budget_matches_one_built_at_it(tmp_path):
     rng = np.random.default_rng(13)
     ids, matrix = clustered(rng)
@@ -485,6 +527,19 @@ def test_load_rejects_prefix_assignment_outside_the_pivots(tmp_path, value):
     last = np.array([value], dtype="<i4").tobytes()  # the last assignment
     path.write_bytes(_with_section(raw, "prefix assignments", raw[offset : offset + size - 4] + last))
     with pytest.raises(FormatError, match="prefix assignment") as exc:
+        load_index(str(path), cfg)
+    assert str(path) in str(exc.value)
+
+
+def test_load_rejects_a_prefix_that_repeats_a_pivot(tmp_path):
+    # Each prefix is an argsort's head, so its pivots are distinct; a repeat would make
+    # the bit-word count of shared pivots differ from a count over the prefix.
+    cfg, path, raw = _small_index(tmp_path)
+    offset, size, _ = _layout(raw)[1][_SECTIONS.index("prefix assignments")]
+    rows = np.frombuffer(raw[offset : offset + size], dtype="<i4").reshape(3, 2).copy()
+    rows[1] = rows[1, 0]  # row 1: its first pivot twice
+    path.write_bytes(_with_section(raw, "prefix assignments", rows.tobytes()))
+    with pytest.raises(FormatError, match="prefix row 1 repeats a pivot") as exc:
         load_index(str(path), cfg)
     assert str(path) in str(exc.value)
 
