@@ -41,6 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import check_count, check_real
 from .lexicon import ALL_RELATIONS, RELATIONS, Lexicon, RelationType
 
 WEIGHTING_UNIFORM = "uniform"
@@ -66,26 +67,20 @@ class AnalysisConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"s must be at least 1, got {self.s}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        for name in ("s", "n", "max_iters"):
+            check_count(name, getattr(self, name))
         if self.neighbor_weighting not in (WEIGHTING_UNIFORM, WEIGHTING_RECIPROCAL):
             raise ValueError(f"unknown neighbor weighting {self.neighbor_weighting!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.expansion_depth not in (0, 1):
+        check_real("alpha", self.alpha, 0, 1, low_open=True)
+        check_count("expansion_depth", self.expansion_depth, low=0)
+        if self.expansion_depth > 1:
             raise ValueError(f"expansion_depth must be 0 or 1, got {self.expansion_depth}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        check_real("tol", self.tol, 0, low_open=True)
         bad = set(self.relation_set) - set(RelationType)
         if bad:
             raise ValueError(f"unknown relation types {bad}")
         for rel in RelationType:
-            if self.lambdas.get(rel, 0.0) < 0:
-                raise ValueError(f"lambda for {rel.value} must be >= 0")
+            check_real(f"lambda.{rel.value}", self.lambdas.get(rel, 0.0), 0)
 
 
 def _ints(values=()) -> np.ndarray:
@@ -261,8 +256,7 @@ def initial_synsets(word_weights: Weights, lexicon: Lexicon, s: int) -> Weights:
     Words absent from the lexicon contribute nothing; a query's surviving
     synset weights are renormalized to sum 1, ordered (p0 desc, synset asc).
     """
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
+    check_count("s", s)
     ww = word_weights
     words = lexicon.word_numbers([ww.names[i] for i in ww.item.tolist()])
     known = np.flatnonzero(words >= 0)
@@ -278,8 +272,7 @@ def initial_synsets(word_weights: Weights, lexicon: Lexicon, s: int) -> Weights:
 
 def top_n(candidates: Weights, n: int) -> Weights:
     """Each query's n strongest synsets by (p0 desc, synset asc); weights kept as-is."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_count("n", n)
     c = candidates
     ordered = _take(c, np.lexsort((c.item, -c.weight, c.owner)))
     return _take(ordered, np.flatnonzero(_positions(ordered.owner, c.queries) < n))

@@ -30,7 +30,7 @@ from .analysis import (
     top_n,
     word_frequencies,
 )
-from .errors import EngineError, FormatError
+from .errors import EngineError, FormatError, check_count
 from .fvec import _replacing
 from .index import VectorIndex
 from .keywords import KeywordStore
@@ -89,10 +89,8 @@ class EngineParams:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.m < 1:
-            raise ValueError(f"m must be at least 1, got {self.m}")
+        check_count("k", self.k)
+        check_count("m", self.m)
 
 
 def load_concepts(path: str, lexicon: Lexicon) -> dict[str, ConceptDef]:
@@ -244,8 +242,7 @@ def select_top(scored: Weights, m: int) -> list[tuple[tuple[str, float], ...]]:
     (alphabetical, all at 0) are returned so the output still has rows to
     inspect.
     """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    check_count("m", m)
     positive = scored.weight > 0.0
     any_positive = np.bincount(scored.owner[positive], minlength=scored.queries) > 0
     keep = (_positions(scored.owner, scored.queries) < m) & (positive | ~any_positive[scored.owner])

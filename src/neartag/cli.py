@@ -27,6 +27,7 @@ import time
 from dataclasses import fields
 
 from . import fvec
+from .analysis import WEIGHTING_RECIPROCAL, WEIGHTING_UNIFORM
 from .annotator import (
     KEYWORD_FETCH,
     SEMANTIC_ANALYSIS,
@@ -84,7 +85,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", help="concepts per annotation")
     p.add_argument("--s", help="senses per word")
     p.add_argument("--n", help="candidate synsets kept")
-    p.add_argument("--weighting", choices=["uniform", "reciprocal-rank"], help="neighbor weighting")
+    p.add_argument("--weighting", choices=[WEIGHTING_UNIFORM, WEIGHTING_RECIPROCAL], help="neighbor weighting")
     p.add_argument("--relations", help="comma list of relation types, or 'none'")
     p.add_argument("--lam", action="append", metavar="REL=W",
                    help="relation weight, e.g. hypernym=2.0 (repeatable; sets lambda.REL)")

@@ -1,6 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two rules every
+count and every real-valued parameter is checked by where it enters."""
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
+
+
+def check_count(name: str, value, low: int = 1) -> None:
+    """Refuse anything but an integer (a numpy one too, a bool not) of at least ``low``."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf, low_open: bool = False) -> None:
+    """Refuse anything but a finite number (not a bool) in [low, high], or (low, high] when ``low_open``."""
+    if (not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value)
+            or not (low < value if low_open else low <= value) or value > high):
+        raise ValueError(f"{name} must be a finite number in {'(' if low_open else '['}{low:g}, "
+                         f"{high:g}{')' if high == math.inf else ']'}, got {value!r}")
 
 
 class EngineError(Exception):

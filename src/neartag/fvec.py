@@ -93,8 +93,8 @@ def _decode_ids(ends: np.ndarray, blob: np.ndarray, path: str) -> list[str]:
                 str(blob[a:b], "utf-8")
             except UnicodeDecodeError:
                 raise FormatError(f"record {record} id is not valid UTF-8", path=path) from None
-    chars = (ends - np.searchsorted(np.flatnonzero(inner), ends)).tolist()  # offsets in ``text``
-    return [text[a:b] for a, b in pairwise(chars)]
+    chars = ends - np.searchsorted(np.flatnonzero(inner), ends)  # offsets in ``text``
+    return [text[a:b] for a, b in pairwise(memoryview(chars))]  # Python ints, with no list of them
 
 
 def write_vectors(path: str, ids: list[str], matrix: np.ndarray) -> None:

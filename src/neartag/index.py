@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, EngineError, FormatError
+from .errors import DimensionMismatch, EngineError, FormatError, check_count
 from .fvec import _MAX_ID_BYTES, _all_finite, _decode_ids, _encode_ids, _replacing
 
 MODE_EXACT = "exact"
@@ -108,19 +108,16 @@ class IndexConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        check_count("dim", self.dim)
         if self.mode not in (MODE_EXACT, MODE_PERM_PREFIX):
             raise ValueError(f"unknown index mode {self.mode!r}")
         if self.mode == MODE_PERM_PREFIX:
-            if self.num_pivots < 1:
-                raise ValueError(f"num_pivots must be positive, got {self.num_pivots}")
-            if not 1 <= self.prefix_len <= self.num_pivots:
+            for name in ("num_pivots", "prefix_len", "candidate_budget"):
+                check_count(name, getattr(self, name))
+            if self.prefix_len > self.num_pivots:
                 raise ValueError(
                     f"prefix_len must be in [1, num_pivots={self.num_pivots}], got {self.prefix_len}"
                 )
-            if self.candidate_budget < 1:
-                raise ValueError(f"candidate_budget must be positive, got {self.candidate_budget}")
 
 
 def _rank_slack(dim: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
@@ -315,10 +312,7 @@ class VectorIndex:
             raise DimensionMismatch(f"vector lengths differ: {queries.shape[1]} vs {self.config.dim}")
         if not np.isfinite(queries).all():
             raise ValueError("query vector must be finite")
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        check_count("k", k)
         if self.config.mode == MODE_PERM_PREFIX:
             if k > self.config.candidate_budget:
                 raise ValueError(f"k={k} exceeds candidate_budget={self.config.candidate_budget}")

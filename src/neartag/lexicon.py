@@ -22,7 +22,7 @@ import enum
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, check_count
 from .tsv import records
 
 
@@ -95,8 +95,7 @@ class Lexicon:
         Unknown words yield an empty list; raising here would make every
         out-of-vocabulary keyword fatal.
         """
-        if s < 1:
-            raise ValueError(f"s must be at least 1, got {s}")
+        check_count("s", s)
         w = self._word_number.get(word.lower())
         if w is None:
             return []

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fvec
+from .errors import check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -55,33 +56,15 @@ class SynthConfig:
     candidates_per_query: int = 8
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.num_concepts < 2:
-            raise ValueError(f"need at least 2 concepts, got {self.num_concepts}")
-        if self.refs_per_concept < 1:
-            raise ValueError(f"refs_per_concept must be positive, got {self.refs_per_concept}")
-        if self.num_queries < 1:
-            raise ValueError(f"num_queries must be positive, got {self.num_queries}")
-        if self.cluster_noise_sigma < 0:
-            raise ValueError(f"cluster_noise_sigma must be >= 0, got {self.cluster_noise_sigma}")
-        if not 0.0 <= self.label_noise <= 1.0:
-            raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise}")
-        if self.lexicon_depth < 1:
-            raise ValueError(f"lexicon_depth must be at least 1, got {self.lexicon_depth}")
-        if self.group_size < 1:
-            raise ValueError(f"group_size must be positive, got {self.group_size}")
-        if self.variants_per_concept < 0:
-            raise ValueError(f"variants_per_concept must be >= 0, got {self.variants_per_concept}")
-        for name in ("synonym_rate", "part_rate", "category_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        for name, low in (("dim", 1), ("num_concepts", 2), ("refs_per_concept", 1), ("num_queries", 1),
+                          ("lexicon_depth", 1), ("group_size", 1), ("variants_per_concept", 0),
+                          ("candidates_per_query", 2)):
+            check_count(name, getattr(self, name), low)
+        check_real("cluster_noise_sigma", self.cluster_noise_sigma, 0)
+        for name in ("label_noise", "synonym_rate", "part_rate", "category_rate", "ambiguous_fraction"):
+            check_real(name, getattr(self, name), 0, 1)
         if self.synonym_rate + self.part_rate + self.category_rate > 1.0:
             raise ValueError("synonym_rate + part_rate + category_rate must not exceed 1")
-        if not 0.0 <= self.ambiguous_fraction <= 1.0:
-            raise ValueError(f"ambiguous_fraction must be in [0, 1], got {self.ambiguous_fraction}")
-        if self.candidates_per_query < 2:
-            raise ValueError(f"candidates_per_query must be at least 2, got {self.candidates_per_query}")
         if self.synonym_rate > 0 and self.variants_per_concept == 0:
             raise ValueError("synonym_rate > 0 requires variants_per_concept >= 1")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,16 @@ def test_build_graph_zero_weights_rejected(tmp_path):
     lex = load(tmp_path, CAT_WORLD)
     with pytest.raises(ValueError, match="sum to zero"):
         graph_around([("cat.n.1", 0.0)], lex, AnalysisConfig())
+
+
+@pytest.mark.parametrize("candidates, names, message", [
+    ([("cat.n.1", 1.0)], ("cat.n.1",), "candidate synsets are not numbered by this lexicon"),
+    ([("cat.n.1", 0.5), ("paw.n.1", 0.2), ("cat.n.1", 0.3)], None, "duplicate candidate synset 'cat.n.1'"),
+], ids=["other-numbering", "repeated-synset"])
+def test_build_graph_refuses_candidates_it_cannot_place(tmp_path, candidates, names, message):
+    lex = load(tmp_path, CAT_WORLD)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_graph(weights_from_lists([candidates], names or lex.synset_names), lex, AnalysisConfig())
 
 
 def test_build_graph_empty_candidates(tmp_path):

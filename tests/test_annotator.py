@@ -440,6 +440,14 @@ def test_load_concepts_comma_in_name(tmp_path):
     assert (exc.value.path, exc.value.line) == (path, 3)
 
 
+def test_load_concepts_empty_name(tmp_path):
+    lex = load_lexicon(write(tmp_path, "lex.tsv", "S\ta\tx\n"))
+    path = write(tmp_path, "con.tsv", "C\tcat\ta\nC\t \ta\n")
+    with pytest.raises(FormatError, match="empty concept name") as exc:
+        load_concepts(path, lex)
+    assert (str(exc.value), exc.value.path, exc.value.line) == (f"{path}: line 2: empty concept name", path, 2)
+
+
 def test_load_candidate_lists(tmp_path):
     lists = load_candidate_lists(write(tmp_path, "cand.tsv", "q1\tcat,dog\nq2\tdog\n"))
     assert lists == {"q1": ("cat", "dog"), "q2": ("dog",)}

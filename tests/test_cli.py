@@ -294,6 +294,26 @@ def test_no_partial_output_on_failure(corpus, tmp_path, capsys):
     assert not os.path.exists(out_path)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "nan"], "tol must be a finite number in (0, inf), got nan"),
+    (["--lam", "hypernym=nan"], "lambda.hypernym must be a finite number in [0, inf), got nan"),
+    (["--lam", "hypernym=inf"], "lambda.hypernym must be a finite number in [0, inf), got inf"),
+], ids=["tol-nan", "lambda-nan", "lambda-inf"])
+def test_annotate_refuses_a_non_finite_setting_before_any_output(corpus, tmp_path, capsys, flags, message):
+    out_path = tmp_path / "out.tsv"
+    rc = main(["annotate", "--config", conf(corpus), "--queries", os.path.join(corpus, "queries.fvec"),
+               "--candidates", os.path.join(corpus, "candidates.tsv"), "--output", str(out_path), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_generate_refuses_a_nan_sigma_before_writing(tmp_path, capsys):
+    assert main(["generate", "--out", str(tmp_path), "--sigma", "nan"]) == 2
+    assert capsys.readouterr().err == "error: cluster_noise_sigma must be a finite number in [0, inf), got nan\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_annotate_query_file_with_absurd_count_exits_2(corpus, tmp_path, capsys):
     queries = tmp_path / "q.fvec"
     queries.write_bytes(b"FVEC 1 8 1000000000000000\n")

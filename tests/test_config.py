@@ -1,9 +1,13 @@
+import math
 import os
+import re
 
+import numpy as np
 import pytest
+from oracles import weights_from_lists
 
-from neartag.analysis import WEIGHTING_RECIPROCAL
-from neartag.annotator import EngineParams
+from neartag.analysis import WEIGHTING_RECIPROCAL, AnalysisConfig, initial_synsets, top_n
+from neartag.annotator import EngineParams, select_top
 from neartag.cli import _resolve_config, build_parser, main
 from neartag.config import (
     KEYS,
@@ -16,8 +20,8 @@ from neartag.config import (
     parse_relations,
 )
 from neartag.errors import EngineError, FormatError
-from neartag.index import IndexConfig
-from neartag.lexicon import ALL_RELATIONS, RelationType
+from neartag.index import MODE_PERM_PREFIX, IndexConfig, build_index_from_arrays
+from neartag.lexicon import ALL_RELATIONS, Lexicon, RelationType
 from neartag.synth import SynthConfig, generate_corpus
 
 
@@ -159,6 +163,71 @@ def test_split_index_settings_are_checked_once_combined(tmp_path):
     cfg = apply_config_values(cfg, {"index.prefix_len": "5"}, source="flag")
     with pytest.raises(ValueError, match="prefix_len"):
         cfg.index_config()
+
+
+def _field(cls, name, **others):
+    return lambda value: cls(**{**others, name: value})
+
+
+_INDEX = build_index_from_arrays(["a", "b"], np.eye(2), IndexConfig(dim=2))
+_LEXICON = Lexicon(["cat.n.1"], {"cat": ["cat.n.1"]}, set())
+_WEIGHTS = weights_from_lists([[("cat", 1.0)]])
+_PERM = dict(dim=2, mode=MODE_PERM_PREFIX, prefix_len=1)
+_SYNTH_COUNTS = {"dim": 1, "num_concepts": 2, "refs_per_concept": 1, "num_queries": 1, "lexicon_depth": 1,
+                 "group_size": 1, "variants_per_concept": 0, "candidates_per_query": 2}
+
+# Where each count enters: (the name its refusal gives, the call that takes it, its floor).
+COUNTS = {
+    "EngineParams.k": ("k", _field(EngineParams, "k"), 1),
+    "EngineParams.m": ("m", _field(EngineParams, "m"), 1),
+    **{f"AnalysisConfig.{name}": (name, _field(AnalysisConfig, name), 1) for name in ("s", "n", "max_iters")},
+    "AnalysisConfig.expansion_depth": ("expansion_depth", _field(AnalysisConfig, "expansion_depth"), 0),
+    "IndexConfig.dim": ("dim", _field(IndexConfig, "dim"), 1),
+    **{f"IndexConfig.{name}": (name, _field(IndexConfig, name, **_PERM), 1)
+       for name in ("num_pivots", "prefix_len", "candidate_budget")},
+    **{f"SynthConfig.{name}": (name, _field(SynthConfig, name), low) for name, low in _SYNTH_COUNTS.items()},
+    "VectorIndex.knn": ("k", lambda k: _INDEX.knn([0.0, 0.0], k), 1),
+    "VectorIndex.knn_batch": ("k", lambda k: _INDEX.knn_batch(np.zeros((2, 2)), k), 1),
+    "initial_synsets": ("s", lambda s: initial_synsets(_WEIGHTS, _LEXICON, s), 1),
+    "top_n": ("n", lambda n: top_n(_WEIGHTS, n), 1),
+    "select_top": ("m", lambda m: select_top(_WEIGHTS, m), 1),
+    "Lexicon.senses": ("s", lambda s: _LEXICON.senses("cat", s), 1),
+}
+# Where each real value enters: (name, call, low, high, whether low itself is refused).
+REALS = {
+    "AnalysisConfig.alpha": ("alpha", _field(AnalysisConfig, "alpha"), 0, 1, True),
+    "AnalysisConfig.tol": ("tol", _field(AnalysisConfig, "tol"), 0, math.inf, True),
+    **{f"AnalysisConfig.lambdas.{rel.value}": (
+        f"lambda.{rel.value}", lambda w, rel=rel: AnalysisConfig(lambdas={**AnalysisConfig().lambdas, rel: w}),
+        0, math.inf, False) for rel in RelationType},
+    "SynthConfig.cluster_noise_sigma": ("cluster_noise_sigma", _field(SynthConfig, "cluster_noise_sigma"),
+                                        0, math.inf, False),
+    **{f"SynthConfig.{name}": (name, _field(SynthConfig, name), 0, 1, False)
+       for name in ("label_noise", "synonym_rate", "part_rate", "category_rate", "ambiguous_fraction")},
+}
+
+
+def _refused(name, call, values):
+    for value in values:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be ") as exc:
+            call(value)
+        assert str(exc.value).endswith(f", got {value!r}"), value
+
+
+@pytest.mark.parametrize("where", [*COUNTS, *REALS])
+def test_every_parameter_is_refused_where_it_enters(where):
+    """A count takes an integer (a numpy one too, never a bool) at or over its floor; a real value
+    takes a finite number (not a bool) in its range."""
+    if where in COUNTS:
+        name, call, low = COUNTS[where]
+        _refused(name, call, [low + 0.5, float(low + 1), True, False, low - 1, "2", None])
+        call(np.int64(low + 1))
+    else:
+        name, call, low, high, low_open = REALS[where]
+        bad = [math.nan, math.inf, -math.inf, True, "0.5", low - 1, *[low] * low_open]
+        _refused(name, call, bad + ([high + 1] if high < math.inf else []))
+        call(np.float32(0.5))
+        call(np.int64(1 if low_open else low))
 
 
 # The settings surface as the flat EngineConfig had it: every config key, each

@@ -75,8 +75,9 @@ def test_rejects_values_past_the_float32_range_on_write(tmp_path):
 
 def test_read_holds_one_block_beside_what_it_returns(tmp_path, monkeypatch):
     # Beyond the ids and the matrix it returns, a read holds one block of records, the id
-    # bytes and the offsets the decode uses: 79 bytes a record over the block for ids of
-    # four to eight bytes when this test landed.
+    # bytes and the offsets the decode uses: 47.1 bytes a record over the block for ids of
+    # four to eight bytes since the decode walks its offsets without a list of them (79.0
+    # with one).
     monkeypatch.setattr(fvec, "_BLOCK", 1 << 20)
     count, path = 40000, str(tmp_path / "v.fvec")
     fvec.write_vectors(path, [f"img{i}" for i in range(1, count + 1)],
@@ -88,7 +89,7 @@ def test_read_holds_one_block_beside_what_it_returns(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(ids) == count and held >= matrix.nbytes
-    assert peak - held <= fvec._BLOCK + 80 * count
+    assert peak - held <= fvec._BLOCK + 48 * count
 
 
 def test_rejects_nan_on_read(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import zlib
@@ -110,6 +111,18 @@ def test_knn_dim_mismatch():
         index.knn([0.0, 0.0, 0.0], 1)
 
 
+@pytest.mark.parametrize("search, message", [
+    (lambda index: index.knn([np.nan, 0.0], 1), "query vector must be finite"),
+    (lambda index: index.knn_batch([[0.0, 0.0], [0.0, np.inf]], 1), "query vector must be finite"),
+    (lambda index: index.knn([[0.0, 0.0]], 1), "query must be a 1-d vector"),
+    (lambda index: index.knn_batch([0.0, 0.0], 1), "knn_batch expects a (num_queries, dim) array"),
+], ids=["knn-nan", "knn_batch-inf", "knn-2d", "knn_batch-1d"])
+def test_search_refuses_a_malformed_query(search, message):
+    index = make_index(["a", "b"], np.eye(2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        search(index)
+
+
 def test_knn_batch_matches_single_queries(monkeypatch):
     monkeypatch.setattr(index_module, "_CHUNK", 32)  # four chunks of 32 queries and one of 22
     rng = np.random.default_rng(7)
@@ -171,6 +184,15 @@ def test_build_duplicate_id_named():
 def test_build_empty_rejected():
     with pytest.raises(ValueError, match="zero vectors"):
         build_index_from_arrays([], np.zeros((0, 2), dtype=np.float32), IndexConfig(dim=2))
+
+
+@pytest.mark.parametrize("ids, rows, message", [
+    (["a"], np.zeros((2, 2)), "expected (1, dim) vector array, got shape (2, 2)"),
+    (["b", ""], np.zeros((2, 2)), "image id must be non-empty"),
+], ids=["count-mismatch", "empty-id"])
+def test_build_refuses_ids_that_do_not_fit_the_rows(ids, rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_index_from_arrays(ids, rows, IndexConfig(dim=2))
 
 
 def test_build_rejects_nonfinite():
@@ -484,6 +506,24 @@ def _small_index(tmp_path, mode="perm-prefix"):
     return cfg, path, path.read_bytes()
 
 
+def _with_count(raw, count):
+    header, table = _layout(raw)
+    header[4] = count  # position of the vector count in _HEADER
+    return _repack(raw, header, table)
+
+
+@pytest.mark.parametrize("edit, mode, error, message", [
+    (lambda raw: raw, "perm-prefix", EngineError, "index mode 'exact' does not match configured 'perm-prefix'"),
+    (lambda raw: _with_count(raw, 0), "exact", FormatError, "index holds no vectors (count=0)"),
+    (lambda raw: raw + b"\0", "exact", FormatError, "trailing data after the index payload (1 bytes)"),
+], ids=["other-mode", "count-0", "trailing-byte"])
+def test_load_refuses_a_header_that_does_not_fit(tmp_path, edit, mode, error, message):
+    path = _patched(tmp_path, edit)
+    with pytest.raises(error) as exc:
+        load_index(path, IndexConfig(dim=2, mode=mode))
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_load_rejects_nonfinite_component(tmp_path):
     nan = np.array([1.0, 2.0, 3.0, np.nan], dtype="<f4").tobytes()  # the last component
     path = _patched(tmp_path, lambda raw: _with_section(raw, "vectors", nan))
@@ -564,15 +604,16 @@ def test_load_names_the_first_id_that_is_not_utf8(tmp_path, blob, record):
 
 
 def test_load_makes_no_matrix_sized_bool_array(tmp_path, monkeypatch):
-    # The finite check goes a block of rows at a time; the rest is the id decode, 54 bytes
-    # a row at 40,000 x 64 when this test landed, where a bool array of the matrix is 64.
+    # The finite check goes a block of rows at a time; the rest is the id decode, 21.5 bytes
+    # a row at 40,000 x 64 since it walks its offsets without a list of them (53.4 with
+    # one), where a bool array of the matrix is 64.
     monkeypatch.setattr(fvec, "_BLOCK", 1 << 20)
     rng = np.random.default_rng(12)
     count, dim = 40000, 64
     path = str(tmp_path / "x.index")
     save_index(make_index([f"v{i:05d}" for i in range(count)], rng.standard_normal((count, dim))), path)
     _, _, extra = _traced(lambda: load_index(path, IndexConfig(dim=dim)))
-    assert extra <= fvec._BLOCK // 4 + 56 * count
+    assert extra <= fvec._BLOCK // 4 + 22 * count
 
 
 @pytest.mark.parametrize("blob", [b"aa", b"ba"], ids=["repeated", "out-of-order"])
