@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .analysis import AnalysisConfig
 from .annotator import EngineParams
-from .errors import EngineError, FormatError
+from .errors import EngineError, FormatError, check_count
 from .index import IndexConfig
 from .lexicon import RelationType
 from .tsv import lines
@@ -35,6 +35,9 @@ class EngineConfig:
     output_path: str = ""
     params: EngineParams = field(default_factory=EngineParams)
     index: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_count("dim", self.dim, low=0)  # 0: not set
 
     def index_config(self) -> IndexConfig:
         return IndexConfig(dim=self.dim, **self.index)

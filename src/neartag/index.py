@@ -108,16 +108,13 @@ class IndexConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_count("dim", self.dim)
+        for name in ("dim", "num_pivots", "prefix_len", "candidate_budget"):
+            check_count(name, getattr(self, name))
+        check_count("rng_seed", self.rng_seed, low=0)
         if self.mode not in (MODE_EXACT, MODE_PERM_PREFIX):
             raise ValueError(f"unknown index mode {self.mode!r}")
-        if self.mode == MODE_PERM_PREFIX:
-            for name in ("num_pivots", "prefix_len", "candidate_budget"):
-                check_count(name, getattr(self, name))
-            if self.prefix_len > self.num_pivots:
-                raise ValueError(
-                    f"prefix_len must be in [1, num_pivots={self.num_pivots}], got {self.prefix_len}"
-                )
+        if self.prefix_len > self.num_pivots:
+            raise ValueError(f"prefix_len must be in [1, num_pivots={self.num_pivots}], got {self.prefix_len}")
 
 
 def _rank_slack(dim: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
@@ -282,10 +279,8 @@ class VectorIndex:
         return out
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
-        diff = self.pivots.astype(np.float64) - q
-        pivot_d2 = np.einsum("ij,ij->i", diff, diff)
         radix = self.config.prefix_len + 1
-        q_prefix = np.argsort(pivot_d2, kind="stable")[: self.config.prefix_len].tolist()
+        q_prefix = _assign_prefixes(q[None, :], self.pivots, self.config.prefix_len)[0].tolist()
         # Primary key: length of the exact positional prefix match. That
         # alone is coarse (deep positions rarely match exactly), so break
         # ties by how many pivots the prefixes share as sets, which keeps
@@ -350,8 +345,8 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
     """Build an index from a (count, dim) array, storing its rows in id order.
 
     Rows in any other order cost a sort of the ids and a sorted copy of ``matrix`` (count x dim
-    float32) beside the caller's. Perm-prefix pivots and prefixes are picked in input order, then
-    move with their rows."""
+    float32) beside the caller's. Perm-prefix pivots are drawn by input position; prefixes are
+    assigned over the id-ordered rows."""
     if len(ids) == 0:
         raise ValueError("cannot build an index from zero vectors")
     matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -364,12 +359,13 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
     norms = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
     if not np.isfinite(norms).all():
         raise ValueError("feature vectors must be finite (found nan or inf)")
-    ids, order = list(ids), None
+    ids, rows = list(ids), matrix
     if _first_unordered(ids):
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ids = [ids[i] for i in order]
         if row := _first_unordered(ids):  # sorted, so a repeated id
             raise ValueError(f"duplicate image id {ids[row]!r}")
+        rows, norms = matrix[order], norms[order]
     if not ids[0]:  # the least id
         raise ValueError("image id must be non-empty")
 
@@ -380,27 +376,23 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
             raise ValueError(f"num_pivots={config.num_pivots} exceeds vector count {count}")
         rng = np.random.default_rng(config.rng_seed)
         pivot_rows = rng.choice(count, size=config.num_pivots, replace=False)
-        pivots = np.ascontiguousarray(matrix[pivot_rows])
-        assignments = _assign_prefixes(matrix, pivots, config.prefix_len)
-    if order is not None:
-        matrix = matrix[order]
-        assignments = None if assignments is None else assignments[order]
-        norms = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)  # summed as for rows given in id order
+        pivots = np.ascontiguousarray(matrix[pivot_rows])  # by input position
+        assignments = _assign_prefixes(rows, pivots, config.prefix_len)
     with np.errstate(over="ignore"):
-        return VectorIndex(ids, matrix, config, norms.astype(np.float32), float(np.sqrt(norms.max())),
+        return VectorIndex(ids, rows, config, norms.astype(np.float32), float(np.sqrt(norms.max())),
                            pivots, assignments)
 
 
 def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int) -> np.ndarray:
-    """Each row's prefix_len nearest pivot indices, nearest first.
-
-    Pivot-distance ties resolve to the lower pivot index (stable sort).
-    """
+    """Each row's prefix_len nearest pivot indices, nearest first, by |x|^2 - 2 x.p + |p|^2 in
+    float64, ties to the lower pivot (a stable argsort): the one rule that ranks pivots, for the
+    stored rows at build and for a query as a batch of one row. A block holds rows x (dim + pivots)
+    float64, the rows and their pivot distances: about 4 MiB."""
     piv = pivots.astype(np.float64)
     piv_norms = np.einsum("ij,ij->i", piv, piv)
     count = matrix.shape[0]
     out = np.empty((count, prefix_len), dtype=np.int32)
-    chunk = max(1, (1 << 22) // max(1, piv.shape[0]))
+    chunk = max(1, (1 << 22) // (8 * (piv.shape[1] + piv.shape[0])))
     for start in range(0, count, chunk):
         block = matrix[start : start + chunk].astype(np.float64)
         d2 = np.einsum("ij,ij->i", block, block)[:, None] - 2.0 * (block @ piv.T) + piv_norms[None, :]
@@ -480,6 +472,8 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
         raise EngineError(f"{path}: index mode {mode!r} does not match configured {config.mode!r}")
     if count < 1:
         raise FormatError(f"index holds no vectors (count={count})", path=path)
+    if seed < 0:
+        raise FormatError(f"negative rng seed {seed}", path=path)
     want = (4 * (count + 1), None, 4 * count * dim, 4 * count, 4 * num_pivots * dim, 4 * count * prefix_len)
     end += _CRC.size
     if (need := end + sum(filter(None, want[: len(names)]))) > size:

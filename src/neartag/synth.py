@@ -56,9 +56,9 @@ class SynthConfig:
     candidates_per_query: int = 8
 
     def __post_init__(self):
-        for name, low in (("dim", 1), ("num_concepts", 2), ("refs_per_concept", 1), ("num_queries", 1),
-                          ("lexicon_depth", 1), ("group_size", 1), ("variants_per_concept", 0),
-                          ("candidates_per_query", 2)):
+        for name, low in (("rng_seed", 0), ("dim", 1), ("num_concepts", 2), ("refs_per_concept", 1),
+                          ("num_queries", 1), ("lexicon_depth", 1), ("group_size", 1),
+                          ("variants_per_concept", 0), ("candidates_per_query", 2)):
             check_count(name, getattr(self, name), low)
         check_real("cluster_noise_sigma", self.cluster_noise_sigma, 0)
         for name in ("label_noise", "synonym_rate", "part_rate", "category_rate", "ambiguous_fraction"):

@@ -314,6 +314,34 @@ def test_generate_refuses_a_nan_sigma_before_writing(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_generate_refuses_a_negative_seed_before_making_the_directory(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["generate", "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: rng_seed must be an integer of at least 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("annotate", ["--index-mode", "exact", "--pivots", "0"], "num_pivots must be an integer of at least 1, got 0"),
+    ("build", ["--index-mode", "perm-prefix", "--seed", "-1"], "rng_seed must be an integer of at least 0, got -1"),
+    ("annotate", ["--dim", "-3"], "dim must be an integer of at least 0, got -3"),
+    ("evaluate", ["--dim", "-3"], "dim must be an integer of at least 0, got -3"),
+], ids=["exact-pivots-0", "build-seed-negative", "annotate-dim-negative", "evaluate-dim-negative"])
+def test_index_settings_and_dim_are_checked_in_every_command(corpus, tmp_path, capsys, command, flags, message):
+    """Index sizes and seed are refused in either mode, and a dim below 0 where it enters,
+    before any output; the feature file, which is fine, goes unnamed."""
+    index_path, out_path, given = tmp_path / "refs.index", tmp_path / "out.tsv", tmp_path / "given.tsv"
+    given.write_text("q00000\tw000:0.5\n", encoding="utf-8")
+    paths = {
+        "annotate": ["--queries", os.path.join(corpus, "queries.fvec"), "--output", str(out_path)],
+        "build": ["--index", str(index_path)],
+        "evaluate": ["--annotations", str(given), "--truth", os.path.join(corpus, "truth.tsv")],
+    }[command]
+    assert main([command, "--config", conf(corpus), *paths, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not index_path.exists() and not out_path.exists()
+
+
 def test_annotate_query_file_with_absurd_count_exits_2(corpus, tmp_path, capsys):
     queries = tmp_path / "q.fvec"
     queries.write_bytes(b"FVEC 1 8 1000000000000000\n")

@@ -20,7 +20,7 @@ from neartag.config import (
     parse_relations,
 )
 from neartag.errors import EngineError, FormatError
-from neartag.index import MODE_PERM_PREFIX, IndexConfig, build_index_from_arrays
+from neartag.index import MODE_EXACT, MODE_PERM_PREFIX, IndexConfig, build_index_from_arrays
 from neartag.lexicon import ALL_RELATIONS, Lexicon, RelationType
 from neartag.synth import SynthConfig, generate_corpus
 
@@ -173,8 +173,8 @@ _INDEX = build_index_from_arrays(["a", "b"], np.eye(2), IndexConfig(dim=2))
 _LEXICON = Lexicon(["cat.n.1"], {"cat": ["cat.n.1"]}, set())
 _WEIGHTS = weights_from_lists([[("cat", 1.0)]])
 _PERM = dict(dim=2, mode=MODE_PERM_PREFIX, prefix_len=1)
-_SYNTH_COUNTS = {"dim": 1, "num_concepts": 2, "refs_per_concept": 1, "num_queries": 1, "lexicon_depth": 1,
-                 "group_size": 1, "variants_per_concept": 0, "candidates_per_query": 2}
+_SYNTH_COUNTS = {"rng_seed": 0, "dim": 1, "num_concepts": 2, "refs_per_concept": 1, "num_queries": 1,
+                 "lexicon_depth": 1, "group_size": 1, "variants_per_concept": 0, "candidates_per_query": 2}
 
 # Where each count enters: (the name its refusal gives, the call that takes it, its floor).
 COUNTS = {
@@ -182,8 +182,11 @@ COUNTS = {
     "EngineParams.m": ("m", _field(EngineParams, "m"), 1),
     **{f"AnalysisConfig.{name}": (name, _field(AnalysisConfig, name), 1) for name in ("s", "n", "max_iters")},
     "AnalysisConfig.expansion_depth": ("expansion_depth", _field(AnalysisConfig, "expansion_depth"), 0),
+    "EngineConfig.dim": ("dim", _field(EngineConfig, "dim"), 0),
     "IndexConfig.dim": ("dim", _field(IndexConfig, "dim"), 1),
-    **{f"IndexConfig.{name}": (name, _field(IndexConfig, name, **_PERM), 1)
+    "IndexConfig.rng_seed": ("rng_seed", _field(IndexConfig, "rng_seed", dim=2), 0),
+    **{f"IndexConfig.{name}{label}": (name, _field(IndexConfig, name, **dict(_PERM, mode=mode)), 1)
+       for mode, label in ((MODE_PERM_PREFIX, ""), (MODE_EXACT, ".exact"))
        for name in ("num_pivots", "prefix_len", "candidate_budget")},
     **{f"SynthConfig.{name}": (name, _field(SynthConfig, name), low) for name, low in _SYNTH_COUNTS.items()},
     "VectorIndex.knn": ("k", lambda k: _INDEX.knn([0.0, 0.0], k), 1),

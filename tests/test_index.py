@@ -315,6 +315,33 @@ def test_perm_filter_equals_the_matrix_reference(shape, data):
         assert np.array_equal(got, perm_candidates_by_matrix(index, q))
 
 
+def test_a_stored_vector_as_a_query_gets_its_own_stored_prefix():
+    # Far from the origin |x|^2 - 2 x.p + |p|^2 cancels the most digits; the query's prefix
+    # comes from the rule that gave the rows theirs, so a row finds first the rows that share
+    # its stored prefix, itself among them.
+    rng = np.random.default_rng(22)
+    count = 300
+    matrix = 1e4 + rng.standard_normal((count, 16))
+    index = make_index([f"v{i:03d}" for i in range(count)], matrix, mode="perm-prefix", num_pivots=16,
+                       prefix_len=4, candidate_budget=count)
+    for i, row in enumerate(index.vectors.astype(np.float64)):
+        same = np.flatnonzero((index.assignments == index.assignments[i]).all(axis=1))
+        assert i in same and set(index._perm_candidates(row)[: len(same)].tolist()) == set(same.tolist())
+
+
+def test_perm_build_scratch_does_not_grow_with_the_row_count():
+    # Prefixes go in blocks of about 4 MiB of float64 rows and pivot distances: the build's
+    # peak above what it returns was 9.9 MiB at 20,000 and 9.7 MiB at 40,000 rows of dim 64
+    # with 64 pivots when this test landed, where blocks sized by the pivot count alone took
+    # 29.3 and 58.5 MiB.
+    rng = np.random.default_rng(21)
+    cfg = IndexConfig(dim=64, mode="perm-prefix", num_pivots=64, prefix_len=8)
+    for count in (20000, 40000):
+        ids, matrix = [f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 64)).astype(np.float32)
+        _, _, extra = _traced(lambda: build_index_from_arrays(ids, matrix, cfg))
+        assert extra <= 12 << 20, count
+
+
 def test_perm_query_scratch_is_a_few_bytes_a_row():
     # The filter holds a byte key beside one word-sized temporary at a time (the bit
     # words' common pivots, then the argsort): 10.4 bytes a row at 40,000 rows when
@@ -560,6 +587,17 @@ def test_load_rejects_pivot_sizes_beyond_the_file(tmp_path, field):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("mode", ["exact", "perm-prefix"])
+def test_load_refuses_a_negative_seed(tmp_path, mode):
+    cfg, path, raw = _small_index(tmp_path, mode)
+    header, table = _layout(raw)
+    header[5] = -1  # position of the seed in _HEADER
+    path.write_bytes(_repack(raw, header, table))
+    with pytest.raises(FormatError) as exc:
+        load_index(str(path), cfg)
+    assert str(exc.value) == f"{path}: negative rng seed -1"
+
+
 @pytest.mark.parametrize("value", [99, 2, -1])
 def test_load_rejects_prefix_assignment_outside_the_pivots(tmp_path, value):
     cfg, path, raw = _small_index(tmp_path)
@@ -688,9 +726,12 @@ def test_exact_build_from_shuffled_rows_writes_the_same_file(tmp_path):
 
 
 def test_perm_pivots_and_prefixes_come_from_the_input_order():
-    # Pivots and prefixes are picked in input order and move with their
-    # rows, so ids given out of order get the pivots and prefixes they had
-    # before rows were stored in id order.
+    # Pivots are drawn by input position, so ids given out of order get the
+    # pivots they had before rows were stored in id order. Prefixes are
+    # assigned over the id-ordered rows, so the last assertion checks that a
+    # row's prefix does not depend on the block it was computed in (a BLAS
+    # product may round differently in another block shape, which can only
+    # reorder pivots tied to within that rounding).
     rng = np.random.default_rng(19)
     _, matrix = clustered(rng)
     ids = [f"v{i}" for i in range(len(matrix))]  # "v10" sorts before "v2"
