@@ -151,8 +151,6 @@ def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, line in lines(path):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
         if "=" not in line:
             raise FormatError(f"expected 'key = value', got {line!r}", path=path, line=lineno)
         key, value = line.split("=", 1)

@@ -1,9 +1,11 @@
 """The one reader of the text inputs: the tab-separated files and config files.
 
 UTF-8, one record per line, fields split on tabs. Lines that are blank
-or whose first non-blank character is ``#`` are skipped; there are no
-inline comments (config files add their own). Errors name the path and
-the 1-based line.
+or whose first non-blank character is ``#`` are skipped, a blank being
+any character ``str.isspace()`` accepts (tab, U+00A0, U+2028, U+3000,
+...); ``skipped`` states the rule, and ``write_annotations`` refuses an
+id by it. There are no inline comments (config files add their own).
+Errors name the path and the 1-based line.
 
 A file is read whole, in binary, and decoded once; one leading
 byte-order mark is dropped, and ``\\r\\n`` and ``\\r`` end a line as
@@ -23,13 +25,14 @@ import numpy as np
 
 from .errors import FormatError
 
-_MAYBE_SKIPPED = re.compile(r"\n(?=[#\s])")  # a line end before a line that starts blank or with '#'
+# A skipped line, in "\n" + text: the "\n" before it, blanks, and perhaps '#' and the rest of the line.
+_SKIPPED = re.compile(r"\n(?=[#\s])[^\S\n]*(?:#[^\n]*)?(?=\n)")
 _TWO_TABS = re.compile(r"\t[^\t\n]*\t")
 
 
 def skipped(line: str) -> bool:
     """Whether the readers skip ``line``, given without its line end."""
-    return line.lstrip()[:1] in ("", "#")
+    return _SKIPPED.match(f"\n{line}\n") is not None
 
 
 def _record_text(path: str) -> tuple[str, np.ndarray]:
@@ -46,18 +49,10 @@ def _record_text(path: str) -> tuple[str, np.ndarray]:
     if text and not text.endswith("\n"):
         text += "\n"
     numbers = np.arange(1, text.count("\n") + 1)
-    drop: list[tuple[int, int, int]] = []  # (line index, start, end past the line end)
-    row = at = 0
-    for match in _MAYBE_SKIPPED.finditer("\n" + text):  # the match starts where its line starts in text
-        start = match.start()
-        row += text.count("\n", at, start)
-        at = start
-        end = text.index("\n", start) + 1
-        if skipped(text[start:end - 1]):
-            drop.append((row, start, end))
-    if drop:
-        rows, starts, ends = zip(*drop)
-        text = "".join(text[a:b] for a, b in zip((0, *ends), (*starts, len(text))))
+    starts = [match.start() for match in _SKIPPED.finditer("\n" + text)]  # where skipped lines start in text
+    if starts:
+        rows = np.cumsum([text.count("\n", a, b) for a, b in zip([0, *starts], starts)])
+        text = _SKIPPED.sub("", "\n" + text)[1:]
         numbers = np.delete(numbers, rows)
     return text, numbers
 

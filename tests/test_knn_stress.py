@@ -193,6 +193,19 @@ def test_chunk_mixes_finite_and_infinite_slack(tiles):
     check_exact(matrix, queries, 7)
 
 
+def test_batch_with_a_query_whose_doubled_components_overflow_float32():
+    """-2q of the second query overflows float32: its slack is infinite, so it
+    keeps every row, while the ordinary query beside it is ranked as usual."""
+    rng = np.random.default_rng(112)
+    matrix = rng.standard_normal((50, 4)).astype(np.float32)
+    ids = [f"v{i:02d}" for i in range(50)]
+    queries = np.array([rng.standard_normal(4), [3e38, 0.5, -0.5, 1.0]])
+    index = build_index_from_arrays(ids, matrix, IndexConfig(dim=4))
+    got = index.knn_batch(queries, 10)
+    for q, hits in zip(queries, got):
+        assert [h[0] for h in hits] == [w[0] for w in brute_force_knn(ids, matrix, q, 10)]
+
+
 def test_pool_is_trimmed_before_the_last_tile(tiles, monkeypatch):
     tiles(chunk=3, rows=8, group=2)  # a pool of 24 entries is a tile's worth
     calls = {"_candidates": 0, "_trim": 0}  # each scan ends in one trim

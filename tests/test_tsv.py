@@ -8,6 +8,8 @@ the path and the line.
 
 import ast
 import re
+import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,13 +18,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles import id_lists_from_dict, read_id_lists_by_line
 
 import neartag
+from neartag import SynthConfig, generate_corpus
 from neartag.annotator import load_candidate_lists, load_concepts, read_annotations
 from neartag.config import parse_config_file
 from neartag.errors import FormatError
 from neartag.evaluation import load_ground_truth
 from neartag.keywords import load_keywords
 from neartag.lexicon import load_lexicon
-from neartag.tsv import read_id_lists, records
+from neartag.tsv import read_id_lists, records, skipped
 
 
 def _lexicon(tmp_path):
@@ -187,6 +190,21 @@ def test_only_tsv_opens_a_file_to_read_text():
     assert readers == []
 
 
+_WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\n\r"]
+
+
+@pytest.mark.parametrize("blank", _WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_every_whitespace_character_is_blank_to_the_skip_rule(tmp_path, blank):
+    """A line of one blank character, or of it before a comment, is skipped as the
+    line-by-line reference skips it, and later faults keep their line numbers."""
+    for lines in ([blank, f"{blank}# x"], [f"{blank}# x", blank]):
+        assert [skipped(line) for line in lines] == [line.lstrip()[:1] in ("", "#") for line in lines] == [True] * 2
+        for tail in ("", "q3\n", f"q3\t{blank}\n"):
+            path = _write(tmp_path, "\n".join(["q1\tcat", *lines, "q2\tdog", tail]).encode())
+            assert _outcome(read_id_lists, path, "keyword") == _outcome(read_id_lists_by_line, path, "keyword")
+    assert not skipped(f"{blank}a") and not skipped(f"a{blank}#")
+
+
 def test_records_yield_line_numbers_and_fields(tmp_path):
     path = _write(tmp_path, b"# c\na\tb\n\n\tc\t\n")
     assert list(records(path)) == [(2, ["a", "b"]), (4, ["", "c", ""])]
@@ -281,3 +299,43 @@ def test_id_lists_equal_the_line_by_line_reference(tmp_path, text, data):
     names = sorted({name for items in expected.values() for name in items}) if isinstance(expected, dict) else []
     known = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(names))) if names else st.none(), label="known")
     assert _outcome(read_id_lists, path, "keyword", known) == _outcome(read_id_lists_by_line, path, "keyword", known)
+
+
+# Memory of the text loads: the traced peak above what a load returns, per byte of its file, on
+# generated corpora of two sizes (35 and 282 KB of keywords, 5 and 11 KB of lexicon).
+
+
+@pytest.fixture(scope="module")
+def worlds(tmp_path_factory):
+    out = tmp_path_factory.mktemp("worlds")
+    return [generate_corpus(SynthConfig(dim=2, num_concepts=concepts, refs_per_concept=refs, num_queries=10),
+                            str(out / f"c{concepts}")) for concepts, refs in ((20, 100), (40, 400))]
+
+
+def _scratch_per_byte(load, path) -> float:
+    tracemalloc.start()
+    try:
+        loaded = load(path)  # alive while the figures are read, so ``held`` counts it
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del loaded
+    return (peak - held) / Path(path).stat().st_size
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_keyword_load_scratch_per_input_byte(worlds, size):
+    assert _scratch_per_byte(load_keywords, worlds[size].keywords) <= 11.0  # measured 10.3 at both sizes
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_lexicon_load_scratch_per_input_byte(worlds, size):
+    assert _scratch_per_byte(load_lexicon, worlds[size].lexicon) <= 15.0  # measured 12.1 and 14.1
+
+
+def test_keyword_load_scratch_on_a_comment_every_other_line(worlds, tmp_path):
+    """Skipped lines go in one regex substitution over the text, so a file that is
+    half comments takes less scratch per byte than a plain one (measured 5.7)."""
+    lines = Path(worlds[1].keywords).read_text(encoding="utf-8").splitlines()
+    path = _write(tmp_path, "".join(f"# record {i}\n{line}\n" for i, line in enumerate(lines)).encode())
+    assert _scratch_per_byte(load_keywords, path) <= 6.0
