@@ -37,7 +37,6 @@ query scores the same alone as in any batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -141,10 +140,11 @@ class NeighborWords:
     # Serves annotate_from_words, which perfbench observes by name, and an empty search batch.
     @classmethod
     def from_lists(cls, batch: list[list[tuple[str, list[str]]]]) -> NeighborWords:
-        """From per-query (image id, words) lists in ascending-distance order;
-        a word repeated within one image counts once."""
+        """From per-query (image id, words) lists in ascending-distance order; words are lowercased
+        and stripped as the keyword reader does, and one repeated within an image counts once."""
         entries = [(q, rank, word) for q, neighbors in enumerate(batch)
-                   for rank, (_id, words) in enumerate(neighbors, 1) for word in dict.fromkeys(words)]
+                   for rank, (_id, words) in enumerate(neighbors, 1)
+                   for word in dict.fromkeys(map(str.strip, map(str.lower, words)))]
         vocabulary = tuple(sorted({word for _q, _rank, word in entries}))
         number = {word: i for i, word in enumerate(vocabulary)}
         owner, rank, word = (zip(*entries) if entries else ((), (), ()))
@@ -262,7 +262,7 @@ def initial_synsets(word_weights: Weights, lexicon: Lexicon, s: int) -> Weights:
     known = np.flatnonzero(words >= 0)
     lo = lexicon.sense_ptr[words[known]]
     q = np.minimum(lexicon.sense_ptr[words[known] + 1] - lo, s)
-    harmonic = np.array([0.0, *accumulate(1.0 / r for r in range(1, int(q.max(initial=0)) + 1))])  # 1 + ... + 1/j
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, q.max(initial=0) + 1))))  # 1 + ... + 1/j
     row = np.repeat(known, q)
     rank = _ranges(np.ones_like(q), q)  # 1, ..., q for each word
     share = ww.weight[row] * (1.0 / rank) / harmonic[np.repeat(q, q)]

@@ -11,6 +11,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -149,12 +150,6 @@ def merge_neighbor_lists(per_dataset: list[list[tuple[str, float]]], k: int) -> 
     return [(pos, image_id, dist) for dist, image_id, pos in merged[:k]]
 
 
-def _number(names: tuple[str, ...], name: str) -> int:
-    """The position of ``name`` in the sorted ``names``, -1 if absent."""
-    at = bisect_left(names, name)
-    return at if at < len(names) and names[at] == name else -1
-
-
 def gather_neighbor_words(neighbor_lists: list[list[list[tuple[str, float]]]], stores: list[KeywordStore],
                           k: int) -> tuple[NeighborWords, int]:
     """The keyword numbers of each query's merged top-k neighbours, in merged order.
@@ -207,28 +202,28 @@ def score_concepts(ranked_synsets: Weights, concepts: dict[str, ConceptDef],
     the candidates' sorted concept names.
     """
     ranked = ranked_synsets
-    for name in (name for names in candidates for name in names):
-        if name not in concepts:
-            raise EngineError(f"unknown concept {name!r} in candidate list")
-    names = sorted({name for names in candidates for name in names})
-    number = {name: i for i, name in enumerate(names)}
-    # The candidates' concepts as a CSR of synset numbers.
-    members = [[x for x in (_number(ranked.names, sid) for sid in concepts[name].synsets) if x >= 0] for name in names]
-    lens = _ints([len(synsets) for synsets in members])
-    starts = np.cumsum(lens) - lens
-    synsets = _ints([x for synsets in members for x in synsets])
-    owner = np.repeat(np.arange(len(candidates)), [len(names) for names in candidates])
-    concept = _ints([number[name] for names in candidates for name in names])
-    # Each (query, candidate) pair's synsets, looked up in the query's ranked scores.
-    size = max(len(ranked.names), 1)
-    at = _find(ranked.owner * size + ranked.item,
-               np.repeat(owner, lens[concept]) * size + synsets[_ranges(starts[concept], lens[concept])])
-    values = np.zeros(len(at))
-    values[at >= 0] = ranked.weight[at[at >= 0]]
+    if unknown := set(chain.from_iterable(candidates)).difference(concepts):
+        name = next(filter(unknown.__contains__, chain.from_iterable(candidates)))
+        raise EngineError(f"unknown concept {name!r} in candidate list")
+    names = sorted(set(chain.from_iterable(candidates)))
+    number = dict(zip(names, range(len(names))))
+    concept = _ints(list(map(number.__getitem__, chain.from_iterable(candidates))))
+    owner = np.repeat(np.arange(len(candidates)), list(map(len, candidates)))
+    # The candidates' concepts as a CSR of synset numbers, -1 for a synset the ranked names lack.
+    members = [concepts[name].synsets for name in names]
+    lens = _ints(list(map(len, members)))
+    known, size = ranked.names, len(ranked.names)
+    synsets = _ints([x if (x := bisect_left(known, sid)) < size and known[x] == sid else -1
+                     for sid in chain.from_iterable(members)])
+    # Each (query, candidate) pair's synsets, looked up in the query's ranked scores; -1 where it has none.
+    count = lens[concept]
+    wanted = synsets[_ranges((np.cumsum(lens) - lens)[concept], count)]
+    at = np.where(wanted < 0, -1, _find(ranked.owner * size + ranked.item, np.repeat(owner, count) * size + wanted))
+    values = np.append(ranked.weight, 0.0)[at]  # -1 reads the appended 0
     score = np.zeros(len(concept))
-    some = np.flatnonzero(lens[concept] > 0)
+    some = np.flatnonzero(count > 0)
     if len(some):
-        score[some] = np.maximum.reduceat(values, (np.cumsum(lens[concept]) - lens[concept])[some])
+        score[some] = np.maximum.reduceat(values, (np.cumsum(count) - count)[some])
     order = np.lexsort((concept, -score, owner))
     return Weights(owner[order], concept[order], score[order], tuple(names), len(candidates))
 
@@ -259,6 +254,9 @@ def annotate_words(queries: list[Query], neighbor_words: NeighborWords, lexicon:
     for query in queries:
         if not query.candidates:
             raise EngineError(f"query {query.id!r} has no candidate concepts")
+        if len(set(query.candidates)) < len(query.candidates):
+            name = next(name for i, name in enumerate(query.candidates) if name in query.candidates[:i])
+            raise EngineError(f"query {query.id!r} lists candidate concept {name!r} twice")
     a = params.analysis
     weights = word_frequencies(neighbor_words, a.neighbor_weighting)
     candidates = initial_synsets(weights, lexicon, a.s)

@@ -95,6 +95,38 @@ def test_score_concepts_per_query_of_a_batch():
                    [("animal", 0.3), ("cat", 0.1), ("rock", 0.0)]]
 
 
+_SYNSETS = tuple(f"s{i}" for i in range(10))
+
+
+@st.composite
+def concept_batches(draw):
+    """Ranked names drawn from s1-s8, so a concept's synsets include names absent from
+    them inside their range and past both ends; concepts share synsets; a query may
+    have no ranked rows."""
+    names = tuple(sorted(draw(st.sets(st.sampled_from(_SYNSETS[1:-1])))))
+    members = draw(st.dictionaries(st.sampled_from("abcdef"), st.lists(st.sampled_from(_SYNSETS), min_size=1,
+                                                                       max_size=4, unique=True), min_size=1))
+    concepts = {name: ConceptDef(name, tuple(synsets)) for name, synsets in members.items()}
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        scores = draw(st.dictionaries(st.sampled_from(names), st.sampled_from([0.0, 0.125, 0.25, 0.5])) if names
+                      else st.just({}))
+        batch.append((scores, tuple(draw(st.lists(st.sampled_from(sorted(concepts)), min_size=1, unique=True)))))
+    return names, concepts, batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(concept_batches())
+def test_score_concepts_equals_a_per_query_reference(case):
+    # Each candidate takes the max over its synsets' scores, 0 where the query ranks none.
+    names, concepts, batch = case
+    ranked = weights_from_lists([sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
+                                 for scores, _candidates in batch], names)
+    expected = [sorted(((name, max(scores.get(sid, 0.0) for sid in concepts[name].synsets)) for name in candidates),
+                       key=lambda pair: (-pair[1], pair[0])) for scores, candidates in batch]
+    assert weight_lists(score_concepts(ranked, concepts, [candidates for _scores, candidates in batch])) == expected
+
+
 def test_select_top_truncates_positive_scores():
     scored = [(f"c{i}", 0.7 - 0.1 * i) for i in range(7)]
     assert top_of(scored, 5) == scored[:5]
@@ -281,6 +313,23 @@ def test_annotate_empty_candidates_rejected(tmp_path):
         annotate(Query("q", np.zeros(4), ()), [dataset], lex, concepts, EngineParams())
 
 
+@pytest.mark.parametrize("batch", [False, True])
+def test_a_repeated_candidate_is_refused_and_nothing_is_written(tmp_path, batch):
+    # The candidate reader drops repeats, so only a library Query can hold one;
+    # ranked twice, its concept would fill two of the m places.
+    dataset, lex, concepts = single_word_world(tmp_path)
+    query = Query("q1", np.zeros(4), ("cat", "cat"))
+    out = tmp_path / "out.tsv"
+    with pytest.raises(EngineError, match="query 'q1' lists candidate concept 'cat' twice"):
+        if batch:
+            annotations = annotate_batch([Query("q0", np.ones(4), ("cat",)), query], [dataset], lex, concepts,
+                                         EngineParams(k=5))
+        else:
+            annotations = [annotate(query, [dataset], lex, concepts, EngineParams(k=5))]
+        write_annotations(str(out), annotations)
+    assert not out.exists()
+
+
 def test_annotate_batch_matches_single(tmp_path):
     # Exact and perm-prefix indexes, one dataset and two: the batch gives
     # each query what annotating it alone gives.
@@ -367,6 +416,20 @@ def test_annotate_from_words_equals_annotate(tmp_path, weighting):
         assert annotate_from_words(query, found, lex, concepts, params) == expected
         rankings.add(expected.ranked)
     assert len(rankings) > 1
+
+
+def test_annotate_from_words_reads_words_as_the_keyword_file_does(tmp_path):
+    # Words are lowercased and stripped before a neighbour's repeats count once.
+    words = ["cat", "dog"]
+    lex = load_lexicon(write(tmp_path, "lex.tsv", "".join(f"S\t{w}.n.1\t{w}\nW\t{w}\t{w}.n.1\t1\n" for w in words)))
+    concepts = load_concepts(write(tmp_path, "con.tsv", "".join(f"C\t{w}\t{w}.n.1\n" for w in words)), lex)
+    given_words = {"r0": ["Cat", "cat"], "r1": [" dog", "DOG "], "r2": ["CAT", "Dog"], "r3": ["dog"]}
+    store = load_keywords(write(tmp_path, "kw.tsv", "".join(f"{i}\t{','.join(w)}\n" for i, w in given_words.items())))
+    query = Query("q", np.zeros(2), ("cat", "dog"))
+    params = EngineParams(m=2)
+    expected = annotate_from_words(query, store.words_for(list(given_words))[0], lex, concepts, params)
+    assert expected.ranked == (("dog", pytest.approx(0.6)), ("cat", pytest.approx(0.4)))
+    assert annotate_from_words(query, list(given_words.items()), lex, concepts, params) == expected
 
 
 def test_search_stage_yields_in_the_given_order(tmp_path):

@@ -2,7 +2,8 @@
 
 One query's Python-level calls into ``neartag`` functions, counted with
 ``sys.setprofile`` on a small generated world, for the search stage
-(``search_neighbor_words``) and the semantic stage (``annotate_words``).
+(``search_neighbor_words``) and the semantic stage (``annotate_words``),
+and the semantic stage's calls for a batch of the world's 20 queries.
 Only frames whose globals are a ``neartag`` module's count, the
 ``__init__`` that ``dataclasses`` generates for a ``neartag`` class
 included, so numpy's Python-level dispatchers, which change between
@@ -25,8 +26,8 @@ from neartag.lexicon import load_lexicon
 
 # mode -> (index settings, search-stage calls, semantic-stage calls)
 BOUNDS = {
-    "exact": ({}, 32, 110),
-    "perm-prefix": (dict(mode=MODE_PERM_PREFIX, num_pivots=16, prefix_len=4, candidate_budget=200), 35, 110),
+    "exact": ({}, 32, 61),
+    "perm-prefix": (dict(mode=MODE_PERM_PREFIX, num_pivots=16, prefix_len=4, candidate_budget=200), 35, 61),
 }
 
 
@@ -38,7 +39,13 @@ def world(tmp_path_factory):
     concepts = load_concepts(paths.concepts, lexicon)
     candidates = load_candidate_lists(paths.candidates, concepts)
     qids, features = read_vectors(paths.queries)
-    return paths, lexicon, concepts, Query(qids[0], features[0], candidates[qids[0]])
+    return paths, lexicon, concepts, [Query(qid, feature, candidates[qid]) for qid, feature in zip(qids, features)]
+
+
+def search_datasets(paths, settings):
+    ids, matrix = read_vectors(paths.refs)
+    return [Dataset(build_index_from_arrays(ids, matrix, IndexConfig(dim=16, **settings)),
+                    load_keywords(paths.keywords))]
 
 
 def neartag_calls(fn, *args):
@@ -61,13 +68,23 @@ def neartag_calls(fn, *args):
 
 @pytest.mark.parametrize("mode", BOUNDS)
 def test_one_query_makes_no_more_calls_than_its_bound(world, mode):
-    paths, lexicon, concepts, query = world
+    paths, lexicon, concepts, queries = world
     settings, search_bound, semantic_bound = BOUNDS[mode]
-    ids, matrix = read_vectors(paths.refs)
-    datasets = [Dataset(build_index_from_arrays(ids, matrix, IndexConfig(dim=16, **settings)),
-                        load_keywords(paths.keywords))]
+    datasets = search_datasets(paths, settings)
     params = EngineParams()
-    words, search_calls = neartag_calls(search_neighbor_words, [query], datasets, params.k)
-    annotations, semantic_calls = neartag_calls(annotate_words, [query], words, lexicon, concepts, params)
+    words, search_calls = neartag_calls(search_neighbor_words, queries[:1], datasets, params.k)
+    annotations, semantic_calls = neartag_calls(annotate_words, queries[:1], words, lexicon, concepts, params)
     assert annotations[0].ranked  # the query has keyword signal, so every semantic step runs
     assert search_calls <= search_bound and semantic_calls <= semantic_bound, (search_calls, semantic_calls)
+
+
+@pytest.mark.parametrize("mode", BOUNDS)
+def test_a_batch_adds_one_semantic_call_per_added_query(world, mode):
+    # The one call per query is the query's Annotation; every other step runs once per batch.
+    paths, lexicon, concepts, queries = world
+    settings, _search_bound, semantic_bound = BOUNDS[mode]
+    params = EngineParams()
+    words = search_neighbor_words(queries, search_datasets(paths, settings), params.k)
+    annotations, calls = neartag_calls(annotate_words, queries, words, lexicon, concepts, params)
+    assert len(annotations) == len(queries) == 20
+    assert calls <= semantic_bound + len(queries) - 1, calls
