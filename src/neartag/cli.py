@@ -57,6 +57,7 @@ from .evaluation import evaluate, format_report, load_ground_truth
 from .index import (
     MODE_EXACT,
     MODE_PERM_PREFIX,
+    IndexConfig,
     build_index_from_arrays,
     load_index,
     save_index,
@@ -112,7 +113,9 @@ def _resolve_config(args: argparse.Namespace) -> EngineConfig:
             raise EngineError(f"--lam expects REL=WEIGHT, got {item!r}")
         rel, weight = item.split("=", 1)
         flags[f"lambda.{rel.strip()}"] = weight.strip()
-    return apply_config_values(cfg, flags, base_dir=os.getcwd(), source="flag")
+    cfg = apply_config_values(cfg, flags, base_dir=os.getcwd(), source="flag")
+    IndexConfig(dim=max(cfg.dim, 1), **cfg.index)  # every command refuses bad index settings; dim may be unset
+    return cfg
 
 
 def _check_exists(path: str, what: str) -> None:

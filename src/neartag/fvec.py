@@ -8,9 +8,11 @@ are the only code that writes or reads them; saved indexes (``index.py``)
 have their own layout, with the same id length limit and the same id
 codec (``_encode_ids``, ``_decode_ids``).
 
-Both work on blocks of about ``_BLOCK`` bytes of whole records, one run of
-records with equal id lengths at a time: a run's length fields are checked
-with one comparison, and its ids and values move as two strided copies.
+Both work on blocks of about ``_BLOCK`` bytes of whole records. A write
+scatters a block's length bytes, ids and values to their record offsets,
+whatever the id lengths; a read takes one run of equal id lengths at a
+time, checks its length fields with one comparison and moves its ids and
+values as two strided copies.
 
 ``_replacing`` is the one way the package writes an output file, text
 or binary: a failed write leaves whatever was at the path before.
@@ -23,6 +25,7 @@ from contextlib import contextmanager
 from itertools import pairwise
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError
 
@@ -123,27 +126,20 @@ def write_vectors(path: str, ids: list[str], matrix: np.ndarray) -> None:
         raise ValueError(f"image id too long ({size} bytes, limit {_MAX_ID_BYTES})" if size
                          else "image id must be non-empty")
     values = data.view(np.uint8).reshape(count, 4 * dim)
-    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), count]  # runs of equal id length
+    at = np.concatenate(([0], np.cumsum(2 + sizes + 4 * dim)))  # where each record starts, then the end
     buf = np.empty(max(_BLOCK, 2 + int(sizes.max(initial=0)) + 4 * dim), dtype=np.uint8)
-    fill = 0
+    record = 0
     with _replacing(path) as fh:
         fh.write(f"{MAGIC} {VERSION} {dim} {count}\n".encode("ascii"))
-        for record, stop in zip(cuts, cuts[1:]):
-            while record < stop:
-                size = int(sizes[record])
-                step = 2 + size + 4 * dim
-                run = min(stop - record, (buf.size - fill) // step)
-                if not run:
-                    fh.write(buf[:fill])
-                    fill = 0
-                    continue
-                rows = buf[fill : fill + run * step].reshape(run, step)
-                rows[:, :2].view("<u2")[:, 0] = size
-                rows[:, 2 : 2 + size] = blob[ends[record] : ends[record] + run * size].reshape(run, size)
-                rows[:, 2 + size :] = values[record : record + run]
-                fill += run * step
-                record += run
-        fh.write(buf[:fill])
+        while record < count:  # whole records, about _BLOCK bytes of them and at least one
+            stop = max(record + 1, int(np.searchsorted(at, at[record] + _BLOCK, side="right")) - 1)
+            out, pos, size = buf[: at[stop] - at[record]], at[record:stop] - at[record], sizes[record:stop]
+            out[pos], out[pos + 1] = size & 0xFF, size >> 8
+            first = np.repeat(pos + 2 - (ends[record:stop] - ends[record]), size)  # id byte j goes to first[j] + j
+            out[first + np.arange(len(first))] = blob[ends[record] : ends[stop]]
+            sliding_window_view(out, 4 * dim, writeable=True)[pos + 2 + size] = values[record:stop]
+            fh.write(out)
+            record = stop
 
 
 def read_vectors(path: str) -> tuple[list[str], np.ndarray]:

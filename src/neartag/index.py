@@ -9,8 +9,10 @@ Two modes share one query interface and one exact top-k routine:
   (``_CHUNK``), and a chunk meets the store one row tile at a time: one
   float32 matrix product of ``_TILE // chunk`` rows (8,192 for a full
   chunk; the whole store for a lone query) into a scratch tile the call
-  reuses, plus the row norms. Each tile splits into groups of 16
-  (``_GROUP``) rows taken at a stride of a sixteenth of the tile. A
+  reuses, plus the row norms. A tile of n rows is read as one (chunk,
+  16, w) view, w = ceil(n / 16): group i holds the 16 (``_GROUP``) rows
+  i, i + w, ..., i + 15w, those at or past n NaN, which the group
+  minimum (``fmin``) skips and no limit pools. A
   query keeps the k least group minima it has seen, and its running
   limit is fl32(k-th least minimum + slack). From each group whose
   minimum is at most that limit, it pools the rows that score at most
@@ -151,8 +153,9 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
     float32 score is at most fl32(t + slack), t being the query's kk-th
     smallest score; every row for a query whose slack is infinite.
 
-    The rows go by in tiles, pooling the rows that can still make the cut
-    (see the module docstring); a pool that outgrows a tile is trimmed
+    The rows go by in tiles, each read as the (nq, _GROUP, w) view of the
+    module docstring with a short tile padded by NaN, pooling the rows
+    that can still make the cut; a pool that outgrows a tile is trimmed
     the way the last step trims it. Every buffer belongs to this call, so
     threads may share the index.
     """
@@ -161,36 +164,32 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
     if not live.any():
         return [np.arange(count)] * nq
     span = min(count, max(1, _TILE // nq))  # rows per tile
-    width = -(-span // _GROUP)  # groups per tile: group i holds rows i, i + width, ...
+    width = -(-span // _GROUP)  # groups per tile
     neg2q = (block * -2.0).astype(np.float32)
-    scores = np.empty((nq, span), dtype=np.float32)
-    gmin = np.empty((nq, width), dtype=np.float32)
+    scores = np.empty((nq, _GROUP * width), dtype=np.float32)
     best = np.full((nq, kk + width), np.inf, dtype=np.float32)  # kk least minima so far, then a tile's
     cap = np.where(live, np.inf, np.nan).astype(np.float32)  # NaN: pool nothing
-    steps = np.arange(_GROUP, dtype=np.int32)
     pool, pooled, budget = [], 0, _TILE
     for t0 in range(0, count, span):
         n = min(span, count - t0)
         w = -(-n // _GROUP)
-        s, m = scores[:, :n], gmin[:, :w]
-        np.matmul(neg2q, base[t0 : t0 + n].T, out=s)
-        s += norms[t0 : t0 + n]
-        np.copyto(m, s[:, :w])
-        for lo in range(w, n, w):
-            np.minimum(m[:, : n - lo], s[:, lo : lo + w], out=m[:, : n - lo])
+        np.matmul(neg2q, base[t0 : t0 + n].T, out=scores[:, :n])
+        scores[:, :n] += norms[t0 : t0 + n]
+        scores[:, n : _GROUP * w] = np.nan  # past the tile's rows: fmin skips them, <= pools none
+        groups = scores[:, : _GROUP * w].reshape(nq, _GROUP, w)  # groups[q, j, i] is row i + j*w
+        m = np.fmin.reduce(groups, axis=1)
         best[:, kk : kk + w] = m
         best[:, : kk + w].partition(kk - 1, axis=1)
         limit = np.minimum((best[:, kk - 1] + slack).astype(np.float32), cap)
-        # The groups under each query's limit, and where their rows' scores sit in
-        # ``scores``: int32 suffices, as a tile holds at most _TILE scores.
+        # The groups under each query's limit; int32 suffices, as a tile holds at most _TILE scores.
         qi, gi = np.divmod(np.flatnonzero(m <= limit[:, None]).astype(np.int32), np.int32(w))
-        at = (qi * np.int32(span) + gi)[:, None] + w * steps  # group gi holds rows gi, gi + w, ...
-        got = scores.ravel()[np.minimum(at, scores.size - 1, out=at)]
-        ok = got <= limit[qi][:, None]
-        ok &= steps < ((n - gi + w - 1) // w)[:, None]  # rows below n
-        keep = np.flatnonzero(ok)
-        qk = qi[keep // _GROUP]
-        pool.append((qk, (at.ravel()[keep] - qk * np.int32(span)).astype(np.intp) + t0, got.ravel()[keep]))
+        got = groups[qi, :, gi]
+        keep = np.flatnonzero(got <= limit[qi][:, None])
+        pair, rows = np.divmod(keep, _GROUP)  # group gi's row j is gi + j*w, in place to keep the peak low
+        rows *= w
+        rows += gi[pair]
+        rows += t0
+        pool.append((qi[pair], rows, got.ravel()[keep]))
         pooled += len(pool[-1][0])
         if pooled > budget and t0 + n >= kk:  # a trim needs k rows seen
             qs, rs, ss, lim = _trim(pool, nq, kk, slack)

@@ -326,7 +326,11 @@ def test_generate_refuses_a_negative_seed_before_making_the_directory(tmp_path, 
     ("build", ["--index-mode", "perm-prefix", "--seed", "-1"], "rng_seed must be an integer of at least 0, got -1"),
     ("annotate", ["--dim", "-3"], "dim must be an integer of at least 0, got -3"),
     ("evaluate", ["--dim", "-3"], "dim must be an integer of at least 0, got -3"),
-], ids=["exact-pivots-0", "build-seed-negative", "annotate-dim-negative", "evaluate-dim-negative"])
+    ("evaluate", ["--pivots", "0", "--budget", "-3"], "num_pivots must be an integer of at least 1, got 0"),
+    ("evaluate", ["--index-mode", "perm-prefix", "--prefix-len", "100"],
+     "prefix_len must be in [1, num_pivots=64], got 100"),
+], ids=["exact-pivots-0", "build-seed-negative", "annotate-dim-negative", "evaluate-dim-negative",
+        "evaluate-pivots-0", "evaluate-prefix-past-pivots"])
 def test_index_settings_and_dim_are_checked_in_every_command(corpus, tmp_path, capsys, command, flags, message):
     """Index sizes and seed are refused in either mode, and a dim below 0 where it enters,
     before any output; the feature file, which is fine, goes unnamed."""

@@ -146,6 +146,15 @@ def test_overlong_id_rejected(tmp_path):
         fvec.write_vectors(path, ["x" * 70000], np.ones((1, 2), dtype=np.float32))
 
 
+def test_ids_whose_length_fills_both_length_bytes_are_written_as_the_reference(tmp_path):
+    ids, matrix = ["a" * 300, "b" * 0xFFFF, "c"], np.arange(6, dtype=np.float32).reshape(3, 2)
+    want, got = tmp_path / "want.fvec", tmp_path / "got.fvec"
+    write_vectors_by_record(str(want), ids, matrix)
+    fvec.write_vectors(str(got), ids, matrix)
+    assert got.read_bytes() == want.read_bytes()
+    assert fvec.read_vectors(str(got))[0] == ids
+
+
 def test_id_count_must_match_rows(tmp_path):
     path = str(tmp_path / "v.fvec")
     with pytest.raises(ValueError, match="2 ids for 1"):

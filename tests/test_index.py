@@ -147,23 +147,34 @@ def test_knn_batch_of_one_is_one_knn_call(monkeypatch):
     assert calls == [5]
 
 
-def test_large_k_batch_works_in_a_few_score_tiles():
-    # At k = 1,000 a tile holds about k groups, so the first tile pools most of its rows.
-    # Its pooling temporaries and the trims once took about six tiles' worth of memory,
-    # beyond the neighbour lists the call returns; gathered with int32 positions they take
-    # about four.
+def _batch_scratch_in_tiles(k):
+    """The peak a 256-query batch at ``k`` over 20,000 x 8 rows takes above the neighbour
+    lists it returns, in float32 score tiles; the lists' lengths come with it."""
     rng = np.random.default_rng(10)
     index = make_index([f"v{i:05d}" for i in range(20000)], rng.standard_normal((20000, 8)))
     queries = rng.standard_normal((256, 8))
     index.knn_batch(queries[:2], 3)  # a first call, so that only the batch's own scratch is traced
-    tracemalloc.start()
-    try:
-        found = index.knn_batch(queries, 1000)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [len(neighbors) for neighbors in found] == [1000] * 256
-    assert peak - held <= 5 * 4 * index_module._TILE
+    found, _, extra = _traced(lambda: index.knn_batch(queries, k))
+    return [len(neighbors) for neighbors in found], extra / (4 * index_module._TILE)
+
+
+def test_large_k_batch_works_in_a_few_score_tiles():
+    # At k = 1,000 a tile holds about k groups, so the first tile pools most of its rows.
+    # Its pooling temporaries and the trims once took about six tiles' worth of memory,
+    # beyond the neighbour lists the call returns; gathered with int32 positions, about
+    # four; read through the (chunk, 16, w) view of a tile, 3.76.
+    lengths, tiles = _batch_scratch_in_tiles(1000)
+    assert lengths == [1000] * 256
+    assert tiles <= 3.9
+
+
+def test_batch_at_the_default_k_takes_little_more_than_a_score_tile():
+    # At k = 70 a tile holds 512 groups, so the score tile itself is most of the peak:
+    # 1.41 tiles when a tile's groups were read through flat offsets, 1.26 through the
+    # (chunk, 16, w) view.
+    lengths, tiles = _batch_scratch_in_tiles(70)
+    assert lengths == [70] * 256
+    assert tiles <= 1.3
 
 
 def test_index_holds_no_float64_copy_of_the_vectors():

@@ -169,6 +169,19 @@ def test_ragged_last_tile_and_group(tiles):
     check_exact(matrix, np.concatenate([matrix[95:], rng.standard_normal((4, 6))]), 5)
 
 
+def test_rows_past_a_short_tile_are_never_pooled(tiles, monkeypatch):
+    """A tile's last group can run past its rows; those cells are NaN, so a query
+    whose limit is still infinite pools every row of the tile and nothing more."""
+    tiles(chunk=2, rows=36, group=16)  # a lone query's tiles: 72 rows in 80 cells, then 28 in 32
+    pools = []
+    real = index_module._trim
+    monkeypatch.setattr(index_module, "_trim", lambda pool, *a: pools.extend(pool) or real(pool, *a))
+    rng = np.random.default_rng(116)
+    check_exact(rng.standard_normal((100, 3)), rng.standard_normal((2, 3)), 10)  # 10 > 5 groups a tile
+    _, rows, scores = (np.concatenate(part) for part in zip(*pools))
+    assert rows.max() < 100 and np.isfinite(scores).all()
+
+
 def test_duplicates_straddle_a_tile_boundary(tiles):
     tiles(chunk=2, rows=5, group=2)  # tiles of 5 rows for two queries, 10 for one
     rng = np.random.default_rng(110)
