@@ -41,10 +41,15 @@ Two modes share one query interface and one exact top-k routine:
   256 pivots), and each row's pivot set as ceil(P / 64) uint64 bit
   words, word-major, P being the pivot count; about L + 8 ceil(P / 64)
   bytes a row. A query scans the first column, follows only the rows
-  whose match is still running through the rest, takes one
-  ``bitwise_count`` of each word against its own prefix's, and sorts the
-  one key agree * (L + 1) + shared, descending, with a stable argsort:
-  O(N L) byte and O(N ceil(P / 64)) word operations for N rows.
+  whose match is still running through the rest, and takes one
+  ``bitwise_count`` of each word against its own prefix's, giving each
+  row the key agree * (L + 1) + shared. It keeps the budget's head of
+  that key in descending order, ties in row order: it finds the cut,
+  the largest key at least the budget's rows reach, by a binary search
+  of counts over the (L + 1)^2 key values, sorts only the rows above
+  the cut, and fills the rest of the budget with the first rows at it.
+  That is O(N L) byte, O(N ceil(P / 64)) word and O(N log L) count
+  operations for N rows, and a sort of fewer rows than the budget.
 
 Vectors are held only as float32, rows in id order, with their float32
 squared norms and the largest norm computed once at build. Results
@@ -232,7 +237,8 @@ class VectorIndex:
         if assignments is not None:
             # The filter's views: prefix column j, and bit p % 64 of word p // 64 set
             # when pivot p is in the row's prefix.
-            self._columns = assignments.T.astype(np.min_scalar_type(config.num_pivots - 1))
+            # C order keeps each column contiguous; the bytes transpose faster than the int32s.
+            self._columns = np.ascontiguousarray(assignments.astype(np.min_scalar_type(config.num_pivots - 1)).T)
             self._words = np.zeros((-(-config.num_pivots // 64), len(ids)), dtype=np.uint64)
             for column in self._columns:
                 bit, word_of = np.left_shift(np.uint64(1), column & 63, dtype=np.uint64), column >> 6
@@ -285,9 +291,10 @@ class VectorIndex:
         # ties by how many pivots the prefixes share as sets, which keeps
         # near neighbors whose permutations are slightly shuffled ahead of
         # unrelated vectors. Ties stay in row order, which is id order, so a
-        # larger budget always extends the candidate list. One key sorts by
+        # larger budget always extends the candidate list. One key ranks by
         # both: agree * (L + 1) + shared, at most (L + 1)^2 - 1.
-        key = np.zeros(len(self.ids), dtype=np.min_scalar_type(radix * radix - 1))
+        top = radix * radix - 1
+        key = np.zeros(len(self.ids), dtype=np.min_scalar_type(top))
         q_words = np.zeros(len(self._words), dtype=np.uint64)
         for p in q_prefix:
             q_words[p >> 6] |= np.uint64(1) << np.uint64(p & 63)
@@ -297,8 +304,21 @@ class VectorIndex:
         for column, p in zip(self._columns, q_prefix):
             run = np.flatnonzero(column == p) if run is None else run[column[run] == p]
             key[run] += radix
-        order = np.argsort(radix * radix - 1 - key, kind="stable")
-        return order[: min(self.config.candidate_budget, len(self.ids))]
+        # The cut is the largest key that at least ``budget`` rows reach, found
+        # by counting; the rows above it, fewer than the budget, are sorted by
+        # key descending, then the first rows at it fill the budget in row
+        # order. That is the head of a stable argsort of the whole key.
+        budget = min(self.config.candidate_budget, len(self.ids))
+        cut, high = 0, top
+        while cut < high:
+            mid = (cut + high + 1) // 2
+            if np.count_nonzero(key >= mid) >= budget:
+                cut = mid
+            else:
+                high = mid - 1
+        above = np.flatnonzero(key > cut)
+        above = above[np.argsort(top - key[above], kind="stable")]
+        return np.concatenate((above, np.flatnonzero(key == cut)[: budget - len(above)]))
 
     def _search(self, queries: np.ndarray, k) -> list[NeighborList]:
         """Validate (num_queries, dim) queries and k, then run the top-k core."""

@@ -26,15 +26,22 @@ def brute_force_knn(ids, matrix, query, k):
     return [(ids[i], float(dists[i])) for i in order[: min(k, len(ids))]]
 
 
-def perm_candidates_by_matrix(index, query) -> np.ndarray:
-    """The perm-prefix filter's candidate rows for one float64 query, computed
-    on the (count, prefix_len) assignment matrix with ``isin``, a running
-    ``logical_and`` and a two-key ``lexsort``, as ``VectorIndex`` once did:
-    the reference its array, order included, must equal."""
+def perm_agreement_by_matrix(index, query) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the two counts the perm-prefix filter ranks by for one float64
+    query, computed on the (count, prefix_len) assignment matrix with a running
+    ``logical_and`` and ``isin``: the length of the exact positional match with
+    the query's prefix, and how many pivots the two prefixes share."""
     diff = index.pivots.astype(np.float64) - query
     q_prefix = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[: index.config.prefix_len]
     agree = np.logical_and.accumulate(index.assignments == q_prefix, axis=1).sum(axis=1)
-    shared = np.isin(index.assignments, q_prefix).sum(axis=1)
+    return agree, np.isin(index.assignments, q_prefix).sum(axis=1)
+
+
+def perm_candidates_by_matrix(index, query) -> np.ndarray:
+    """The perm-prefix filter's candidate rows for one float64 query: the counts
+    of ``perm_agreement_by_matrix`` ordered with a two-key ``lexsort``, as
+    ``VectorIndex`` once did: the reference its array, order included, must equal."""
+    agree, shared = perm_agreement_by_matrix(index, query)
     order = np.lexsort((-shared, -agree))
     return order[: min(index.config.candidate_budget, len(index.ids))]
 

@@ -23,7 +23,7 @@ from neartag.index import (
 )
 
 
-from oracles import brute_force_knn, perm_candidates_by_matrix
+from oracles import brute_force_knn, perm_agreement_by_matrix, perm_candidates_by_matrix
 
 
 def make_index(ids, matrix, **cfg):
@@ -340,6 +340,98 @@ def test_a_stored_vector_as_a_query_gets_its_own_stored_prefix():
         assert i in same and set(index._perm_candidates(row)[: len(same)].tolist()) == set(same.tolist())
 
 
+def _perm_index(matrix, budget, **cfg):
+    return make_index([f"v{i:03d}" for i in range(len(matrix))], matrix, mode="perm-prefix",
+                      candidate_budget=budget, **cfg)
+
+
+def _perm_keys(index, q):
+    """Per row, the filter's key agree * (L + 1) + shared, from the matrix reference."""
+    agree, shared = perm_agreement_by_matrix(index, q)
+    return agree * (index.config.prefix_len + 1) + shared
+
+
+def test_perm_filter_takes_the_first_rows_when_every_row_ties_at_the_cut():
+    matrix = np.tile([[1.0, -2.0, 0.5]], (40, 1))
+    index = _perm_index(matrix, 7, num_pivots=5, prefix_len=3)
+    for q in (matrix[0].astype(np.float64), np.array([3.0, 1.0, -1.0])):
+        assert len(np.unique(_perm_keys(index, q))) == 1
+        got = index._perm_candidates(q)
+        assert np.array_equal(got, perm_candidates_by_matrix(index, q))
+        assert np.array_equal(got, np.arange(7))
+
+
+def test_perm_filter_fills_the_last_place_from_the_cut():
+    # The budget is one more than the rows above a key that two rows or more share, so the
+    # rows above the cut fill all places but one, and the first row at the cut takes it.
+    rng = np.random.default_rng(23)
+    _, matrix = clustered(rng)
+    cfg = dict(num_pivots=16, prefix_len=4, rng_seed=4)
+    keyed = _perm_index(matrix, 1, **cfg)
+    for q in rng.standard_normal((6, 16)):
+        keys = _perm_keys(keyed, q)
+        values, counts = np.unique(keys, return_counts=True)
+        cut = values[:-1][counts[:-1] >= 2][-1]
+        budget = int(np.count_nonzero(keys > cut)) + 1
+        index = _perm_index(matrix, budget, **cfg)
+        got = index._perm_candidates(q)
+        assert np.array_equal(got, perm_candidates_by_matrix(index, q))
+        assert got[-1] == np.flatnonzero(keys == cut)[0]
+
+
+@pytest.mark.parametrize("extra", [0, 1, 9])
+def test_perm_filter_at_a_budget_of_every_row_orders_them_all(extra):
+    rng = np.random.default_rng(24)
+    _, matrix = clustered(rng, per=10)
+    index = _perm_index(matrix, len(matrix) + extra, num_pivots=16, prefix_len=4)
+    for q in np.concatenate([matrix[:2], rng.standard_normal((2, 16))]).astype(np.float64):
+        got = index._perm_candidates(q)
+        assert len(got) == len(matrix)
+        assert np.array_equal(got, perm_candidates_by_matrix(index, q))
+
+
+@pytest.mark.parametrize("budget", [1, 5, 6, 7, 20, 100])
+def test_perm_filter_finds_a_cut_past_a_byte(budget):
+    # At prefix 17 the key reaches 18^2 - 1 = 323, so it is two bytes wide. Row 0 as the query
+    # gives its six copies that key, so up to a budget of 6 the cut's search passes 255.
+    rng = np.random.default_rng(25)
+    _, matrix = clustered(rng, per=20)
+    matrix[1:6] = matrix[0]
+    index = _perm_index(matrix, budget, num_pivots=20, prefix_len=17)
+    stored = matrix[0].astype(np.float64)
+    assert np.count_nonzero(_perm_keys(index, stored) == 18 * 18 - 1) >= 6  # row 0 and its copies
+    for q in (stored, stored + rng.standard_normal(16) * 0.05):
+        got = index._perm_candidates(q)
+        assert np.array_equal(got, perm_candidates_by_matrix(index, q))
+
+
+def test_prefix_columns_are_contiguous_when_built_and_when_loaded(tmp_path):
+    # A transposed copy keeps the transposed layout unless asked for C order; each column
+    # would then stride by L bytes, and the first-column scan took 20 times as long on desk.
+    rng = np.random.default_rng(26)
+    ids, matrix = clustered(rng)
+    built = make_index(ids, matrix, mode="perm-prefix", num_pivots=16, prefix_len=4)
+    path = str(tmp_path / "x.index")
+    save_index(built, path)
+    for index in (built, load_index(path, built.config)):
+        assert index._columns.flags.c_contiguous
+
+
+def test_perm_filter_scratch_is_about_ten_bytes_a_row():
+    # Peak above the candidates returned: a byte key beside the bit words' common pivots, 8
+    # bytes a row, and their popcount. 9.25 bytes a row when this test landed; 9.52 while a
+    # stable argsort of every row took the key's head, and the returned view held that argsort.
+    rng = np.random.default_rng(12)
+    count = 20000
+    index = make_index([f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 64)), mode="perm-prefix",
+                       num_pivots=64, prefix_len=8)
+    queries = np.concatenate([index.vectors[:2], rng.standard_normal((6, 64))]).astype(np.float64)
+    index._perm_candidates(queries[0])  # a first call, so that only the query's own scratch is traced
+    for q in queries:
+        got, held, extra = _traced(lambda: index._perm_candidates(q))
+        assert extra + held - got.nbytes <= 9.3 * count
+
+
 def test_perm_build_scratch_does_not_grow_with_the_row_count():
     # Prefixes go in blocks of about 4 MiB of float64 rows and pivot distances: the build's
     # peak above what it returns was 9.9 MiB at 20,000 and 9.7 MiB at 40,000 rows of dim 64
@@ -355,8 +447,8 @@ def test_perm_build_scratch_does_not_grow_with_the_row_count():
 
 def test_perm_query_scratch_is_a_few_bytes_a_row():
     # The filter holds a byte key beside one word-sized temporary at a time (the bit
-    # words' common pivots, then the argsort): 10.4 bytes a row at 40,000 rows when
-    # this test landed, where the filter over the assignment matrix took 92.2.
+    # words' common pivots): 10.4 bytes a row at 40,000 rows when this test landed, where
+    # the filter over the assignment matrix took 92.2; 10.0 since the argsort of every row went.
     rng = np.random.default_rng(20)
     count = 40000
     index = make_index([f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 16)), mode="perm-prefix",
