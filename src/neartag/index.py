@@ -36,11 +36,11 @@ Two modes share one query interface and one exact top-k routine:
   with the query's own, then rank those exactly as above. A row's
   agreement is the length of its exact positional match, ties broken
   by how many pivots the two prefixes share as sets, then by row. The
-  index keeps two views for this, made once when it is built or
-  loaded: the prefixes as L contiguous byte columns (wider only past
-  256 pivots), and each row's pivot set as ceil(P / 64) uint64 bit
-  words, word-major, P being the pivot count; about L + 8 ceil(P / 64)
-  bytes a row. A query scans the first column, follows only the rows
+  index holds the prefixes as L contiguous columns of pivot indices
+  (bytes, uint16 past 256 pivots), in memory as on file, and derives
+  each row's pivot set from them as ceil(P / 64) uint64 bit words,
+  word-major, P being the pivot count; about L + 8 ceil(P / 64) bytes
+  a row. A query scans the first column, follows only the rows
   whose match is still running through the rest, and takes one
   ``bitwise_count`` of each word against its own prefix's, giving each
   row the key agree * (L + 1) + shared. It keeps the budget's head of
@@ -63,7 +63,7 @@ array, for instance the pair ``fvec.read_vectors`` returns.
 section's offset, size and ``zlib.crc32``, the crc of both, then the
 sections at multiples of 64 bytes with zeros between (``_SECTIONS``; in
 exact mode only the first four). ``load_index`` reads it with one
-``readinto`` and keeps views of that buffer.
+``readinto``, keeps views of that buffer and derives the bit words.
 """
 
 from __future__ import annotations
@@ -86,12 +86,12 @@ Neighbor = tuple[str, float]
 NeighborList = list[Neighbor]
 
 _INDEX_MAGIC = b"NTIX"
-_INDEX_VERSION = 2
+_INDEX_VERSION = 3
 _HEADER = struct.Struct("<4sIIIQqIId")  # magic, version, mode, dim, count, seed, pivots, prefix, max norm
 _SECTION = struct.Struct("<QQI")  # offset, size, zlib.crc32
 _CRC = struct.Struct("<I")
 _ALIGN = 64
-_SECTIONS = ("id offsets", "ids", "vectors", "norms", "pivots", "prefix assignments")
+_SECTIONS = ("id offsets", "ids", "vectors", "norms", "pivots", "prefix columns")
 
 _U32 = 2.0 ** -24  # float32 unit roundoff
 _U64 = 2.0 ** -53  # float64 unit roundoff
@@ -226,21 +226,18 @@ class VectorIndex:
     """Immutable id-to-vector collection answering kNN queries."""
 
     def __init__(self, ids: list[str], vectors: np.ndarray, config: IndexConfig, norms: np.ndarray,
-                 max_norm: float, pivots: np.ndarray | None = None, assignments: np.ndarray | None = None):
+                 max_norm: float, pivots: np.ndarray | None = None, prefixes: np.ndarray | None = None):
         self.ids = ids  # strictly increasing
         self.vectors = vectors  # (count, dim) float32, row i holding ids[i]
         self.config = config
         self.norms = norms  # float32 squared row norms, summed in float64
         self.max_norm = max_norm  # the largest row norm, in float64
         self.pivots = pivots  # (num_pivots, dim) float32 in perm-prefix mode
-        self.assignments = assignments  # (count, prefix_len) int32 pivot indices
-        if assignments is not None:
-            # The filter's views: prefix column j, and bit p % 64 of word p // 64 set
-            # when pivot p is in the row's prefix.
-            # C order keeps each column contiguous; the bytes transpose faster than the int32s.
-            self._columns = np.ascontiguousarray(assignments.astype(np.min_scalar_type(config.num_pivots - 1)).T)
+        self.prefixes = prefixes  # (prefix_len, count) C-order columns of pivot indices, nearest first
+        if prefixes is not None:
+            # Bit p % 64 of word p // 64 is set when pivot p is in the row's prefix.
             self._words = np.zeros((-(-config.num_pivots // 64), len(ids)), dtype=np.uint64)
-            for column in self._columns:
+            for column in prefixes:
                 bit, word_of = np.left_shift(np.uint64(1), column & 63, dtype=np.uint64), column >> 6
                 for i, words in enumerate(self._words):
                     np.bitwise_or(words, bit, out=words, where=word_of == i)
@@ -285,7 +282,7 @@ class VectorIndex:
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
         radix = self.config.prefix_len + 1
-        q_prefix = _assign_prefixes(q[None, :], self.pivots, self.config.prefix_len)[0].tolist()
+        q_prefix = _assign_prefixes(q[None, :], self.pivots, self.config.prefix_len)[:, 0].tolist()
         # Primary key: length of the exact positional prefix match. That
         # alone is coarse (deep positions rarely match exactly), so break
         # ties by how many pivots the prefixes share as sets, which keeps
@@ -301,7 +298,7 @@ class VectorIndex:
         for words, q_word in zip(self._words, q_words):
             key += np.bitwise_count(words & q_word)
         run = None  # the rows whose prefix matches the query's so far
-        for column, p in zip(self._columns, q_prefix):
+        for column, p in zip(self.prefixes, q_prefix):
             run = np.flatnonzero(column == p) if run is None else run[column[run] == p]
             key[run] += radix
         # The cut is the largest key that at least ``budget`` rows reach, found
@@ -388,7 +385,7 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
     if not ids[0]:  # the least id
         raise ValueError("image id must be non-empty")
 
-    pivots = assignments = None
+    pivots = prefixes = None
     if config.mode == MODE_PERM_PREFIX:
         count = len(ids)
         if config.num_pivots > count:
@@ -396,27 +393,28 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
         rng = np.random.default_rng(config.rng_seed)
         pivot_rows = rng.choice(count, size=config.num_pivots, replace=False)
         pivots = np.ascontiguousarray(matrix[pivot_rows])  # by input position
-        assignments = _assign_prefixes(rows, pivots, config.prefix_len)
+        prefixes = _assign_prefixes(rows, pivots, config.prefix_len)
     with np.errstate(over="ignore"):
         return VectorIndex(ids, rows, config, norms.astype(np.float32), float(np.sqrt(norms.max())),
-                           pivots, assignments)
+                           pivots, prefixes)
 
 
 def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int) -> np.ndarray:
     """Each row's prefix_len nearest pivot indices, nearest first, by |x|^2 - 2 x.p + |p|^2 in
-    float64, ties to the lower pivot (a stable argsort): the one rule that ranks pivots, for the
-    stored rows at build and for a query as a batch of one row. A block holds rows x (dim + pivots)
+    float64, ties to the lower pivot (a stable argsort), as (prefix_len, rows) columns of the
+    narrowest unsigned type (bytes up to 256 pivots): the one rule that ranks pivots, for the stored
+    rows at build and for a query as a batch of one row. A block holds rows x (dim + pivots)
     float64, the rows and their pivot distances: about 4 MiB."""
     piv = pivots.astype(np.float64)
     piv_norms = np.einsum("ij,ij->i", piv, piv)
     count = matrix.shape[0]
-    out = np.empty((count, prefix_len), dtype=np.int32)
+    out = np.empty((prefix_len, count), dtype=np.min_scalar_type(len(piv) - 1))
     chunk = max(1, (1 << 22) // (8 * (piv.shape[1] + piv.shape[0])))
     for start in range(0, count, chunk):
         block = matrix[start : start + chunk].astype(np.float64)
         d2 = np.einsum("ij,ij->i", block, block)[:, None] - 2.0 * (block @ piv.T) + piv_norms[None, :]
         order = np.argsort(d2, axis=1, kind="stable")
-        out[start : start + len(block)] = order[:, :prefix_len]
+        out[:, start : start + len(block)] = order[:, :prefix_len].T
     return out
 
 
@@ -429,8 +427,8 @@ def _aligned(pos: int) -> int:
 
 
 def save_index(index: VectorIndex, path: str) -> None:
-    """Persist an index, norms, pivots and prefixes included, so that a load
-    does no rebuild work; ids a ``.fvec`` record cannot hold are refused."""
+    """Persist an index, norms, pivots and prefix columns included, so that a load
+    derives only the bit words; ids a ``.fvec`` record cannot hold are refused."""
     cfg = index.config
     perm = cfg.mode == MODE_PERM_PREFIX
     offsets, blob = _encode_ids(index.ids)
@@ -438,7 +436,7 @@ def save_index(index: VectorIndex, path: str) -> None:
         raise ValueError(f"image id too long ({longest} bytes, limit {_MAX_ID_BYTES}), or ids over 4 GiB")
     arrays = [(offsets, "<u4"), (blob, np.uint8), (index.vectors, "<f4"), (index.norms, "<f4")]
     if perm:
-        arrays += [(index.pivots, "<f4"), (index.assignments, "<i4")]
+        arrays += [(index.pivots, "<f4"), (index.prefixes, index.prefixes.dtype.newbyteorder("<"))]
     sections = [np.ascontiguousarray(a, dtype=t).reshape(-1).view(np.uint8) for a, t in arrays]
     starts = [_aligned(_HEADER.size + len(sections) * _SECTION.size + _CRC.size)]
     for data in sections:
@@ -493,7 +491,8 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
         raise FormatError(f"index holds no vectors (count={count})", path=path)
     if seed < 0:
         raise FormatError(f"negative rng seed {seed}", path=path)
-    want = (4 * (count + 1), None, 4 * count * dim, 4 * count, 4 * num_pivots * dim, 4 * count * prefix_len)
+    width = np.min_scalar_type(num_pivots - 1).itemsize  # bytes a pivot index, as the build stores them
+    want = (4 * (count + 1), None, 4 * count * dim, 4 * count, 4 * num_pivots * dim, width * count * prefix_len)
     end += _CRC.size
     if (need := end + sum(filter(None, want[: len(names)]))) > size:
         raise FormatError(f"truncated file: the header's counts need {need} bytes, it has {size}", path=path)
@@ -522,11 +521,11 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
     vectors = sections[2].view("<f4").reshape(count, dim)
     if not _all_finite(vectors):
         raise FormatError("feature vectors must be finite (found nan or inf)", path=path)
-    pivots = assignments = None
+    pivots = prefixes = None
     if perm:
         pivots = sections[4].view("<f4").reshape(num_pivots, dim)
-        assignments = sections[5].view("<i4").reshape(count, prefix_len)
-        if assignments.min() < 0 or assignments.max() >= num_pivots:
+        prefixes = sections[5].view(f"<u{width}").reshape(prefix_len, count)
+        if prefixes.max() >= num_pivots:
             raise FormatError(f"prefix assignment outside [0, num_pivots={num_pivots})", path=path)
     norms = sections[3].view("<f4")
     # A stored square is at most a relative 2^-24 above its float64 sum (inf past the float32
@@ -535,7 +534,7 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
     if not (norms.min() >= 0 and max_norm >= top * (1 - _U32)):
         raise FormatError(f"row norms negative or nan, or the largest row norm {max_norm} below them", path=path)
     loaded = replace(config, rng_seed=seed, **dict(num_pivots=num_pivots, prefix_len=prefix_len) if perm else {})
-    index = VectorIndex(ids, vectors, loaded, norms, max_norm, pivots, assignments)
+    index = VectorIndex(ids, vectors, loaded, norms, max_norm, pivots, prefixes)
     # A prefix holds distinct pivots, so its bit words hold prefix_len set bits.
     if perm and len(row := np.flatnonzero(np.bitwise_count(index._words).sum(axis=0) != prefix_len)):
         raise FormatError(f"prefix row {row[0]} repeats a pivot", path=path)

@@ -28,13 +28,14 @@ def brute_force_knn(ids, matrix, query, k):
 
 def perm_agreement_by_matrix(index, query) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the two counts the perm-prefix filter ranks by for one float64
-    query, computed on the (count, prefix_len) assignment matrix with a running
-    ``logical_and`` and ``isin``: the length of the exact positional match with
-    the query's prefix, and how many pivots the two prefixes share."""
+    query, computed on the (count, prefix_len) matrix of the index's prefix columns
+    with a running ``logical_and`` and ``isin``: the length of the exact positional
+    match with the query's prefix, and how many pivots the two prefixes share."""
     diff = index.pivots.astype(np.float64) - query
     q_prefix = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")[: index.config.prefix_len]
-    agree = np.logical_and.accumulate(index.assignments == q_prefix, axis=1).sum(axis=1)
-    return agree, np.isin(index.assignments, q_prefix).sum(axis=1)
+    rows = index.prefixes.T
+    agree = np.logical_and.accumulate(rows == q_prefix, axis=1).sum(axis=1)
+    return agree, np.isin(rows, q_prefix).sum(axis=1)
 
 
 def perm_candidates_by_matrix(index, query) -> np.ndarray:

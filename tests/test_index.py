@@ -251,7 +251,7 @@ def test_perm_prefix_pivots_deterministic():
     a = make_index(ids, matrix, mode="perm-prefix", num_pivots=16, prefix_len=4, rng_seed=5)
     b = make_index(ids, matrix, mode="perm-prefix", num_pivots=16, prefix_len=4, rng_seed=5)
     assert np.array_equal(a.pivots, b.pivots)
-    assert np.array_equal(a.assignments, b.assignments)
+    assert np.array_equal(a.prefixes, b.prefixes)
 
 
 def test_perm_prefix_results_are_subset_of_data_and_ordered():
@@ -298,9 +298,10 @@ def test_perm_prefix_budget_growth_gives_candidate_superset():
     assert set(small.tolist()) <= set(larger.tolist())
 
 
-# (pivots, prefix length) pairs at the edges: one, two and three bit words, and prefixes on
-# either side of 15, past which the key needs more than a byte. None: both drawn.
-_PERM_SHAPES = [(1, 1), (16, 15), (16, 16), (40, 16), (64, 8), (65, 17), (128, 64), (130, 130), None]
+# (pivots, prefix length) pairs at the edges: one, two, three and five bit words, prefixes on
+# either side of 15, past which the key needs more than a byte, and pivot indices past a byte
+# (uint16 columns). None: both drawn.
+_PERM_SHAPES = [(1, 1), (16, 15), (16, 16), (40, 16), (64, 8), (65, 17), (128, 64), (130, 130), (300, 9), None]
 
 
 @pytest.mark.parametrize("shape", _PERM_SHAPES)
@@ -336,7 +337,7 @@ def test_a_stored_vector_as_a_query_gets_its_own_stored_prefix():
     index = make_index([f"v{i:03d}" for i in range(count)], matrix, mode="perm-prefix", num_pivots=16,
                        prefix_len=4, candidate_budget=count)
     for i, row in enumerate(index.vectors.astype(np.float64)):
-        same = np.flatnonzero((index.assignments == index.assignments[i]).all(axis=1))
+        same = np.flatnonzero((index.prefixes == index.prefixes[:, [i]]).all(axis=0))
         assert i in same and set(index._perm_candidates(row)[: len(same)].tolist()) == set(same.tolist())
 
 
@@ -406,15 +407,15 @@ def test_perm_filter_finds_a_cut_past_a_byte(budget):
 
 
 def test_prefix_columns_are_contiguous_when_built_and_when_loaded(tmp_path):
-    # A transposed copy keeps the transposed layout unless asked for C order; each column
-    # would then stride by L bytes, and the first-column scan took 20 times as long on desk.
+    # A column that strides by L entries (a transposed row-major matrix) made the first-column
+    # scan take 20 times as long on desk.
     rng = np.random.default_rng(26)
     ids, matrix = clustered(rng)
     built = make_index(ids, matrix, mode="perm-prefix", num_pivots=16, prefix_len=4)
     path = str(tmp_path / "x.index")
     save_index(built, path)
     for index in (built, load_index(path, built.config)):
-        assert index._columns.flags.c_contiguous
+        assert index.prefixes.flags.c_contiguous
 
 
 def test_perm_filter_scratch_is_about_ten_bytes_a_row():
@@ -436,13 +437,29 @@ def test_perm_build_scratch_does_not_grow_with_the_row_count():
     # Prefixes go in blocks of about 4 MiB of float64 rows and pivot distances: the build's
     # peak above what it returns was 9.9 MiB at 20,000 and 9.7 MiB at 40,000 rows of dim 64
     # with 64 pivots when this test landed, where blocks sized by the pivot count alone took
-    # 29.3 and 58.5 MiB.
+    # 29.3 and 58.5 MiB. It reads 10.1 and 10.0 MiB since the build writes the prefix
+    # columns directly: the same blocks, but no byte-column copy made after the peak and
+    # counted among what the build returns.
     rng = np.random.default_rng(21)
     cfg = IndexConfig(dim=64, mode="perm-prefix", num_pivots=64, prefix_len=8)
     for count in (20000, 40000):
         ids, matrix = [f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 64)).astype(np.float32)
         _, _, extra = _traced(lambda: build_index_from_arrays(ids, matrix, cfg))
         assert extra <= 12 << 20, count
+
+
+def test_a_perm_index_holds_its_prefixes_once():
+    # Above an exact build of the same rows: the pivots, and per row L prefix column entries
+    # and ceil(P / 64) bit words, with a byte to spare. 16.1 bytes a row when this test
+    # landed; 48.1 while the index kept an int32 prefix matrix beside byte columns copied
+    # from it.
+    rng = np.random.default_rng(27)
+    count, num_pivots, prefix_len = 20000, 64, 8
+    ids, matrix = [f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 64)).astype(np.float32)
+    cfg = IndexConfig(dim=64, mode="perm-prefix", num_pivots=num_pivots, prefix_len=prefix_len)
+    _, exact, _ = _traced(lambda: build_index_from_arrays(ids, matrix, IndexConfig(dim=64)))
+    index, perm, _ = _traced(lambda: build_index_from_arrays(ids, matrix, cfg))
+    assert perm - exact <= (prefix_len + 8 * -(-num_pivots // 64) + 1) * count + index.pivots.nbytes
 
 
 def test_perm_query_scratch_is_a_few_bytes_a_row():
@@ -511,22 +528,25 @@ def test_save_load_round_trip_exact(tmp_path):
         assert loaded.knn(q, 9) == index.knn(q, 9)
 
 
-def test_save_load_round_trip_perm(tmp_path):
+@pytest.mark.parametrize("num_pivots, column_type", [(16, "uint8"), (300, "uint16")])
+def test_save_load_round_trip_perm(tmp_path, num_pivots, column_type):
     rng = np.random.default_rng(14)
-    ids, matrix = clustered(rng)
-    index = make_index(ids, matrix, mode="perm-prefix", num_pivots=16, prefix_len=4,
+    ids, matrix = clustered(rng)  # 320 rows
+    index = make_index(ids, matrix, mode="perm-prefix", num_pivots=num_pivots, prefix_len=4,
                        candidate_budget=60, rng_seed=9)
     path = str(tmp_path / "x.index")
     save_index(index, path)
     loaded = load_index(path, IndexConfig(dim=16, mode="perm-prefix", candidate_budget=60))
-    assert loaded.config.num_pivots == 16
+    assert loaded.config.num_pivots == num_pivots
     assert loaded.config.candidate_budget == 60
     assert np.array_equal(loaded.pivots, index.pivots)
-    assert np.array_equal(loaded.assignments, index.assignments)
-    assert loaded.pivots.dtype == np.float32 and loaded.assignments.dtype == np.int32
-    for _ in range(20):
-        q = rng.standard_normal(16)
-        assert loaded.knn(q, 7) == index.knn(q, 7)
+    assert np.array_equal(loaded.prefixes, index.prefixes)
+    assert loaded.pivots.dtype == np.float32 and loaded.prefixes.dtype == index.prefixes.dtype == column_type
+    size = _layout(Path(path).read_bytes())[1][_SECTIONS.index("prefix columns")][1]
+    assert size == len(ids) * 4 * np.dtype(column_type).itemsize
+    queries = rng.standard_normal((20, 16))
+    assert [loaded.knn(q, 7) for q in queries] == [index.knn(q, 7) for q in queries]
+    assert loaded.knn_batch(queries, 7) == index.knn_batch(queries, 7)
 
 
 def test_save_is_byte_identical_per_build_seed(tmp_path):
@@ -543,10 +563,12 @@ def test_load_version_mismatch_is_loud(tmp_path):
     path = str(tmp_path / "x.index")
     save_index(index, path)
     raw = bytearray(Path(path).read_bytes())
-    raw[4] = 99  # version field follows the 4-byte magic
-    Path(path).write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="version 99"):
-        load_index(path, IndexConfig(dim=2))
+    for version in (99, 2):  # 2: prefixes stored as an int32 (count, prefix_len) matrix
+        raw[4] = version  # version field follows the 4-byte magic
+        Path(path).write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"version {version} is not 3: run `neartag build` again") as exc:
+            load_index(path, IndexConfig(dim=2))
+        assert path in str(exc.value)
 
 
 def test_load_dim_mismatch_is_loud(tmp_path):
@@ -701,12 +723,12 @@ def test_load_refuses_a_negative_seed(tmp_path, mode):
     assert str(exc.value) == f"{path}: negative rng seed -1"
 
 
-@pytest.mark.parametrize("value", [99, 2, -1])
+@pytest.mark.parametrize("value", [99, 2, 255])
 def test_load_rejects_prefix_assignment_outside_the_pivots(tmp_path, value):
     cfg, path, raw = _small_index(tmp_path)
-    offset, size, _ = _layout(raw)[1][_SECTIONS.index("prefix assignments")]
-    last = np.array([value], dtype="<i4").tobytes()  # the last assignment
-    path.write_bytes(_with_section(raw, "prefix assignments", raw[offset : offset + size - 4] + last))
+    offset, size, _ = _layout(raw)[1][_SECTIONS.index("prefix columns")]
+    last = bytes([value])  # the last column's last row, a byte at 2 pivots
+    path.write_bytes(_with_section(raw, "prefix columns", raw[offset : offset + size - 1] + last))
     with pytest.raises(FormatError, match="prefix assignment") as exc:
         load_index(str(path), cfg)
     assert str(path) in str(exc.value)
@@ -716,10 +738,10 @@ def test_load_rejects_a_prefix_that_repeats_a_pivot(tmp_path):
     # Each prefix is an argsort's head, so its pivots are distinct; a repeat would make
     # the bit-word count of shared pivots differ from a count over the prefix.
     cfg, path, raw = _small_index(tmp_path)
-    offset, size, _ = _layout(raw)[1][_SECTIONS.index("prefix assignments")]
-    rows = np.frombuffer(raw[offset : offset + size], dtype="<i4").reshape(3, 2).copy()
-    rows[1] = rows[1, 0]  # row 1: its first pivot twice
-    path.write_bytes(_with_section(raw, "prefix assignments", rows.tobytes()))
+    offset, size, _ = _layout(raw)[1][_SECTIONS.index("prefix columns")]
+    columns = np.frombuffer(raw[offset : offset + size], dtype=np.uint8).reshape(2, 3).copy()
+    columns[:, 1] = columns[0, 1]  # row 1: its first pivot twice
+    path.write_bytes(_with_section(raw, "prefix columns", columns.tobytes()))
     with pytest.raises(FormatError, match="prefix row 1 repeats a pivot") as exc:
         load_index(str(path), cfg)
     assert str(path) in str(exc.value)
@@ -843,7 +865,7 @@ def test_perm_pivots_and_prefixes_come_from_the_input_order():
     pivots = matrix[np.random.default_rng(3).choice(len(ids), size=16, replace=False)]
     assert order != list(range(len(ids))) and index.ids == [ids[i] for i in order]
     assert np.array_equal(index.vectors, matrix[order]) and np.array_equal(index.pivots, pivots)
-    assert np.array_equal(index.assignments, index_module._assign_prefixes(matrix, pivots, 4)[order])
+    assert np.array_equal(index.prefixes, index_module._assign_prefixes(matrix, pivots, 4)[:, order])
 
 
 # -- corrupted files --------------------------------------------------------
