@@ -164,7 +164,7 @@ def gather_neighbor_words(neighbor_lists: list[list[list[tuple[str, float]]]], s
     ids = [image_id for merged in per_query for _pos, image_id, _dist in merged]
     pos = _ints([p for merged in per_query for p, _id, _dist in merged])
     vocabulary = stores[0].vocabulary
-    if any(store.vocabulary != vocabulary for store in stores):
+    if any(store.vocabulary is not vocabulary and store.vocabulary != vocabulary for store in stores):
         vocabulary = tuple(sorted(set().union(*(store.vocabulary for store in stores))))
         number = {word: i for i, word in enumerate(vocabulary)}
     rows = np.full(len(ids), -1, dtype=np.intp)
@@ -186,7 +186,7 @@ def gather_neighbor_words(neighbor_lists: list[list[list[tuple[str, float]]]], s
     for d, store in enumerate(stores):
         at = np.flatnonzero(store_of == d)
         word[at] = store.words[entries[at]]
-        if store.vocabulary != vocabulary:
+        if store.vocabulary is not vocabulary and store.vocabulary != vocabulary:
             word[at] = _ints([number[w] for w in store.vocabulary])[word[at]]
     words = NeighborWords(np.repeat(owner, count), np.repeat(rank, count), word, vocabulary, len(per_query))
     return words, len(ids) - len(found)

@@ -412,7 +412,10 @@ def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int) ->
     chunk = max(1, (1 << 22) // (8 * (piv.shape[1] + piv.shape[0])))
     for start in range(0, count, chunk):
         block = matrix[start : start + chunk].astype(np.float64)
-        d2 = np.einsum("ij,ij->i", block, block)[:, None] - 2.0 * (block @ piv.T) + piv_norms[None, :]
+        d2 = block @ piv.T  # |x|^2 - 2 x.p + |p|^2 in place, summed in that order; -2 scales exactly
+        d2 *= -2.0
+        d2 += np.einsum("ij,ij->i", block, block)[:, None]
+        d2 += piv_norms
         order = np.argsort(d2, axis=1, kind="stable")
         out[:, start : start + len(block)] = order[:, :prefix_len].T
     return out

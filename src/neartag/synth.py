@@ -23,6 +23,8 @@ category's concept, and the candidate list is truth plus distractors.
 
 All randomness flows from one seeded generator, and files are written
 deterministically, so a given config reproduces byte-identical output.
+The reference vectors are built in the float32 matrix that is written,
+rounded into it from one concept's float64 draw at a time.
 """
 
 from __future__ import annotations
@@ -124,14 +126,15 @@ def generate_corpus(config: SynthConfig, out_dir: str) -> CorpusPaths:
     _write_lexicon(config, ambiguous, groups, paths.lexicon)
     _write_concepts(config, groups, paths.concepts)
 
-    # Reference images: vectors plus one keyword each.
-    ref_ids: list[str] = []
+    # Reference images: vectors plus one keyword each. A wrong label is drawn
+    # from the other c - 1 leaves, so picks at or above the true leaf shift up one.
+    r = config.refs_per_concept
+    ref_ids = [f"r{i:04d}_{j:05d}" for i in range(c) for j in range(r)]
     ref_words: list[str] = []
-    blocks: list[np.ndarray] = []
+    matrix = np.empty((c * r, config.dim), dtype=np.float32)
     for i in range(c):
-        r = config.refs_per_concept
-        noise = rng.normal(0.0, config.cluster_noise_sigma, size=(r, config.dim))
-        blocks.append(prototypes[i] + noise)
+        matrix[i * r : (i + 1) * r] = prototypes[i] + rng.normal(
+            0.0, config.cluster_noise_sigma, size=(r, config.dim))
         wrong = rng.random(r) < config.label_noise
         wrong_pick = rng.integers(0, c - 1, size=r)
         form = rng.random(r)
@@ -139,15 +142,9 @@ def generate_corpus(config: SynthConfig, out_dir: str) -> CorpusPaths:
             rng.integers(0, config.variants_per_concept, size=r)
             if config.variants_per_concept else np.zeros(r, dtype=np.int64)
         )
-        for j in range(r):
-            ref_ids.append(f"r{i:04d}_{j:05d}")
-            leaf = i
-            if wrong[j]:
-                leaf = int(wrong_pick[j])
-                if leaf >= i:
-                    leaf += 1
-            ref_words.append(_pick_word(config, leaf, groups[leaf], float(form[j]), int(variant_pick[j])))
-    matrix = np.concatenate(blocks).astype(np.float32)
+        leaves = np.where(wrong, wrong_pick + (wrong_pick >= i), i).tolist()
+        ref_words.extend(_pick_word(config, leaf, groups[leaf], f, v)
+                         for leaf, f, v in zip(leaves, form.tolist(), variant_pick.tolist()))
     fvec.write_vectors(paths.refs, ref_ids, matrix)
     _write_lines(paths.keywords, (f"{rid}\t{word}" for rid, word in zip(ref_ids, ref_words)))
 

@@ -450,6 +450,32 @@ def test_search_stage_yields_in_the_given_order(tmp_path):
     assert search_neighbor_words([], datasets, 6).queries == 0
 
 
+class UncomparableVocabulary(tuple):
+    """A vocabulary that refuses comparison by value."""
+
+    def __eq__(self, other):
+        raise AssertionError("vocabulary compared by value")
+
+    __ne__ = __eq__
+    __hash__ = tuple.__hash__
+
+
+def test_one_dataset_search_compares_its_vocabulary_by_identity(tmp_path):
+    # One dataset's vocabulary is the joint one: comparing it by value, O(V) twice a batch, is waste.
+    rng = np.random.default_rng(4)
+    ids = [f"r{i}" for i in range(20)]
+    store = load_keywords(write(tmp_path, "kw.tsv", "".join(f"r{i}\tw{i % 7}\n" for i in range(20))))
+    dataset = Dataset(build_index_from_arrays(ids, rng.standard_normal((20, 3)), IndexConfig(dim=3)), store)
+    queries = [Query(f"q{i}", rng.standard_normal(3), ("x",)) for i in range(3)]
+    expected = search_neighbor_words(queries, [dataset], 5)
+    store.vocabulary = UncomparableVocabulary(store.vocabulary)
+    got = search_neighbor_words(queries, [dataset], 5)
+    assert got.vocabulary is store.vocabulary
+    assert decoded(got) == decoded(expected)
+    for name in ("owner", "rank", "word"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
 def test_annotate_merges_multiple_datasets(tmp_path):
     lex = load_lexicon(write(tmp_path, "lex.tsv",
                              "S\tcat.n.1\tcat\nS\tdog.n.1\tdog\nW\tcat\tcat.n.1\t1\nW\tdog\tdog.n.1\t1\n"))

@@ -439,13 +439,14 @@ def test_perm_build_scratch_does_not_grow_with_the_row_count():
     # with 64 pivots when this test landed, where blocks sized by the pivot count alone took
     # 29.3 and 58.5 MiB. It reads 10.1 and 10.0 MiB since the build writes the prefix
     # columns directly: the same blocks, but no byte-column copy made after the peak and
-    # counted among what the build returns.
+    # counted among what the build returns. It reads 7.96 and 7.89 MiB since a block's
+    # pivot distances are built in one buffer, not through two more of their size.
     rng = np.random.default_rng(21)
     cfg = IndexConfig(dim=64, mode="perm-prefix", num_pivots=64, prefix_len=8)
     for count in (20000, 40000):
         ids, matrix = [f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 64)).astype(np.float32)
         _, _, extra = _traced(lambda: build_index_from_arrays(ids, matrix, cfg))
-        assert extra <= 12 << 20, count
+        assert extra <= 8.3 * (1 << 20), count
 
 
 def test_a_perm_index_holds_its_prefixes_once():
