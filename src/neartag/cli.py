@@ -12,7 +12,9 @@ stage (``annotate_words``), each once over the whole batch, and prints the
 total and per-query time of each phase: index, keyword, lexicon and feature
 loading, then the similarity search, keyword fetch and semantic analysis.
 ``annotate`` then writes the file; ``bench`` prints search and end-to-end
-throughput instead. ``evaluate --ablation`` runs the same two stages.
+throughput instead, and with ``--json PATH`` also writes them, beside the
+commit, the machine, the corpus shape and the index settings, as one JSON
+record. ``evaluate --ablation`` runs the same two stages.
 
 Every command exits nonzero on bad input, without leaving partial
 output files behind.
@@ -21,10 +23,15 @@ output files behind.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import platform
+import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
+
+import numpy as np
 
 from . import fvec
 from .analysis import WEIGHTING_RECIPROCAL, WEIGHTING_UNIFORM
@@ -216,6 +223,41 @@ def _print_warnings(annotations: list[Annotation]) -> None:
         print(f"warning: {unconverged} walk(s) stopped at max_iters before converging")
 
 
+def _commit() -> str | None:
+    """The git commit of the source tree this package runs from; None outside a git checkout."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=os.path.dirname(os.path.abspath(__file__)),
+                              capture_output=True, text=True, timeout=30)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _write_bench_record(path: str, datasets: list[Dataset], num_queries: int, k: int,
+                        rows: list[tuple[str, float]], search_s: float, work_s: float) -> None:
+    """Write ``bench``'s figures as one JSON object, whole or not at all."""
+    record = {
+        "commit": _commit(),
+        "machine": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            # The thread counts BLAS reads at start-up; null where unset (BLAS then picks its own).
+            "blas_threads": {var: os.environ.get(var)
+                             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        },
+        "corpus": {"queries": num_queries, "k": k,
+                   "datasets": [{"rows": len(d.index), "dim": d.index.dim, "index": asdict(d.index.config)}
+                                for d in datasets]},
+        "phases": [{"phase": name, "total_s": seconds, "ms_per_query": 1000.0 * seconds / num_queries}
+                   for name, seconds in rows],
+        "search_qps": num_queries / search_s,
+        "end_to_end_qps": num_queries / work_s,
+    }
+    with fvec._replacing(path, binary=False) as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _require_datasets(cfg)
@@ -263,6 +305,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         search_qps = len(annotations) / sum(timings[SIMILARITY_SEARCH])
         print(f"search throughput: {search_qps:.1f} q/s ({len(annotations)} queries)")
         print(f"end-to-end throughput: {len(annotations) / total:.1f} q/s")
+        if args.json:
+            _write_bench_record(args.json, datasets, len(annotations), cfg.params.k, setup + work,
+                                sum(timings[SIMILARITY_SEARCH]), total)
     _print_warnings(annotations)
     return 0
 
@@ -346,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_engine_flags(p)
         p.add_argument("--queries", required=True, help="query feature file")
         p.add_argument("--candidates", help="per-query candidate lists (default: all concepts)")
+        if name == "bench":
+            p.add_argument("--json", metavar="PATH", help="also write the figures, machine and settings as JSON")
         p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("evaluate", help="score annotations against ground truth")

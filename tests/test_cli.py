@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 
@@ -171,6 +172,42 @@ def test_bench_reports_phases_and_throughput(corpus, capsys):
     assert out.splitlines()[0].split() == ["phase", "total_s", "ms/query"]
     assert "search throughput" in out
     assert "end-to-end throughput" in out
+
+
+def test_bench_json_writes_the_figures_and_settings(corpus, tmp_path, capsys):
+    path = tmp_path / "BENCH_x.json"
+    assert main(["bench", "--config", conf(corpus), "--k", "10", "--index-mode", "perm-prefix",
+                 "--pivots", "8", "--prefix-len", "3", "--budget", "50", "--index", str(tmp_path / "none.index"),
+                 "--queries", os.path.join(corpus, "queries.fvec"), "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert set(record) == {"commit", "machine", "corpus", "phases", "search_qps", "end_to_end_qps"}
+    assert set(record["machine"]) == {"cores", "python", "numpy", "blas_threads"}
+    assert record["machine"]["numpy"] == np.__version__
+    assert record["corpus"] == {"queries": 12, "k": 10, "datasets": [{"rows": 120, "dim": 8, "index": {
+        "dim": 8, "mode": "perm-prefix", "num_pivots": 8, "prefix_len": 3, "candidate_budget": 50, "rng_seed": 3}}]}
+    assert [row["phase"] for row in record["phases"]] == list(PHASES)
+    for row in record["phases"]:
+        printed = next(line.split()[-2:] for line in out.splitlines() if line.startswith(row["phase"]))
+        assert [f"{row['total_s']:.3f}", f"{row['ms_per_query']:.3f}"] == printed
+    assert f"search throughput: {record['search_qps']:.1f} q/s" in out
+    assert f"end-to-end throughput: {record['end_to_end_qps']:.1f} q/s" in out
+    assert os.listdir(tmp_path) == ["BENCH_x.json"]
+
+
+def test_bench_json_is_written_whole_or_not_at_all(corpus, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "BENCH_x.json"
+    path.write_text("the earlier record\n", encoding="utf-8")
+
+    def fail(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(["bench", "--config", conf(corpus), "--k", "10",
+                 "--queries", os.path.join(corpus, "queries.fvec"), "--json", str(path)]) == 2
+    assert "cannot rename" in capsys.readouterr().err
+    assert path.read_text(encoding="utf-8") == "the earlier record\n"
+    assert os.listdir(tmp_path) == ["BENCH_x.json"]
 
 
 PHASES = ("index load", "keyword load", "lexicon load", "feature load", "similarity search",

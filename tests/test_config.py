@@ -255,7 +255,7 @@ SURFACE_FLAGS = {
     "--seed": ("seed", "5"),
 }
 SURFACE_PRESETS = {"decaf-style", "mpeg7-style"}
-COMMAND_FLAGS = {"--queries", "--candidates", "--annotations", "--truth", "--no-per-concept", "--ablation"}
+COMMAND_FLAGS = {"--queries", "--candidates", "--annotations", "--truth", "--no-per-concept", "--ablation", "--json"}
 
 
 def _engine_flags(command):
