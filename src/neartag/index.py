@@ -33,7 +33,10 @@ Two modes share one query interface and one exact top-k routine:
 * ``perm-prefix``: an approximate filter. Each stored vector is
   described by the permutation prefix of its L nearest pivots; queries
   scan only the ``candidate_budget`` rows whose prefixes agree most
-  with the query's own, then rank those exactly as above. A row's
+  with the query's own, then rank those exactly as above, scoring the
+  candidates' rows where they lie: ``_GATHER`` float32 values (512 KiB)
+  of rows are gathered at a time, each block's product written straight
+  into the score tile, and no copy of all their rows is made. A row's
   agreement is the length of its exact positional match, ties broken
   by how many pivots the two prefixes share as sets, then by row. The
   index holds the prefixes as L contiguous columns of pivot indices
@@ -101,6 +104,7 @@ _F32_SAFE_NORM = float(np.sqrt(np.finfo(np.float32).max, dtype=np.float64)) / 2.
 _CHUNK = 256  # queries ranked together
 _TILE = 1 << 21  # float32 scores per tile: _TILE // (queries in the chunk) rows
 _GROUP = 16  # rows per group in a tile
+_GATHER = 1 << 17  # float32 values per gathered block of a row subset: 512 KiB, 512 rows at dim 256
 
 
 @dataclass(frozen=True)
@@ -153,18 +157,23 @@ def _rank_slack(dim: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
 
 
 def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
-                slack: np.ndarray) -> list[np.ndarray]:
-    """Per query of ``block``, in ascending order, the rows of ``base`` whose
-    float32 score is at most fl32(t + slack), t being the query's kk-th
-    smallest score; every row for a query whose slack is infinite.
+                slack: np.ndarray, subset: np.ndarray | None = None) -> list[np.ndarray]:
+    """Per query of ``block``, in ascending order, the rows of ``base`` (the
+    positions in ``subset``, when given) whose float32 score is at most
+    fl32(t + slack), t being the query's kk-th smallest score; every row
+    for a query whose slack is infinite. ``norms`` holds the squared norms
+    of those rows, in that order.
 
     The rows go by in tiles, each read as the (nq, _GROUP, w) view of the
     module docstring with a short tile padded by NaN, pooling the rows
     that can still make the cut; a pool that outgrows a tile is trimmed
-    the way the last step trims it. Every buffer belongs to this call, so
-    threads may share the index.
+    the way the last step trims it. A tile of ``base`` is one product over
+    its contiguous rows. A tile of ``subset`` is gathered ``_GATHER``
+    values of rows at a time, each block's product written straight into
+    its columns of the tile, so the subset's rows are never copied whole.
+    Every buffer belongs to this call, so threads may share the index.
     """
-    nq, count = len(block), base.shape[0]
+    nq, count = len(block), len(norms)
     live = np.isfinite(slack)
     if not live.any():
         return [np.arange(count)] * nq
@@ -175,10 +184,16 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
     best = np.full((nq, kk + width), np.inf, dtype=np.float32)  # kk least minima so far, then a tile's
     cap = np.where(live, np.inf, np.nan).astype(np.float32)  # NaN: pool nothing
     pool, pooled, budget = [], 0, _TILE
+    step = max(1, _GATHER // base.shape[1])  # subset rows gathered at a time
     for t0 in range(0, count, span):
         n = min(span, count - t0)
         w = -(-n // _GROUP)
-        np.matmul(neg2q, base[t0 : t0 + n].T, out=scores[:, :n])
+        if subset is None:
+            np.matmul(neg2q, base[t0 : t0 + n].T, out=scores[:, :n])
+        else:
+            for b in range(0, n, step):
+                e = min(b + step, n)
+                np.matmul(neg2q, base[subset[t0 + b : t0 + e]].T, out=scores[:, b:e])
         scores[:, :n] += norms[t0 : t0 + n]
         scores[:, n : _GROUP * w] = np.nan  # past the tile's rows: fmin skips them, <= pools none
         groups = scores[:, : _GROUP * w].reshape(nq, _GROUP, w)  # groups[q, j, i] is row i + j*w
@@ -251,18 +266,19 @@ class VectorIndex:
 
     # -- ranking ----------------------------------------------------------
 
-    def _topk(self, queries: np.ndarray, k: int, rows: np.ndarray | None = None) -> list[NeighborList]:
+    def _topk(self, queries: np.ndarray, k: int, subset: np.ndarray | None = None) -> list[NeighborList]:
         """Exact top-k by (distance, id) per query, over all rows or a row subset.
 
         Queries go in chunks of up to ``_CHUNK``, fewer for a large k (see
         the module docstring). Each query re-scores the rows ``_candidates``
         finds for it, all of them once k reaches the row count, in float64,
         ordered by (distance, row), which is (distance, id). The distance is
-        the root of d², so rows whose d² differ by an ulp can tie.
+        the root of d², so rows whose d² differ by an ulp can tie. A subset's
+        rows are scored block by block where they lie, never copied whole;
+        only their float32 norms are gathered, 4 bytes a row.
         """
-        base = self.vectors if rows is None else self.vectors[rows]
-        norms = self.norms if rows is None else self.norms[rows]
-        count = base.shape[0]
+        norms = self.norms if subset is None else self.norms[subset]
+        count = len(norms)
         kk = min(k, count)
         out: list[NeighborList] = []
         step = min(_CHUNK, max(1, _TILE // (_GROUP * kk)))  # a tile of k groups or more
@@ -271,9 +287,9 @@ class VectorIndex:
             with np.errstate(over="ignore", invalid="ignore"):
                 slack = np.full(len(block), np.inf) if kk == count else _rank_slack(
                     self.config.dim, self.max_norm, np.sqrt(np.einsum("ij,ij->i", block, block)))
-                pools = _candidates(block, base, norms, kk, slack)
+                pools = _candidates(block, self.vectors, norms, kk, slack, subset)
             for q, cand in zip(block, pools):
-                cand = cand if rows is None else rows[cand]
+                cand = cand if subset is None else subset[cand]
                 diff = self.vectors[cand] - q
                 dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
                 order = np.lexsort((cand, dist))[:kk]
@@ -341,7 +357,9 @@ class VectorIndex:
         """knn for many queries at once; identical per-query results.
 
         In exact mode up to 256 queries share each tile's matrix product,
-        where a lone ``knn`` call takes a product per query.
+        where a lone ``knn`` call takes a product per query. In perm-prefix
+        mode each query is filtered and ranked on its own, as ``knn`` does,
+        its candidates scored block by block and never copied whole.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:

@@ -477,6 +477,22 @@ def test_perm_query_scratch_is_a_few_bytes_a_row():
     assert extra <= 11 * count
 
 
+def test_perm_query_at_a_large_budget_never_copies_its_candidates_whole():
+    # Above what the call holds: the filter's 9.3 bytes a row, then, per candidate, its row
+    # (8 bytes), float32 norm and float32 score, and one gathered block of rows (512 KiB, 13.1
+    # bytes a row here). 21.4 bytes a row when this test landed; 136.5 while the re-rank copied
+    # every candidate's row (128 of those bytes at budget 20,000 and dim 64) before its product.
+    rng = np.random.default_rng(28)
+    count = 40000
+    index = make_index([f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 64)), mode="perm-prefix",
+                       num_pivots=64, prefix_len=8, candidate_budget=20000)
+    queries = rng.standard_normal((3, 64))
+    index.knn(queries[0], 10)  # a first call, so that only the query's own scratch is traced
+    for q in queries[1:]:
+        _, _, extra = _traced(lambda: index.knn(q, 10))
+        assert extra <= 22 * count
+
+
 def test_index_loaded_at_a_budget_matches_one_built_at_it(tmp_path):
     rng = np.random.default_rng(13)
     ids, matrix = clustered(rng)

@@ -13,12 +13,16 @@ Most cases shrink the index's query chunk, row tile and row group (the
 ``tiles`` fixture) so that a small collection spans many tiles: first
 tiles with fewer rows than ``k``, ragged last tiles and groups, ties
 across a tile boundary, pools trimmed before the last tile, and chunks
-that shrink for a large ``k``.
+that shrink for a large ``k``. The perm-prefix re-rank, which scores its
+candidate rows in gathered blocks, is checked against the same oracle
+over each query's candidates, with blocks of a few rows that run ragged
+across tiles.
 """
 
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,17 +34,19 @@ from neartag import index as index_module
 from neartag.index import IndexConfig, build_index_from_arrays
 
 
-def shrink_tiles(mp, chunk, rows, group):
+def shrink_tiles(mp, chunk, rows, group, gather=index_module._GATHER):
     """Rank ``chunk`` queries at a time, ``rows`` rows per tile for a full
-    chunk (more for a smaller one), in groups of ``group`` rows."""
+    chunk (more for a smaller one), in groups of ``group`` rows, and
+    gather a row subset ``gather`` float32 values of rows at a time."""
     mp.setattr(index_module, "_CHUNK", chunk)
     mp.setattr(index_module, "_TILE", chunk * rows)
     mp.setattr(index_module, "_GROUP", group)
+    mp.setattr(index_module, "_GATHER", gather)
 
 
 @pytest.fixture
 def tiles(monkeypatch):
-    return lambda chunk, rows, group: shrink_tiles(monkeypatch, chunk, rows, group)
+    return lambda chunk, rows, group, **gather: shrink_tiles(monkeypatch, chunk, rows, group, **gather)
 
 
 def check_exact(matrix, queries, k, ids=None):
@@ -160,6 +166,45 @@ def test_exact_matches_oracle_hypothesis(seed, count, dim, k, num_queries, chunk
     with pytest.MonkeyPatch.context() as mp:
         shrink_tiles(mp, chunk, rows, group)
         check_exact(matrix, queries, k)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 90), dim=st.integers(1, 12),
+       budget=st.integers(1, 100), below=st.integers(0, 2), pivots=st.integers(1, 12),
+       prefix=st.integers(1, 4), block=st.integers(1, 7), rows=st.integers(1, 30), group=st.integers(1, 6),
+       offset=st.booleans(), duplicates=st.booleans())
+def test_perm_rerank_matches_the_oracle_over_its_candidates(seed, count, dim, budget, below, pivots, prefix,
+                                                            block, rows, group, offset, duplicates):
+    """A perm query scores its candidates in blocks of ``block`` rows within tiles of
+    ``rows`` rows, both ragged; its lists equal the linear scan over those candidates,
+    and, at a budget of every row, the exact index's lists."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((count + 5, dim))
+    if offset:
+        raw = 1e4 + 0.01 * raw
+    matrix = raw[:count].astype(np.float32)
+    if duplicates and count > 1:
+        matrix[count // 2:] = matrix[: count - count // 2]
+    queries = raw[count:]
+    queries[0] = matrix[rng.integers(0, count)]  # one query sits on a stored row
+    ids = [f"v{i:03d}" for i in rng.permutation(count)]  # rows are stored in id order
+    pivots = min(pivots, count)
+    cfg = IndexConfig(dim=dim, mode="perm-prefix", num_pivots=pivots, prefix_len=min(prefix, pivots),
+                      candidate_budget=budget)
+    k = max(1, budget - below)  # at and just under the budget, and past the row count when it is larger
+    with pytest.MonkeyPatch.context() as mp:
+        shrink_tiles(mp, 1, rows, group, gather=block * dim)  # a perm query ranks alone: tiles of ``rows``
+        index = build_index_from_arrays(ids, matrix, cfg)
+        singles = [index.knn(q, k) for q in queries]
+        for q, got in zip(queries, singles):
+            cand = index._perm_candidates(q)
+            want = brute_force_knn([index.ids[i] for i in cand], index.vectors[cand], q, k)
+            assert [g[0] for g in got] == [w[0] for w in want]
+            assert np.allclose([g[1] for g in got], [w[1] for w in want], rtol=1e-12, atol=1e-300)
+        assert index.knn_batch(queries, k) == singles
+        every = build_index_from_arrays(ids, matrix, replace(cfg, candidate_budget=max(budget, count)))
+        exact = build_index_from_arrays(ids, matrix, IndexConfig(dim=dim)).knn_batch(queries, k)
+        assert every.knn_batch(queries, k) == [every.knn(q, k) for q in queries] == exact
 
 
 def test_ragged_last_tile_and_group(tiles):
