@@ -224,17 +224,22 @@ def _print_warnings(annotations: list[Annotation]) -> None:
 
 
 def _commit() -> str | None:
-    """The git commit of the source tree this package runs from; None outside a git checkout."""
-    try:
-        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=os.path.dirname(os.path.abspath(__file__)),
+    """The git commit of the source tree this package runs from, with ``-dirty`` appended when
+    tracked files differ from it; None outside a git checkout."""
+    def git(*argv):
+        return subprocess.run(["git", *argv], cwd=os.path.dirname(os.path.abspath(__file__)),
                               capture_output=True, text=True, timeout=30)
-    except OSError:
+    try:
+        head = git("rev-parse", "HEAD")
+        if head.returncode != 0:
+            return None
+        return head.stdout.strip() + ("-dirty" if git("diff", "--quiet", "HEAD").returncode else "")
+    except (OSError, subprocess.SubprocessError):
         return None
-    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def _write_bench_record(path: str, datasets: list[Dataset], num_queries: int, k: int,
-                        rows: list[tuple[str, float]], search_s: float, work_s: float) -> None:
+                        rows: list[tuple[str, float]], search_qps: float, end_to_end_qps: float) -> None:
     """Write ``bench``'s figures as one JSON object, whole or not at all."""
     record = {
         "commit": _commit(),
@@ -251,8 +256,8 @@ def _write_bench_record(path: str, datasets: list[Dataset], num_queries: int, k:
                                 for d in datasets]},
         "phases": [{"phase": name, "total_s": seconds, "ms_per_query": 1000.0 * seconds / num_queries}
                    for name, seconds in rows],
-        "search_qps": num_queries / search_s,
-        "end_to_end_qps": num_queries / work_s,
+        "search_qps": search_qps,
+        "end_to_end_qps": end_to_end_qps,
     }
     with fvec._replacing(path, binary=False) as fh:
         fh.write(json.dumps(record, indent=2) + "\n")
@@ -303,11 +308,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         print(f"annotated {len(annotations)} queries -> {cfg.output_path} ({total:.2f}s, {qps:.1f} q/s)")
     else:
         search_qps = len(annotations) / sum(timings[SIMILARITY_SEARCH])
+        end_to_end_qps = len(annotations) / total
         print(f"search throughput: {search_qps:.1f} q/s ({len(annotations)} queries)")
-        print(f"end-to-end throughput: {len(annotations) / total:.1f} q/s")
+        print(f"end-to-end throughput: {end_to_end_qps:.1f} q/s")
         if args.json:
             _write_bench_record(args.json, datasets, len(annotations), cfg.params.k, setup + work,
-                                sum(timings[SIMILARITY_SEARCH]), total)
+                                search_qps, end_to_end_qps)
     _print_warnings(annotations)
     return 0
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,7 @@ def test_bench_json_writes_the_figures_and_settings(corpus, tmp_path, capsys):
     out = capsys.readouterr().out
     record = json.loads(path.read_text(encoding="utf-8"))
     assert set(record) == {"commit", "machine", "corpus", "phases", "search_qps", "end_to_end_qps"}
+    assert record["commit"] is None or re.fullmatch("[0-9a-f]{40}(-dirty)?", record["commit"])
     assert set(record["machine"]) == {"cores", "python", "numpy", "blas_threads"}
     assert record["machine"]["numpy"] == np.__version__
     assert record["corpus"] == {"queries": 12, "k": 10, "datasets": [{"rows": 120, "dim": 8, "index": {

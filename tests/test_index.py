@@ -478,8 +478,8 @@ def test_perm_query_scratch_is_a_few_bytes_a_row():
 
 
 def test_perm_query_at_a_large_budget_never_copies_its_candidates_whole():
-    # Above what the call holds: the filter's 9.3 bytes a row, then, per candidate, its row
-    # (8 bytes), float32 norm and float32 score, and one gathered block of rows (512 KiB, 13.1
+    # Above what the call holds: the filter's 9.3 bytes a row, then, per candidate, its int64
+    # row, float32 norm and float32 score, and one gathered block of rows (512 KiB, 13.1
     # bytes a row here). 21.4 bytes a row when this test landed; 136.5 while the re-rank copied
     # every candidate's row (128 of those bytes at budget 20,000 and dim 64) before its product.
     rng = np.random.default_rng(28)

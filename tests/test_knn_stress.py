@@ -46,7 +46,7 @@ def shrink_tiles(mp, chunk, rows, group, gather=index_module._GATHER):
 
 @pytest.fixture
 def tiles(monkeypatch):
-    return lambda chunk, rows, group, **gather: shrink_tiles(monkeypatch, chunk, rows, group, **gather)
+    return lambda chunk, rows, group: shrink_tiles(monkeypatch, chunk, rows, group)
 
 
 def check_exact(matrix, queries, k, ids=None):
