@@ -101,20 +101,6 @@ def _find(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return np.where(keys[at] == wanted, at, -1)
 
 
-def _groups(key: np.ndarray):
-    """The distinct values of ``key`` in ascending order, the row where each
-    first occurs, and each row's group: what ``np.unique`` returns with
-    ``return_index`` and ``return_inverse``, in fewer numpy calls."""
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    inverse = np.empty(len(key), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], order[new], inverse
-
-
 def _positions(owner: np.ndarray, queries: int) -> np.ndarray:
     """Each row's place within its query's rows; ``owner`` must be sorted."""
     counts = np.bincount(owner, minlength=queries)
@@ -179,7 +165,7 @@ def _sum_by_item(owner: np.ndarray, item: np.ndarray, values: np.ndarray, names:
     is 0 keeps no rows."""
     size = max(len(names), 1)
     key = owner * size + item
-    unique, first, inverse = _groups(key)
+    unique, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     sums = np.bincount(inverse, weights=values, minlength=len(unique))
     seen = np.argsort(first)
     key, sums = unique[seen], sums[seen]
@@ -303,7 +289,7 @@ def build_graph(candidates: Weights, lexicon: Lexicon, config: AnalysisConfig) -
     if c.names is not names and c.names != names:
         raise ValueError("candidate synsets are not numbered by this lexicon")
     size = len(names)
-    unique, first, _ = _groups(c.owner * size + c.item)
+    unique, first = np.unique(c.owner * size + c.item, return_index=True)
     if len(unique) < len(c.item):
         raise ValueError(f"duplicate candidate synset {names[np.delete(c.item, first)[0]]!r}")
     total = np.bincount(c.owner, weights=c.weight, minlength=c.queries)
@@ -313,7 +299,8 @@ def build_graph(candidates: Weights, lexicon: Lexicon, config: AnalysisConfig) -
     owner, nodes, restart = c.owner, c.item, c.weight / total[c.owner]
     if config.expansion_depth == 1:
         source, _rel, target = _links(lexicon, c.item, enabled)
-        reached = _groups(c.owner[source] * size + target)[0]
+        # return_index: without it numpy 2.4 takes a slower unique path for int keys.
+        reached = np.unique(c.owner[source] * size + target, return_index=True)[0]
         added = reached[_find(unique, reached) < 0]  # by query, then synset
         # Per query, the candidates (in candidate order) and then the added synsets.
         order = np.argsort(np.concatenate((owner, added // size)), kind="stable")

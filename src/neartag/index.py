@@ -28,8 +28,7 @@ Two modes share one query interface and one exact top-k routine:
   Chunks shrink once k passes 512, so that a tile still holds k groups;
   with fewer, a query's limit stays infinite through the tile and it
   pools every row. A query whose slack or scores would not be finite in
-  float32, and every query once k reaches the row count, keeps every row
-  without ranking.
+  float32 keeps every row without ranking.
 * ``perm-prefix``: an approximate filter. Each stored vector is
   described by the permutation prefix of its L nearest pivots; queries
   scan only the ``candidate_budget`` rows whose prefixes agree most
@@ -158,7 +157,7 @@ def _rank_slack(dim: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
 
 def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
                 slack: np.ndarray, subset: np.ndarray | None = None) -> list[np.ndarray]:
-    """Per query of ``block``, in ascending order, the rows of ``base`` (the
+    """Per query of ``block``, in pool order, the rows of ``base`` (the
     positions in ``subset``, when given) whose float32 score is at most
     fl32(t + slack), t being the query's kk-th smallest score; every row
     for a query whose slack is infinite. ``norms`` holds the squared norms
@@ -217,7 +216,7 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
             budget = max(_TILE, 2 * pooled)  # k rows a query can fill a tile: trim again at twice that
     qs, rs, _, _ = _trim(pool, nq, kk, slack)
     ends = np.searchsorted(qs, np.arange(nq + 1))
-    return [np.sort(rs[ends[r] : ends[r + 1]]) if live[r] else np.arange(count) for r in range(nq)]
+    return [rs[ends[r] : ends[r + 1]] if live[r] else np.arange(count) for r in range(nq)]
 
 
 def _trim(pool: list[tuple], nq: int, kk: int, slack: np.ndarray) -> tuple:
@@ -271,22 +270,20 @@ class VectorIndex:
 
         Queries go in chunks of up to ``_CHUNK``, fewer for a large k (see
         the module docstring). Each query re-scores the rows ``_candidates``
-        finds for it, all of them once k reaches the row count, in float64,
-        ordered by (distance, row), which is (distance, id). The distance is
-        the root of d², so rows whose d² differ by an ulp can tie. A subset's
-        rows are scored block by block where they lie, never copied whole;
-        only their float32 norms are gathered, 4 bytes a row.
+        finds for it in float64, ordered by (distance, row), which is
+        (distance, id). The distance is the root of d², so rows whose d²
+        differ by an ulp can tie. A subset's rows are scored block by block
+        where they lie, never copied whole; only their float32 norms are
+        gathered, 4 bytes a row.
         """
         norms = self.norms if subset is None else self.norms[subset]
-        count = len(norms)
-        kk = min(k, count)
+        kk = min(k, len(norms))
         out: list[NeighborList] = []
         step = min(_CHUNK, max(1, _TILE // (_GROUP * kk)))  # a tile of k groups or more
         for start in range(0, len(queries), step):
             block = queries[start : start + step]
             with np.errstate(over="ignore", invalid="ignore"):
-                slack = np.full(len(block), np.inf) if kk == count else _rank_slack(
-                    self.config.dim, self.max_norm, np.sqrt(np.einsum("ij,ij->i", block, block)))
+                slack = _rank_slack(self.config.dim, self.max_norm, np.sqrt(np.einsum("ij,ij->i", block, block)))
                 pools = _candidates(block, self.vectors, norms, kk, slack, subset)
             for q, cand in zip(block, pools):
                 cand = cand if subset is None else subset[cand]

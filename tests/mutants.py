@@ -1,0 +1,144 @@
+"""The mutation register: edits to ``src/`` that the tests must catch.
+
+Each row names a file under ``src/``, a text that occurs in it exactly
+once, the text that replaces it, and the tests that must each fail with
+that edit in place (a parametrized test fails when any of its cases
+does). ``tests/test_mutants.py`` checks in tier-1 that every old text is
+still there once and every named test still exists, so a change that
+moves mutated code or renames a catching test updates its row. A change
+that claims a mutation adds its row here.
+
+Run from anywhere:
+
+    python tests/mutants.py
+
+For each mutant it copies ``src/`` to a temporary directory, applies
+the edit there and runs only the mutant's tests against the copy. It
+prints each verdict and exits 1 if any mutant survives, that is, if any
+of its tests passes. Each mutant costs a pytest start, so the runner is
+not part of tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids relative to the repository root
+
+
+_INDEX = "neartag/index.py"
+_INDEX_TESTS = "tests/test_index.py::"
+_STRESS = "tests/test_knn_stress.py::"
+_GOLDEN = "tests/test_golden.py::"
+_ACCEPTANCE = "tests/test_acceptance.py::"
+
+MUTANTS = (
+    # The float64 finish alone sets tie order: without the row key, equal
+    # distances keep the candidates' pool order.
+    Mutant("tie-order-by-pool", _INDEX, "np.lexsort((cand, dist))", 'np.argsort(dist, kind="stable")', (
+        _INDEX_TESTS + "test_knn_duplicate_vectors_tie_break_by_id",
+        _STRESS + "test_duplicate_rows_tie_by_id",
+        _STRESS + "test_duplicates_straddle_a_tile_boundary",
+        _STRESS + "test_exact_matches_oracle_hypothesis",
+        _STRESS + "test_perm_rerank_matches_the_oracle_over_its_candidates",
+        _STRESS + "test_rows_one_float32_bit_apart",
+        _ACCEPTANCE + "test_01_exact_search_matches_linear_scan_oracle",
+    )),
+    # A chunk where every query overflows float32 skips the tiles, so its
+    # peak is one query's re-scoring.
+    Mutant("overflow-chunk-scores-tiles", _INDEX, "    if not live.any():\n        return [np.arange(count)] * nq\n",
+           "", (_STRESS + "test_overflow_chunk_memory_is_per_query",)),
+    # A group minimum skips the NaN padding of a short tile; np.minimum
+    # returns NaN for any group that holds padding.
+    Mutant("group-minimum-keeps-nan", _INDEX, "np.fmin.reduce", "np.minimum.reduce", (
+        _INDEX_TESTS + "test_index_loaded_at_a_budget_matches_one_built_at_it",
+        _INDEX_TESTS + "test_knn_duplicate_vectors_tie_break_by_id",
+        _INDEX_TESTS + "test_knn_k_larger_than_count_returns_all",
+        _INDEX_TESTS + "test_knn_matches_oracle_on_seeded_instances",
+        _INDEX_TESTS + "test_knn_ordering_invariant",
+        _INDEX_TESTS + "test_knn_query_equal_to_stored_vector_has_distance_zero",
+        _INDEX_TESTS + "test_knn_three_point_example",
+        _INDEX_TESTS + "test_large_k_batch_works_in_a_few_score_tiles",
+        _INDEX_TESTS + "test_load_takes_candidate_budget_from_caller",
+        _INDEX_TESTS + "test_perm_prefix_recall_monotone_in_budget",
+        _INDEX_TESTS + "test_perm_prefix_results_are_subset_of_data_and_ordered",
+        _INDEX_TESTS + "test_save_load_round_trip_perm",
+        _STRESS + "test_batch_with_a_query_whose_doubled_components_overflow_float32",
+        _STRESS + "test_duplicate_rows_tie_by_id",
+        _STRESS + "test_duplicates_straddle_a_tile_boundary",
+        _STRESS + "test_exact_matches_oracle_hypothesis",
+        _STRESS + "test_large_k_shrinks_the_chunk_to_a_tile_of_k_groups",
+        _STRESS + "test_perm_rerank_matches_the_oracle_over_its_candidates",
+        _STRESS + "test_ragged_last_tile_and_group",
+        _STRESS + "test_rows_one_float32_bit_apart",
+        _STRESS + "test_rows_past_a_short_tile_are_never_pooled",
+        _GOLDEN + "test_golden_analysis_settings",
+        _GOLDEN + "test_golden_perm_prefix",
+        _GOLDEN + "test_golden_perm_prefix_through_cli",
+        _ACCEPTANCE + "test_01_exact_search_matches_linear_scan_oracle",
+        _ACCEPTANCE + "test_08_outputs_are_byte_identical",
+        _ACCEPTANCE + "test_09_exact_search_throughput",
+    )),
+    # The budget's cut is the largest key that at least the budget's rows reach.
+    Mutant("cut-counts-above-mid", _INDEX, "np.count_nonzero(key >= mid)", "np.count_nonzero(key > mid)", (
+        _INDEX_TESTS + "test_perm_filter_equals_the_matrix_reference",
+        _INDEX_TESTS + "test_perm_filter_fills_the_last_place_from_the_cut",
+        _INDEX_TESTS + "test_perm_filter_finds_a_cut_past_a_byte",
+        _INDEX_TESTS + "test_perm_filter_takes_the_first_rows_when_every_row_ties_at_the_cut",
+        _INDEX_TESTS + "test_perm_query_at_a_large_budget_never_copies_its_candidates_whole",
+        _GOLDEN + "test_golden_perm_prefix",
+        _GOLDEN + "test_golden_perm_prefix_through_cli",
+    )),
+    # A tile's gathered blocks start at the tile's offset into the subset.
+    Mutant("gather-drops-tile-offset", _INDEX, "subset[t0 + b : t0 + e]", "subset[b:e]", (
+        _STRESS + "test_perm_rerank_matches_the_oracle_over_its_candidates",
+    )),
+)
+
+
+def failures(mutant: Mutant) -> set[str]:
+    """The pytest ids that fail or error when ``mutant``'s tests run against a copy of ``src/`` it edits."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = os.path.join(src, mutant.path)
+        with open(target, encoding="utf-8") as fh:
+            text = fh.read()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times in src/{mutant.path}")
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
+                             cwd=ROOT, env=env, capture_output=True, text=True)
+    if run.returncode not in (0, 1):  # 1: some tests failed; anything else means none ran as listed
+        raise SystemExit(f"{mutant.name}: pytest exited {run.returncode}\n{run.stdout}{run.stderr}")
+    return {line.split()[1] for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))}
+
+
+def main() -> int:
+    survived = 0
+    for mutant in MUTANTS:
+        failed = failures(mutant)
+        passed = [t for t in mutant.tests if t not in failed and not any(f.startswith(t + "[") for f in failed)]
+        survived += bool(passed)
+        print(f"{mutant.name}: {'SURVIVED, passing ' + ', '.join(passed) if passed else 'killed'}"
+              f" ({len(mutant.tests) - len(passed)} of {len(mutant.tests)} tests failed)")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

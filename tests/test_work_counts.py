@@ -26,8 +26,8 @@ from neartag.lexicon import load_lexicon
 
 # mode -> (index settings, search-stage calls, semantic-stage calls)
 BOUNDS = {
-    "exact": ({}, 32, 61),
-    "perm-prefix": (dict(mode=MODE_PERM_PREFIX, num_pivots=16, prefix_len=4, candidate_budget=200), 35, 61),
+    "exact": ({}, 32, 57),
+    "perm-prefix": (dict(mode=MODE_PERM_PREFIX, num_pivots=16, prefix_len=4, candidate_budget=200), 35, 57),
 }
 
 
