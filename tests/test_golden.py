@@ -19,11 +19,15 @@ a refactor that moves one score by one printed digit fails here.
   iteration count, convergence flag and mass error written with
   ``float.hex``, so a change of summation order that moves one score by
   one ulp fails here though every annotation file still matches.
+* ``evaluate.txt``: the ``neartag evaluate`` report, with and without
+  its per-concept table, for the ``exact-two-datasets`` annotations, so
+  a change to the measures or their rounding that moves one printed
+  digit fails here.
 
 To regenerate after a deliberate change of output, run
-``PYTHONPATH=src python tests/test_golden.py [WORLD...]`` (every world
-and the walk when none is named; ``walk`` names the walk) and review the
-diff.
+``PYTHONPATH=src python tests/test_golden.py [WORLD...]`` (every world,
+the walk and the report when none is named; ``walk`` names the walk and
+``evaluate`` the report) and review the diff.
 """
 
 import os
@@ -41,9 +45,11 @@ from neartag.annotator import (
     annotate_batch,
     load_candidate_lists,
     load_concepts,
+    read_annotations,
     write_annotations,
 )
 from neartag.cli import main
+from neartag.evaluation import evaluate, format_report, load_ground_truth
 from neartag.fvec import read_vectors
 from neartag.index import IndexConfig, build_index_from_arrays
 from neartag.keywords import KeywordStore, load_keywords
@@ -52,6 +58,7 @@ from neartag.synth import SynthConfig, generate_corpus
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 WALK = "walk"
+EVALUATE = "evaluate"
 
 WORLDS = {
     "exact-two-datasets": dict(
@@ -161,6 +168,27 @@ def walk_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def evaluate_text() -> str:
+    """The evaluate golden: ``format_report`` with the per-concept table,
+    a blank line, then without it, for the ``exact-two-datasets`` golden
+    annotations against that world's truth.
+
+    No query of the world has ``w004`` as truth. Every sample that ranks
+    it has its truth withheld, so ``w004`` is a ``-`` row, and the first
+    sample left has empty truth.
+    """
+    with tempfile.TemporaryDirectory() as root:
+        paths = generate_corpus(WORLDS["exact-two-datasets"]["synth"], root)
+        concepts = load_concepts(paths.concepts, load_lexicon(paths.lexicon))
+        truth = load_ground_truth(paths.truth, concepts)
+    annotations = read_annotations(os.path.join(GOLDEN_DIR, "exact-two-datasets.tsv"))
+    kept = [ann.id for ann in annotations if all(name != "w004" for name, _score in ann.ranked)]
+    truth = {sample_id: truth[sample_id] for sample_id in kept}
+    truth[kept[0]] = set()
+    report = evaluate(annotations, truth, concepts)
+    return f"{format_report(report)}\n\n{format_report(report, per_concept=False)}\n"
+
+
 def _golden(file_name):
     with open(os.path.join(GOLDEN_DIR, file_name), "rb") as fh:
         return fh.read()
@@ -186,6 +214,10 @@ def test_golden_analysis_settings(tmp_path):
 
 def test_golden_walk():
     assert walk_text() == _golden(f"{WALK}.txt").decode()
+
+
+def test_golden_evaluate():
+    assert evaluate_text() == _golden(f"{EVALUATE}.txt").decode()
 
 
 def test_golden_analysis_settings_differ_from_default(tmp_path):
@@ -218,16 +250,17 @@ def test_golden_perm_prefix_through_cli(tmp_path, capsys):
 
 
 if __name__ == "__main__":
-    names = sys.argv[1:] or [*WORLDS, WALK]
-    unknown = [world_name for world_name in names if world_name not in (*WORLDS, WALK)]
+    names = sys.argv[1:] or [*WORLDS, WALK, EVALUATE]
+    unknown = [world_name for world_name in names if world_name not in (*WORLDS, WALK, EVALUATE)]
     if unknown:
-        sys.exit(f"unknown world(s) {', '.join(unknown)}; expected some of {', '.join(WORLDS)}, {WALK}")
+        sys.exit(f"unknown world(s) {', '.join(unknown)}; expected some of {', '.join(WORLDS)}, {WALK}, {EVALUATE}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    if WALK in names:
-        names.remove(WALK)
-        with open(os.path.join(GOLDEN_DIR, f"{WALK}.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(walk_text())
-        print(f"wrote {WALK}.txt", file=sys.stderr)
+    for text_name, text in ((WALK, walk_text), (EVALUATE, evaluate_text)):
+        if text_name in names:
+            names.remove(text_name)
+            with open(os.path.join(GOLDEN_DIR, f"{text_name}.txt"), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text())
+            print(f"wrote {text_name}.txt", file=sys.stderr)
     for world_name in names:
         annotate_world(world_name, GOLDEN_DIR)
         for file_name in golden_files(world_name):
