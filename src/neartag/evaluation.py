@@ -41,22 +41,26 @@ class MetricsReport:
     concepts_skipped: int
 
 
-def _f1(p: float, r: float) -> float:
-    return 2.0 * p * r / (p + r) if (p + r) > 0.0 else 0.0
+# (table label, report field and machine-readable key) of each reported measure, in printed order
+_MEASURES = (("MP-sample", "mp_s"), ("MR-sample", "mr_s"), ("MF-sample", "mf_s"), ("MAP-sample", "map_s"),
+             ("MP-concept", "mp_c"), ("MR-concept", "mr_c"), ("MF-concept", "mf_c"))
+
+
+def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 from hit, false-alarm and miss counts; a ratio over 0 reads 0."""
+    p = tp / (tp + fp) if tp + fp else 0.0
+    r = tp / (tp + fn) if tp + fn else 0.0
+    return (p, r, 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0)
 
 
 def sample_prf(predicted: set[str], truth: set[str]) -> tuple[float, float, float]:
     """Precision, recall, F1 for one sample's predicted and true id sets.
 
-    An empty prediction against non-empty truth scores (0, 0, 0); the
-    caller is expected to skip empty-truth samples.
+    An empty prediction or empty truth scores (0, 0, 0); the caller is
+    expected to skip empty-truth samples.
     """
-    if not predicted:
-        return (0.0, 0.0, 0.0)
     hits = len(predicted & truth)
-    p = hits / len(predicted)
-    r = hits / len(truth) if truth else 0.0
-    return (p, r, _f1(p, r))
+    return _prf(hits, len(predicted) - hits, len(truth) - hits)
 
 
 def average_precision(ranked: list[str], truth: set[str]) -> float:
@@ -73,16 +77,6 @@ def average_precision(ranked: list[str], truth: set[str]) -> float:
             hits += 1
             total += hits / i
     return total / len(truth)
-
-
-def _concept_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float] | None:
-    """Precision/recall/F1 from one concept's pooled counts; None when the
-    concept was never relevant and never predicted (nothing to measure)."""
-    if tp + fn == 0 and fp == 0:
-        return None
-    p = tp / (tp + fp) if (tp + fp) > 0 else 0.0
-    r = tp / (tp + fn) if (tp + fn) > 0 else 0.0
-    return (p, r, _f1(p, r))
 
 
 def _means(rows: list[tuple[float, ...]]) -> list[float]:
@@ -144,7 +138,8 @@ def evaluate(annotations: list[Annotation], truth: dict[str, set[str]],
     if not samples:
         raise EngineError("no samples to evaluate (all annotations lacked usable ground truth)")
 
-    per_concept = {name: _concept_prf(tp[name], fp[name], fn[name]) for name in sorted(concepts)}
+    per_concept = {name: _prf(tp[name], fp[name], fn[name]) if tp[name] + fp[name] + fn[name] else None
+                   for name in sorted(concepts)}
     # every evaluated sample has a relevant concept, so at least one concept is measured
     measured = [prf for prf in per_concept.values() if prf is not None]
     mp_s, mr_s, mf_s, map_s = _means(samples)
@@ -159,21 +154,13 @@ def evaluate(annotations: list[Annotation], truth: dict[str, set[str]],
     )
 
 
-def _pct(x: float) -> float:
-    return round(100.0 * x, 1)
-
-
 def format_report(report: MetricsReport, per_concept: bool = True) -> str:
     """Human-readable table plus a machine-readable key=value block."""
     lines = []
     lines.append("metric        value")
     lines.append("------        -----")
-    for label, value in (
-        ("MP-sample", report.mp_s), ("MR-sample", report.mr_s), ("MF-sample", report.mf_s),
-        ("MAP-sample", report.map_s),
-        ("MP-concept", report.mp_c), ("MR-concept", report.mr_c), ("MF-concept", report.mf_c),
-    ):
-        lines.append(f"{label:<13} {_pct(value):5.1f}%")
+    for label, key in _MEASURES:
+        lines.append(f"{label:<13} {100.0 * getattr(report, key):5.1f}%")
     lines.append("")
     lines.append(f"samples evaluated: {report.samples_evaluated}"
                  f" (skipped: {report.samples_missing_truth} without truth,"
@@ -183,17 +170,13 @@ def format_report(report: MetricsReport, per_concept: bool = True) -> str:
         lines.append("")
         lines.append("concept                          P%      R%      F%")
         for name, prf in report.per_concept.items():
-            if prf is None:
-                lines.append(f"{name:<30} {'-':>6} {'-':>6} {'-':>6}")
-            else:
-                lines.append(f"{name:<30} {_pct(prf[0]):6.1f} {_pct(prf[1]):6.1f} {_pct(prf[2]):6.1f}")
+            cells = ["-"] * 3 if prf is None else [f"{100.0 * x:.1f}" for x in prf]
+            lines.append(f"{name:<30} " + " ".join(f"{cell:>6}" for cell in cells))
     lines.append("")
-    for key, value in (
-        ("mp_s", report.mp_s), ("mr_s", report.mr_s), ("mf_s", report.mf_s), ("map_s", report.map_s),
-        ("mp_c", report.mp_c), ("mr_c", report.mr_c), ("mf_c", report.mf_c),
-    ):
+    for _label, key in _MEASURES:
+        value = getattr(report, key)
         lines.append(f"{key}={value:.6f}")
-        lines.append(f"{key}_pct={_pct(value)}")
+        lines.append(f"{key}_pct={100.0 * value:.1f}")
     lines.append(f"samples_evaluated={report.samples_evaluated}")
     lines.append(f"samples_missing_truth={report.samples_missing_truth}")
     lines.append(f"samples_empty_truth={report.samples_empty_truth}")
