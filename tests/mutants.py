@@ -40,10 +40,15 @@ class Mutant(NamedTuple):
 
 
 _INDEX = "neartag/index.py"
+_TSV = "neartag/tsv.py"
+_EVALUATION = "neartag/evaluation.py"
 _INDEX_TESTS = "tests/test_index.py::"
 _STRESS = "tests/test_knn_stress.py::"
 _GOLDEN = "tests/test_golden.py::"
 _ACCEPTANCE = "tests/test_acceptance.py::"
+_TSV_TESTS = "tests/test_tsv.py::"
+_LEXICON_TESTS = "tests/test_lexicon.py::"
+_EVALUATION_TESTS = "tests/test_evaluation.py::"
 
 MUTANTS = (
     # The float64 finish alone sets tie order: without the row key, equal
@@ -106,6 +111,54 @@ MUTANTS = (
     Mutant("gather-drops-tile-offset", _INDEX, "subset[t0 + b : t0 + e]", "subset[b:e]", (
         _STRESS + "test_perm_rerank_matches_the_oracle_over_its_candidates",
     )),
+    # Cells past a short tile's rows are NaN, which no limit pools; +inf is
+    # pooled, as rows past the tile, while a query's limit is still infinite.
+    Mutant("short-tile-padded-with-inf", _INDEX, "scores[:, n : _GROUP * w] = np.nan",
+           "scores[:, n : _GROUP * w] = np.inf", (_STRESS + "test_rows_past_a_short_tile_are_never_pooled",)),
+    # A candidate the concept table lacks is marked -1 before the lookup.
+    Mutant("unknown-candidate-unmasked", "neartag/annotator.py", "at = np.where(wanted < 0, -1, _find(",
+           "at = np.where(False, -1, _find(",
+           ("tests/test_annotator.py::test_score_concepts_equals_a_per_query_reference",)),
+    # An id list keeps each name once, at its first place.
+    Mutant("id-list-keeps-repeats", _TSV, "        if len(first) < len(items):", "        if False:", (
+        "tests/test_keywords.py::test_words_lowercased_and_deduped_preserving_order",
+        _TSV_TESTS + "test_id_lists_trim_lowercase_and_dedupe_in_first_seen_order",
+        _TSV_TESTS + "test_id_lists_equal_the_line_by_line_reference",
+    )),
+    # An id list strips the blanks around each name.
+    Mutant("id-list-keeps-blanks", _TSV, 'names = list(map(str.strip, text.split(","))) if n else []',
+           'names = text.split(",") if n else []', (
+               _TSV_TESTS + "test_id_lists_trim_lowercase_and_dedupe_in_first_seen_order",
+               _TSV_TESTS + "test_id_lists_equal_the_line_by_line_reference",
+               _TSV_TESTS + "test_every_whitespace_character_is_blank_to_the_skip_rule",
+           )),
+    # A synset declared twice is refused at its second S line.
+    Mutant("duplicate-synset-accepted", "neartag/lexicon.py", "            if synset_id in declared:",
+           "            if False:", (
+               _LEXICON_TESTS + "test_duplicate_synset_rejected",
+               _LEXICON_TESTS + "test_first_faulty_line_fails_whatever_its_record_type",
+               _LEXICON_TESTS + "test_lexicon_equals_the_line_by_line_reference",
+               _TSV_TESTS + "test_bad_line_names_path_and_line",
+           )),
+    # A sample's false alarms are its predictions that miss, its misses the truth it lacks:
+    # swapped, precision and recall trade places.
+    Mutant("sample-prf-swaps-misses-and-false-alarms", _EVALUATION,
+           "_prf(hits, len(predicted) - hits, len(truth) - hits)",
+           "_prf(hits, len(truth) - hits, len(predicted) - hits)", (
+               _EVALUATION_TESTS + "test_sample_prf_worked_example",
+               _EVALUATION_TESTS + "test_evaluate_equals_the_per_concept_reference",
+               _GOLDEN + "test_golden_evaluate",
+               "tests/test_cli.py::test_evaluate_ablation_matches_golden",
+               "tests/test_cli.py::test_commands_share_one_pipeline",
+               _ACCEPTANCE + "test_03_hand_computed_suite",
+           )),
+    # A concept goes unmeasured only when it was never relevant and never predicted; keyed on
+    # its hits alone, a concept only ever predicted drops out of the concept means.
+    Mutant("unmeasured-concept-keyed-on-hits", _EVALUATION, "if tp[name] + fp[name] + fn[name] else None",
+           "if tp[name] else None", (
+               _EVALUATION_TESTS + "test_evaluate_per_concept_predicted_but_never_relevant",
+               _EVALUATION_TESTS + "test_evaluate_equals_the_per_concept_reference",
+           )),
 )
 
 

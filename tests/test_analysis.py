@@ -453,3 +453,10 @@ def test_analysis_config_validation():
         AnalysisConfig(lambdas={RelationType.HYPERNYM: -1.0})
     with pytest.raises(ValueError):
         AnalysisConfig(neighbor_weighting="fancy")
+
+
+def test_unknown_relation_type_and_weighting_are_refused():
+    with pytest.raises(ValueError, match=re.escape("unknown relation types {'sibling'}")):
+        AnalysisConfig(relation_set=frozenset({RelationType.HYPERNYM, "sibling"}))
+    with pytest.raises(ValueError, match="unknown neighbor weighting 'fancy'"):
+        word_frequencies(NeighborWords.from_lists([[("r1", ["cat"])]]), "fancy")

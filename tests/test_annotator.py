@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -634,3 +635,24 @@ def test_engine_params_validation():
         EngineParams(k=0)
     with pytest.raises(ValueError):
         EngineParams(m=0)
+
+
+def test_load_concepts_refuses_another_record_type(tmp_path):
+    lex = load_lexicon(write(tmp_path, "lex.tsv", "S\tcat.n.1\tcat\n"))
+    path = write(tmp_path, "con.tsv", "C\tcat\tcat.n.1\nW\tdog\tcat.n.1\n")
+    layout = "'C\\t<name>\\t<synset,synset,...>'"
+    with pytest.raises(FormatError, match=re.escape(f"line 2: expected {layout}, got record type 'W'") + "$"):
+        load_concepts(path, lex)
+
+
+def test_annotate_batch_of_no_queries_is_empty_and_untimed(tmp_path):
+    dataset, lex, concepts = single_word_world(tmp_path)
+    timings = {}
+    assert annotate_batch([], [dataset], lex, concepts, EngineParams(), timings) == []
+    assert timings == {}
+
+
+def test_read_annotations_refuses_a_score_that_is_not_a_number(tmp_path):
+    path = write(tmp_path, "out.tsv", "q1\tcat:0.5\nq2\tcat:0.25,dog:high\n")
+    with pytest.raises(FormatError, match="line 2: malformed score in entry 'dog:high'$"):
+        read_annotations(path)

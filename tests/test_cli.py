@@ -527,3 +527,87 @@ def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "ablation.txt")
     with open(golden, encoding="utf-8", newline="") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["annotate", "--queries", "q.fvec", "--lam", "hypernym"], "--lam expects REL=WEIGHT, got 'hypernym'"),
+    (["build"], "no dataset feature files configured (dataset.features / --features)"),
+    (["build", "--features", "a.fvec", "--features", "b.fvec", "--keywords", "a.tsv"],
+     "2 feature file(s) but 1 keyword file(s)"),
+    (["build", "--features", "a.fvec", "--keywords", "a.tsv", "--index", "a.index", "--index", "b.index"],
+     "1 feature file(s) but 2 index path(s)"),
+    (["build", "--features", "a.fvec", "--keywords", "a.tsv", "--index", "a.index"],
+     "feature dimensionality not set (dim / --dim)"),
+    (["build", "--dim", "8", "--features", "a.fvec", "--keywords", "a.tsv"],
+     "no index output paths configured (dataset.index / --index)"),
+    (["annotate", "--dim", "8", "--features", "a.fvec", "--keywords", "a.tsv", "--queries", "q.fvec"],
+     "no output path configured (output / --output)"),
+    (["evaluate", "--truth", "truth.tsv"], "no lexicon configured (lexicon / --lexicon)"),
+    (["evaluate", "--lexicon", "lexicon.tsv", "--truth", "truth.tsv"],
+     "no concept file configured (concepts / --concepts)"),
+], ids=["lam-without-weight", "no-features", "keyword-count", "index-count", "no-dim", "build-no-index",
+        "annotate-no-output", "no-lexicon", "no-concepts"])
+def test_a_missing_or_mismatched_setting_is_refused_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                                             argv, message):
+    """No file named here exists: each setting is refused before the first file is opened."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("ablation", [True, False], ids=["ablation-without-queries", "no-annotation-file"])
+def test_evaluate_without_its_input_is_refused(corpus, capsys, ablation):
+    truth = os.path.join(corpus, "truth.tsv")
+    if ablation:
+        argv = ["evaluate", "--config", conf(corpus), "--truth", truth, "--ablation"]
+        message = "--ablation needs --queries (and usually --candidates)"
+    else:  # no config file, so no configured output to fall back on
+        argv = ["evaluate", "--lexicon", os.path.join(corpus, "lexicon.tsv"),
+                "--concepts", os.path.join(corpus, "concepts.tsv"), "--truth", truth]
+        message = "no annotation file to evaluate (--annotations or config output)"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fault", ["no-records", "other-dim", "no-concepts", "query-without-list"])
+def test_queries_annotate_cannot_match_are_refused(corpus, tmp_path, capsys, fault):
+    from neartag.fvec import read_vectors
+
+    ids, matrix = read_vectors(os.path.join(corpus, "queries.fvec"))
+    queries, out_path = tmp_path / "queries.fvec", tmp_path / "out.tsv"
+    extra = []
+    if fault == "no-records":
+        write_vectors(str(queries), [], matrix[:0])
+        message = f"no queries in {queries}"
+    elif fault == "other-dim":
+        write_vectors(str(queries), ids, matrix[:, :6])
+        message = "query dimensionality 6 does not match configured 8"
+    elif fault == "no-concepts":
+        write_vectors(str(queries), ids, matrix)
+        concepts = tmp_path / "concepts.tsv"
+        concepts.write_text("", encoding="utf-8")
+        extra = ["--concepts", str(concepts)]
+        message = "no candidate lists given and no concepts to fall back on"
+    else:
+        write_vectors(str(queries), ids, matrix)
+        lines = pathlib.Path(corpus, "candidates.tsv").read_text(encoding="utf-8").splitlines()
+        candidates = tmp_path / "candidates.tsv"
+        candidates.write_text("\n".join(line for line in lines if not line.startswith(ids[3] + "\t")) + "\n",
+                              encoding="utf-8")
+        extra = ["--candidates", str(candidates)]
+        message = f"query {ids[3]!r} has no candidate list in {candidates}"
+    argv = ["annotate", "--config", conf(corpus), "--queries", str(queries), "--output", str(out_path), *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_queries_whose_neighbors_give_no_lexicon_word_are_reported(corpus, tmp_path, capsys):
+    lines = pathlib.Path(corpus, "keywords.tsv").read_text(encoding="utf-8").splitlines()
+    keywords = tmp_path / "keywords.tsv"
+    keywords.write_text("".join(line.split("\t")[0] + "\tborogove\n" for line in lines), encoding="utf-8")
+    rc = main(["annotate", "--config", conf(corpus), "--keywords", str(keywords), "--k", "10",
+               "--queries", os.path.join(corpus, "queries.fvec"), "--output", str(tmp_path / "out.tsv")])
+    assert rc == 0
+    assert "warning: 12 query/queries produced no lexicon-matching keywords\n" in capsys.readouterr().out

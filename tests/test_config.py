@@ -303,3 +303,10 @@ def test_generate_defaults_are_synth_config_defaults(tmp_path, capsys):
     assert names == sorted(os.listdir(tmp_path / "b"))
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_parse_config_rejects_an_empty_key(tmp_path):
+    path = write(tmp_path, "k = 25\n = 30\n")
+    with pytest.raises(FormatError, match="line 2: empty key$") as exc:
+        parse_config_file(path)
+    assert exc.value.path == path

@@ -294,3 +294,7 @@ def test_format_report_percent_rounding():
     # MP_s = (0.5 + 1 + 0) / 3 = 0.5; MF_s = (2/3 + 1 + 0)/3 = 5/9 -> 55.6%
     text = format_report(report)
     assert "mf_s_pct=55.6" in text
+
+
+def test_average_precision_against_empty_truth_is_zero():
+    assert average_precision(["a", "b"], set()) == 0.0

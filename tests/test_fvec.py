@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -294,3 +295,21 @@ def test_blocked_codec_equals_the_record_by_record_reference(tmp_path, monkeypat
         assert found[0] == expected[0]
         assert found[1].dtype == expected[1].dtype and found[1].shape == expected[1].shape
         assert found[1].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("ids, matrix, message", [
+    (["a", "b", "c"], np.zeros(3, dtype=np.float32), "expected a 2-d array of vectors, got shape (3,)"),
+    (["a"], np.zeros((1, 0), dtype=np.float32), "vector dimensionality must be at least 1"),
+], ids=["one-dimensional", "no-columns"])
+def test_write_refuses_what_is_not_a_matrix_of_vectors(tmp_path, ids, matrix, message):
+    path = tmp_path / "v.fvec"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fvec.write_vectors(str(path), ids, matrix)
+    assert not path.exists()
+
+
+def test_read_refuses_a_header_with_dim_0(tmp_path):
+    path = tmp_path / "v.fvec"
+    path.write_bytes(b"FVEC 1 0 0\n")
+    with pytest.raises(FormatError, match="invalid header values dim=0 count=0$"):
+        fvec.read_vectors(str(path))

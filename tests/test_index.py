@@ -231,6 +231,21 @@ def test_build_makes_no_matrix_sized_temporary():
     assert extra <= 24 * len(ids)
 
 
+@pytest.mark.parametrize("shuffled, held_bound, peak_bound", [(True, 1.10, 1.35), (False, 0.05, 0.135)],
+                         ids=["shuffled", "in-id-order"])
+def test_an_unsorted_build_holds_one_sorted_copy_of_the_matrix(shuffled, held_bound, peak_bound):
+    # Bytes held and peak, as shares of the caller's matrix, when this test landed: 1.050 and
+    # 1.282 with the ids shuffled (the sorted copy the index keeps), 0.047 and 0.128 with the
+    # same rows in id order (an id list and float32 norms). No benchmark corpus is unsorted.
+    rng = np.random.default_rng(3)
+    ids, matrix = [f"v{i:05d}" for i in range(20000)], rng.standard_normal((20000, 64)).astype(np.float32)
+    if shuffled:
+        ids = [ids[i] for i in rng.permutation(len(ids))]
+    _, held, extra = _traced(lambda: build_index_from_arrays(ids, matrix, IndexConfig(dim=64)))
+    assert held <= held_bound * matrix.nbytes
+    assert held + extra <= peak_bound * matrix.nbytes
+
+
 def test_build_dim_mismatch_with_config():
     with pytest.raises(DimensionMismatch):
         build_index_from_arrays(["a"], np.zeros((1, 3), dtype=np.float32), IndexConfig(dim=2))

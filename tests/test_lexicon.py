@@ -264,3 +264,12 @@ def test_lexicon_equals_the_line_by_line_reference(tmp_path, text):
     assert lex.relation_ptr.tolist() == list(accumulate(map(len, related), initial=0))
     assert lex.relation_types.tolist() == [RELATIONS.index(RelationType(rel)) for pairs in related for rel, _ in pairs]
     assert lex.relation_targets.tolist() == [synsets.index(dst) for pairs in related for _, dst in pairs]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("S\ta\tx\nW\tcat\ta\tfirst\n", "line 2: sense rank 'first' is not an integer"),
+    ("S\ta\tx\nR\thyper\tghost\ta\n", "line 2: relation references undeclared synset 'ghost'"),
+], ids=["rank-not-an-integer", "relation-from-undeclared"])
+def test_sense_rank_and_relation_source_are_checked(tmp_path, text, message):
+    with pytest.raises(FormatError, match=f"{message}$"):
+        load_lexicon(write(tmp_path, text))
