@@ -249,6 +249,9 @@ class VectorIndex:
         self.pivots = pivots  # (num_pivots, dim) float32 in perm-prefix mode
         self.prefixes = prefixes  # (prefix_len, count) C-order columns of pivot indices, nearest first
         if prefixes is not None:
+            # A query's prefix ranks pivots in float64: the pivots and their squared norms, made once.
+            self._pivots64 = pivots.astype(np.float64)
+            self._pivot_norms = np.einsum("ij,ij->i", self._pivots64, self._pivots64)
             # Bit p % 64 of word p // 64 is set when pivot p is in the row's prefix.
             self._words = np.zeros((-(-config.num_pivots // 64), len(ids)), dtype=np.uint64)
             for column in prefixes:
@@ -295,7 +298,8 @@ class VectorIndex:
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
         radix = self.config.prefix_len + 1
-        q_prefix = _assign_prefixes(q[None, :], self.pivots, self.config.prefix_len)[:, 0].tolist()
+        q_prefix = _assign_prefixes(q[None, :], self._pivots64, self.config.prefix_len,
+                                    self._pivot_norms)[:, 0].tolist()
         # Primary key: length of the exact positional prefix match. That
         # alone is coarse (deep positions rarely match exactly), so break
         # ties by how many pivots the prefixes share as sets, which keeps
@@ -414,15 +418,23 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
                            pivots, prefixes)
 
 
-def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int) -> np.ndarray:
+def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int,
+                     pivot_norms: np.ndarray | None = None) -> np.ndarray:
     """Each row's prefix_len nearest pivot indices, nearest first, by |x|^2 - 2 x.p + |p|^2 in
-    float64, ties to the lower pivot (a stable argsort), as (prefix_len, rows) columns of the
-    narrowest unsigned type (bytes up to 256 pivots): the one rule that ranks pivots, for the stored
-    rows at build and for a query as a batch of one row. A block holds rows x (dim + pivots)
-    float64, the rows and their pivot distances: about 4 MiB."""
-    piv = pivots.astype(np.float64)
-    piv_norms = np.einsum("ij,ij->i", piv, piv)
-    count = matrix.shape[0]
+    float64, ties to the lower pivot, as (prefix_len, rows) columns of the narrowest unsigned type
+    (bytes up to 256 pivots): the one rule that ranks pivots, for the stored rows at build and for
+    a query as a batch of one row. ``pivot_norms`` are the float64 pivots' squared norms, made here
+    when not given.
+
+    A row's L + 1 nearest pivots are selected with ``argpartition`` and ordered by (distance,
+    pivot): the first L of them are its prefix unless its L-th and (L + 1)-th distances are equal,
+    when a tied pivot left out could be a lower one, so such a row takes the first L of a stable
+    argsort of all P distances instead. At L = P every pivot is selected. A block holds rows x
+    (dim + pivots) float64, the rows and their pivot distances: about 4 MiB."""
+    piv = np.asarray(pivots, dtype=np.float64)
+    if pivot_norms is None:
+        pivot_norms = np.einsum("ij,ij->i", piv, piv)
+    count, take = matrix.shape[0], min(prefix_len + 1, len(piv))
     out = np.empty((prefix_len, count), dtype=np.min_scalar_type(len(piv) - 1))
     chunk = max(1, (1 << 22) // (8 * (piv.shape[1] + piv.shape[0])))
     for start in range(0, count, chunk):
@@ -430,9 +442,18 @@ def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int) ->
         d2 = block @ piv.T  # |x|^2 - 2 x.p + |p|^2 in place, summed in that order; -2 scales exactly
         d2 *= -2.0
         d2 += np.einsum("ij,ij->i", block, block)[:, None]
-        d2 += piv_norms
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[:, start : start + len(block)] = order[:, :prefix_len].T
+        d2 += pivot_norms
+        rows = np.arange(len(block))[:, None]
+        near = np.argpartition(d2, take - 1, axis=1)[:, :take]
+        near.sort(axis=1)  # by pivot, so that the stable sort by distance breaks ties to the lower
+        dist = d2[rows, near]
+        order = np.argsort(dist, axis=1, kind="stable")
+        near = near[rows, order]
+        if take > prefix_len:
+            cut = dist[rows, order[:, prefix_len - 1 :]]  # the L-th and (L + 1)-th distances
+            tied = np.flatnonzero(cut[:, 0] == cut[:, 1])
+            near[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :take]
+        out[:, start : start + len(block)] = near[:, :prefix_len].T
     return out
 
 

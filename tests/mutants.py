@@ -115,6 +115,26 @@ MUTANTS = (
     # pooled, as rows past the tile, while a query's limit is still infinite.
     Mutant("short-tile-padded-with-inf", _INDEX, "scores[:, n : _GROUP * w] = np.nan",
            "scores[:, n : _GROUP * w] = np.inf", (_STRESS + "test_rows_past_a_short_tile_are_never_pooled",)),
+    # A row whose L-th and (L + 1)-th pivot distances tie may hold a lower tied pivot outside
+    # the selected L + 1, so it ranks all P pivots instead.
+    Mutant("prefix-tie-fallback-dropped", _INDEX,
+           '            near[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :take]\n', "", (
+               _INDEX_TESTS + "test_prefixes_equal_the_exact_integer_ranking",
+               _INDEX_TESTS + "test_perm_filter_equals_the_matrix_reference",
+           )),
+    # The selection holds the (L + 1)-th nearest pivot, so a tie at the L-th place shows.
+    Mutant("prefix-partitions-at-l", _INDEX, "min(prefix_len + 1, len(piv))", "min(prefix_len, len(piv))", (
+        _INDEX_TESTS + "test_prefixes_equal_the_exact_integer_ranking",
+        _INDEX_TESTS + "test_perm_filter_equals_the_matrix_reference",
+    )),
+    # The selected pivots go in pivot order before the stable sort by distance, which then
+    # breaks ties to the lower pivot; unsorted, ties keep argpartition's order.
+    Mutant("prefix-selection-not-in-pivot-order", _INDEX,
+           "        near.sort(axis=1)  # by pivot, so that the stable sort by distance breaks ties to the lower\n",
+           "", (
+               _INDEX_TESTS + "test_prefixes_equal_the_exact_integer_ranking",
+               _INDEX_TESTS + "test_perm_filter_equals_the_matrix_reference",
+           )),
     # A candidate the concept table lacks is marked -1 before the lookup.
     Mutant("unknown-candidate-unmasked", "neartag/annotator.py", "at = np.where(wanted < 0, -1, _find(",
            "at = np.where(False, -1, _find(",

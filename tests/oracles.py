@@ -38,6 +38,17 @@ def perm_agreement_by_matrix(index, query) -> tuple[np.ndarray, np.ndarray]:
     return agree, np.isin(rows, q_prefix).sum(axis=1)
 
 
+def pivot_prefixes_by_integers(matrix, pivots, prefix_len) -> np.ndarray:
+    """Each row's ``prefix_len`` nearest pivots for integer-valued rows and pivots, nearest
+    first: ranked by the exact integer sum of (x - p)^2, ties to the lower pivot, with a
+    two-key ``lexsort``, as (prefix_len, rows) columns, the layout of ``VectorIndex.prefixes``."""
+    rows, points = np.asarray(matrix).astype(np.int64), np.asarray(pivots).astype(np.int64)
+    assert np.array_equal(rows, matrix) and np.array_equal(points, pivots), "integer values only"
+    dist = np.stack([((rows - point) ** 2).sum(axis=1) for point in points], axis=1)
+    pivot = np.broadcast_to(np.arange(len(points)), dist.shape)
+    return np.lexsort((pivot, dist), axis=1)[:, :prefix_len].T
+
+
 def perm_candidates_by_matrix(index, query) -> np.ndarray:
     """The perm-prefix filter's candidate rows for one float64 query: the counts
     of ``perm_agreement_by_matrix`` ordered with a two-key ``lexsort``, as

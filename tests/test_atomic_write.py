@@ -100,3 +100,15 @@ def test_build_leaves_other_files_beside_the_index_alone(tmp_path, capsys):
     capsys.readouterr()
     assert neighbour.read_bytes() == b"another build's file\n"
     assert (root / "refs.index").stat().st_size > 0
+
+
+def test_a_taken_temp_name_is_drawn_again_and_left_alone(tmp_path, monkeypatch):
+    taken = tmp_path / ".out.00000000.tmp"
+    taken.write_bytes(b"another writer's temp file\n")
+    draws = iter([bytes(4), bytes(4), bytes([0, 0, 0, 1])])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    with fvec._replacing(str(tmp_path / "out")) as fh:
+        fh.write(b"the new file\n")
+    assert (tmp_path / "out").read_bytes() == b"the new file\n"
+    assert taken.read_bytes() == b"another writer's temp file\n"
+    assert sorted(os.listdir(tmp_path)) == [".out.00000000.tmp", "out"]

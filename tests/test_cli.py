@@ -2,10 +2,12 @@ import json
 import os
 import pathlib
 import re
+import subprocess
 
 import numpy as np
 import pytest
 
+from neartag import cli
 from neartag.cli import main
 from neartag.fvec import write_vectors
 
@@ -210,6 +212,18 @@ def test_bench_json_is_written_whole_or_not_at_all(corpus, tmp_path, monkeypatch
     assert "cannot rename" in capsys.readouterr().err
     assert path.read_text(encoding="utf-8") == "the earlier record\n"
     assert os.listdir(tmp_path) == ["BENCH_x.json"]
+
+
+@pytest.mark.parametrize("outcome", [OSError("no git here"), subprocess.TimeoutExpired("git", 30), 128],
+                         ids=["oserror", "timeout", "rev-parse-fails"])
+def test_bench_record_commit_is_none_when_git_fails(monkeypatch, outcome):
+    def run(argv, **kwargs):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return subprocess.CompletedProcess(argv, outcome, stdout="", stderr="fatal: not a git repository")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    assert cli._commit() is None
 
 
 PHASES = ("index load", "keyword load", "lexicon load", "feature load", "similarity search",

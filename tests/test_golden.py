@@ -10,7 +10,10 @@ a refactor that moves one score by one printed digit fails here.
 * ``perm-prefix``: one perm-prefix index whose budget is well below
   the collection size, so the approximate filter decides the neighbors.
   It is also annotated through ``neartag annotate``, with and without a
-  saved index, which must write the same bytes as the library.
+  saved index, which must write the same bytes as the library. Its
+  index's prefix columns are pinned by sha256, so a change to how
+  pivots are ranked that reorders one stored entry fails here even
+  where no neighbor moves.
 * ``analysis``: one exact index annotated under two non-default
   analysis settings, one file each: reciprocal-rank weighting with
   uneven and zero relation weights and a low restart probability, and
@@ -30,6 +33,7 @@ the walk and the report when none is named; ``walk`` names the walk and
 ``evaluate`` the report) and review the diff.
 """
 
+import hashlib
 import os
 import sys
 import tempfile
@@ -206,6 +210,20 @@ def test_golden_exact_two_datasets(tmp_path):
 
 def test_golden_perm_prefix(tmp_path):
     _check("perm-prefix", tmp_path)
+
+
+# The sha256 of the perm-prefix world's (4, 500) byte prefix columns, as the argsort of
+# every row's pivot distances wrote them before the build selected each row's L + 1 nearest.
+PERM_PREFIX_COLUMNS_SHA256 = "5f1d49c0a1a85fa96ea8ed48c1e9c5b96b793a83e60fd525eadebae096d933f4"
+
+
+def test_golden_perm_prefix_columns():
+    world = WORLDS["perm-prefix"]
+    with tempfile.TemporaryDirectory() as root:
+        ids, matrix = read_vectors(generate_corpus(world["synth"], root).refs)
+    index = build_index_from_arrays(ids, matrix, IndexConfig(dim=world["synth"].dim, **world["index"]))
+    assert index.prefixes.dtype == np.uint8 and index.prefixes.shape == (4, 500)
+    assert hashlib.sha256(index.prefixes.tobytes()).hexdigest() == PERM_PREFIX_COLUMNS_SHA256
 
 
 def test_golden_analysis_settings(tmp_path):

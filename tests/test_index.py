@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 import tracemalloc
@@ -23,7 +24,7 @@ from neartag.index import (
 )
 
 
-from oracles import brute_force_knn, perm_agreement_by_matrix, perm_candidates_by_matrix
+from oracles import brute_force_knn, perm_agreement_by_matrix, perm_candidates_by_matrix, pivot_prefixes_by_integers
 
 
 def make_index(ids, matrix, **cfg):
@@ -342,6 +343,27 @@ def test_perm_filter_equals_the_matrix_reference(shape, data):
         assert np.array_equal(got, perm_candidates_by_matrix(index, q))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prefixes_equal_the_exact_integer_ranking(data):
+    # Small-integer rows and pivots make every float64 distance exact, so each tie is a true
+    # one: a grid of at most 5^3 points gives many, ties at the L-th place included, and pivots
+    # drawn from it repeat. Up to 300 pivots take 16-bit columns and five bit words. Some row
+    # counts pass the end of a build block (about 4 MiB of float64 rows and pivot distances).
+    num_pivots = data.draw(st.integers(1, 300), label="num_pivots")
+    prefix_len = data.draw(st.integers(1, num_pivots), label="prefix_len")
+    dim = data.draw(st.integers(1, 3), label="dim")
+    block = (1 << 22) // (8 * (dim + num_pivots))  # rows in a build block
+    count = data.draw(st.integers(1, 64) | st.integers(block - 2, block + 64), label="rows")
+    reach = data.draw(st.integers(1, 2), label="reach")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    matrix = rng.integers(-reach, reach + 1, size=(count, dim)).astype(np.float32)
+    pivots = rng.integers(-reach, reach + 1, size=(num_pivots, dim)).astype(np.float32)
+    got = index_module._assign_prefixes(matrix, pivots, prefix_len)
+    assert got.dtype == (np.uint8 if num_pivots <= 256 else np.uint16)
+    assert np.array_equal(got, pivot_prefixes_by_integers(matrix, pivots, prefix_len))
+
+
 def test_a_stored_vector_as_a_query_gets_its_own_stored_prefix():
     # Far from the origin |x|^2 - 2 x.p + |p|^2 cancels the most digits; the query's prefix
     # comes from the rule that gave the rows theirs, so a row finds first the rows that share
@@ -455,27 +477,30 @@ def test_perm_build_scratch_does_not_grow_with_the_row_count():
     # 29.3 and 58.5 MiB. It reads 10.1 and 10.0 MiB since the build writes the prefix
     # columns directly: the same blocks, but no byte-column copy made after the peak and
     # counted among what the build returns. It reads 7.96 and 7.89 MiB since a block's
-    # pivot distances are built in one buffer, not through two more of their size.
+    # pivot distances are built in one buffer, not through two more of their size, and 6.99
+    # and 6.92 MiB since each row's L + 1 nearest pivots are selected, not all P sorted.
     rng = np.random.default_rng(21)
     cfg = IndexConfig(dim=64, mode="perm-prefix", num_pivots=64, prefix_len=8)
     for count in (20000, 40000):
         ids, matrix = [f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 64)).astype(np.float32)
         _, _, extra = _traced(lambda: build_index_from_arrays(ids, matrix, cfg))
-        assert extra <= 8.3 * (1 << 20), count
+        assert extra <= 7.3 * (1 << 20), count
 
 
 def test_a_perm_index_holds_its_prefixes_once():
-    # Above an exact build of the same rows: the pivots, and per row L prefix column entries
-    # and ceil(P / 64) bit words, with a byte to spare. 16.1 bytes a row when this test
-    # landed; 48.1 while the index kept an int32 prefix matrix beside byte columns copied
-    # from it.
+    # Above an exact build of the same rows: the pivots in float32 and in float64 with their
+    # squared norms, and per row L prefix column entries and ceil(P / 64) bit words, with a
+    # byte to spare. 16.1 bytes a row when this test landed; 48.1 while the index kept an
+    # int32 prefix matrix beside byte columns copied from it. The float64 pivots and norms
+    # (33,280 bytes here) are held since a query's prefix stopped converting them per call.
     rng = np.random.default_rng(27)
     count, num_pivots, prefix_len = 20000, 64, 8
     ids, matrix = [f"v{i:05d}" for i in range(count)], rng.standard_normal((count, 64)).astype(np.float32)
     cfg = IndexConfig(dim=64, mode="perm-prefix", num_pivots=num_pivots, prefix_len=prefix_len)
     _, exact, _ = _traced(lambda: build_index_from_arrays(ids, matrix, IndexConfig(dim=64)))
     index, perm, _ = _traced(lambda: build_index_from_arrays(ids, matrix, cfg))
-    assert perm - exact <= (prefix_len + 8 * -(-num_pivots // 64) + 1) * count + index.pivots.nbytes
+    pivot_bytes = index.pivots.nbytes + index._pivots64.nbytes + index._pivot_norms.nbytes
+    assert perm - exact <= (prefix_len + 8 * -(-num_pivots // 64) + 1) * count + pivot_bytes
 
 
 def test_perm_query_scratch_is_a_few_bytes_a_row():
@@ -706,6 +731,25 @@ def test_load_refuses_a_header_that_does_not_fit(tmp_path, edit, mode, error, me
     with pytest.raises(error) as exc:
         load_index(path, IndexConfig(dim=2, mode=mode))
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("change", ["grown", "truncated"])
+def test_load_refuses_a_file_that_changes_while_it_is_read(tmp_path, monkeypatch, change):
+    # The size comes from fstat; the file then grows or shrinks before the read.
+    cfg, path, raw = _small_index(tmp_path)
+    fstat = os.fstat
+
+    def fstat_then_change(fd):
+        stat = fstat(fd)
+        if change == "grown":
+            path.write_bytes(raw + b"\0")
+        else:
+            os.truncate(path, len(raw) - 1)
+        return stat
+
+    monkeypatch.setattr(os, "fstat", fstat_then_change)
+    with pytest.raises(FormatError, match="the file changed while it was read"):
+        load_index(str(path), cfg)
 
 
 def test_load_rejects_nonfinite_component(tmp_path):
