@@ -60,7 +60,7 @@ from .config import (
     load_engine_config,
 )
 from .errors import EngineError, FormatError
-from .evaluation import evaluate, format_report, load_ground_truth
+from .evaluation import evaluate, format_ablation, format_report, load_ground_truth
 from .index import (
     MODE_EXACT,
     MODE_PERM_PREFIX,
@@ -88,7 +88,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon", help="lexicon file")
     p.add_argument("--concepts", help="concept definition file")
     p.add_argument("--output", help="annotation output file")
-    p.add_argument("--dim", help="feature dimensionality")
     p.add_argument("--k", help="neighbors per query")
     p.add_argument("--m", help="concepts per annotation")
     p.add_argument("--s", help="senses per word")
@@ -121,7 +120,7 @@ def _resolve_config(args: argparse.Namespace) -> EngineConfig:
         rel, weight = item.split("=", 1)
         flags[f"lambda.{rel.strip()}"] = weight.strip()
     cfg = apply_config_values(cfg, flags, base_dir=os.getcwd(), source="flag")
-    IndexConfig(dim=max(cfg.dim, 1), **cfg.index)  # every command refuses bad index settings; dim may be unset
+    IndexConfig(dim=1, **cfg.index)  # every command refuses bad index settings; the files give dim
     return cfg
 
 
@@ -141,24 +140,24 @@ def _require_datasets(cfg: EngineConfig) -> None:
         raise EngineError(
             f"{len(cfg.feature_paths)} feature file(s) but {len(cfg.index_paths)} index path(s)"
         )
-    if cfg.dim < 1:
-        raise EngineError("feature dimensionality not set (dim / --dim)")
 
 
-def _build_index(feat_path: str, cfg: EngineConfig):
-    """Read a feature file and index it; a vector set the index refuses is reported with the path."""
-    config = cfg.index_config()
+def _build_index(feat_path: str, cfg: EngineConfig, dim: int | None = None):
+    """Read a feature file and index it at ``dim``, by default the file's own; a vector set the
+    index refuses, one of another dimensionality included, is reported with the path."""
     _check_exists(feat_path, "feature file")
     ids, matrix = fvec.read_vectors(feat_path)
+    config = IndexConfig(dim=dim or matrix.shape[1], **cfg.index)
     try:
         return build_index_from_arrays(ids, matrix, config)
     except ValueError as exc:  # DimensionMismatch is one too
         raise FormatError(str(exc), path=feat_path) from None
 
 
-def _load_datasets(cfg: EngineConfig) -> tuple[list[Dataset], float, float]:
-    """Load (or build) each dataset's index and keyword store. Returns the
-    datasets and the seconds spent on the indexes and on the keyword stores."""
+def _load_datasets(cfg: EngineConfig, dim: int) -> tuple[list[Dataset], float, float]:
+    """Load (or build) each dataset's index, at the queries' dimensionality ``dim``, and its
+    keyword store. Returns the datasets and the seconds spent on the indexes and on the keyword
+    stores."""
     datasets = []
     index_s = keyword_s = 0.0
     for pos, feat_path in enumerate(cfg.feature_paths):
@@ -167,9 +166,9 @@ def _load_datasets(cfg: EngineConfig) -> tuple[list[Dataset], float, float]:
         index_path = cfg.index_paths[pos] if cfg.index_paths else None
         t0 = time.perf_counter()
         if index_path and os.path.exists(index_path):
-            index = load_index(index_path, cfg.index_config())
+            index = load_index(index_path, IndexConfig(dim=dim, **cfg.index))
         else:
-            index = _build_index(feat_path, cfg)
+            index = _build_index(feat_path, cfg, dim)
         t1 = time.perf_counter()
         datasets.append(Dataset(index=index, keywords=load_keywords(kw_path)))
         index_s += t1 - t0
@@ -189,14 +188,12 @@ def _load_semantics(cfg: EngineConfig):
     return lexicon, concepts
 
 
-def _load_queries(cfg: EngineConfig, queries_path: str, candidates_path: str | None,
+def _load_queries(queries_path: str, candidates_path: str | None,
                   concepts: dict[str, ConceptDef]) -> list[Query]:
     _check_exists(queries_path, "query feature file")
     ids, matrix = fvec.read_vectors(queries_path)
     if not ids:
         raise EngineError(f"no queries in {queries_path}")
-    if matrix.shape[1] != cfg.dim:
-        raise EngineError(f"query dimensionality {matrix.shape[1]} does not match configured {cfg.dim}")
     if candidates_path is not None:
         _check_exists(candidates_path, "candidate list file")
         lists = load_candidate_lists(candidates_path, concepts)
@@ -285,19 +282,19 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     writes = args.command == "annotate"
     if writes and not cfg.output_path:
         raise EngineError("no output path configured (output / --output)")
-    datasets, index_s, keyword_s = _load_datasets(cfg)
-    t1 = time.perf_counter()
+    t0 = time.perf_counter()
     lexicon, concepts = _load_semantics(cfg)
+    t1 = time.perf_counter()
+    queries = _load_queries(args.queries, args.candidates, concepts)
     t2 = time.perf_counter()
-    queries = _load_queries(cfg, args.queries, args.candidates, concepts)
-    t3 = time.perf_counter()
+    datasets, index_s, keyword_s = _load_datasets(cfg, len(queries[0].feature))
     timings: dict[str, list[float]] = {}
     annotations = annotate_batch(queries, datasets, lexicon, concepts, cfg.params, timings)
     if writes:
         write_annotations(cfg.output_path, annotations)
     # Throughput counts the work rows, from feature load on, not the three one-off loads.
-    setup = [("index load", index_s), ("keyword load", keyword_s), ("lexicon load", t2 - t1)]
-    work = [("feature load", t3 - t2)]
+    setup = [("index load", index_s), ("keyword load", keyword_s), ("lexicon load", t1 - t0)]
+    work = [("feature load", t2 - t1)]
     work += [(name, sum(timings[name])) for name in (SIMILARITY_SEARCH, KEYWORD_FETCH, SEMANTIC_ANALYSIS)]
     print(f"{'phase':<20} {'total_s':>9} {'ms/query':>10}")
     for name, seconds in setup + work:
@@ -351,13 +348,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if not args.queries:
             raise EngineError("--ablation needs --queries (and usually --candidates)")
         _require_datasets(cfg)
-        datasets = _load_datasets(cfg)[0]
-        queries = _load_queries(cfg, args.queries, args.candidates, concepts)
-        results = run_ablation(cfg, datasets, lexicon, concepts, queries, truth)
-        print(f"{'level':<40} {'MP-s%':>7} {'MR-s%':>7} {'MF-s%':>7} {'MAP-s%':>7}")
-        for label, report in results:
-            print(f"{label:<40} {100 * report.mp_s:>7.1f} {100 * report.mr_s:>7.1f} "
-                  f"{100 * report.mf_s:>7.1f} {100 * report.map_s:>7.1f}")
+        queries = _load_queries(args.queries, args.candidates, concepts)
+        datasets = _load_datasets(cfg, len(queries[0].feature))[0]
+        print(format_ablation(run_ablation(cfg, datasets, lexicon, concepts, queries, truth)))
         return 0
 
     output_path = args.annotations or cfg.output_path

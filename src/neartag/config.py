@@ -15,18 +15,17 @@ from dataclasses import dataclass, field
 
 from .analysis import AnalysisConfig
 from .annotator import EngineParams
-from .errors import EngineError, FormatError, check_count
-from .index import IndexConfig
+from .errors import EngineError, FormatError
 from .lexicon import RelationType
 from .tsv import lines
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Paths, the feature dimensionality, the engine parameters, and the
-    index settings other than ``dim`` (unset ones take IndexConfig's defaults)."""
+    """Paths, the engine parameters, and the index settings other than
+    ``dim``, which the commands read from the feature files (unset ones take
+    IndexConfig's defaults)."""
 
-    dim: int = 0
     feature_paths: tuple[str, ...] = ()
     keyword_paths: tuple[str, ...] = ()
     index_paths: tuple[str, ...] = ()
@@ -35,12 +34,6 @@ class EngineConfig:
     output_path: str = ""
     params: EngineParams = field(default_factory=EngineParams)
     index: dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_count("dim", self.dim, low=0)  # 0: not set
-
-    def index_config(self) -> IndexConfig:
-        return IndexConfig(dim=self.dim, **self.index)
 
 
 _RELATION_NAMES = {r.value: r for r in RelationType}
@@ -73,7 +66,6 @@ def _paths(text: str, base_dir: str) -> tuple[str, ...]:
 # by relation) and the index settings. Path parsers also take the
 # directory relative paths resolve against.
 KEYS = {
-    "dim": ("config", "dim", int),
     "dataset.features": ("config", "feature_paths", _paths),
     "dataset.keywords": ("config", "keyword_paths", _paths),
     "dataset.index": ("config", "index_paths", _paths),
@@ -113,7 +105,7 @@ def apply_config_values(base: EngineConfig, values: dict[str, str], base_dir: st
     """Overlay ``key = value`` pairs onto an EngineConfig.
 
     The parameter dataclasses check the values once all are set; the
-    index settings are checked, together, when ``index_config`` builds them.
+    index settings are checked, together, when an ``IndexConfig`` is made from them.
     """
     sections = _sections(base)
     for key, value in values.items():

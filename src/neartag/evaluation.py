@@ -41,9 +41,11 @@ class MetricsReport:
     concepts_skipped: int
 
 
-# (table label, report field and machine-readable key) of each reported measure, in printed order
-_MEASURES = (("MP-sample", "mp_s"), ("MR-sample", "mr_s"), ("MF-sample", "mf_s"), ("MAP-sample", "map_s"),
-             ("MP-concept", "mp_c"), ("MR-concept", "mr_c"), ("MF-concept", "mf_c"))
+# (table label, ablation column, report field and machine-readable key) of each reported
+# measure, in printed order; the ablation table has the sample-oriented ones
+_MEASURES = (("MP-sample", "MP-s%", "mp_s"), ("MR-sample", "MR-s%", "mr_s"), ("MF-sample", "MF-s%", "mf_s"),
+             ("MAP-sample", "MAP-s%", "map_s"), ("MP-concept", None, "mp_c"), ("MR-concept", None, "mr_c"),
+             ("MF-concept", None, "mf_c"))
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -159,7 +161,7 @@ def format_report(report: MetricsReport, per_concept: bool = True) -> str:
     lines = []
     lines.append("metric        value")
     lines.append("------        -----")
-    for label, key in _MEASURES:
+    for label, _column, key in _MEASURES:
         lines.append(f"{label:<13} {100.0 * getattr(report, key):5.1f}%")
     lines.append("")
     lines.append(f"samples evaluated: {report.samples_evaluated}"
@@ -173,7 +175,7 @@ def format_report(report: MetricsReport, per_concept: bool = True) -> str:
             cells = ["-"] * 3 if prf is None else [f"{100.0 * x:.1f}" for x in prf]
             lines.append(f"{name:<30} " + " ".join(f"{cell:>6}" for cell in cells))
     lines.append("")
-    for _label, key in _MEASURES:
+    for _label, _column, key in _MEASURES:
         value = getattr(report, key)
         lines.append(f"{key}={value:.6f}")
         lines.append(f"{key}_pct={100.0 * value:.1f}")
@@ -181,4 +183,14 @@ def format_report(report: MetricsReport, per_concept: bool = True) -> str:
     lines.append(f"samples_missing_truth={report.samples_missing_truth}")
     lines.append(f"samples_empty_truth={report.samples_empty_truth}")
     lines.append(f"concepts_skipped={report.concepts_skipped}")
+    return "\n".join(lines)
+
+
+def format_ablation(rows: list[tuple[str, MetricsReport]]) -> str:
+    """The ablation table: one row per (level, report) pair, in percent, with a column for each
+    measure that has an ablation column."""
+    columns = [(column, key) for _label, column, key in _MEASURES if column]
+    lines = [f"{'level':<40}" + "".join(f" {column:>7}" for column, _key in columns)]
+    for label, report in rows:
+        lines.append(f"{label:<40}" + "".join(f" {100.0 * getattr(report, key):>7.1f}" for _column, key in columns))
     return "\n".join(lines)

@@ -52,6 +52,8 @@ def _replacing(path: str, binary: bool = True):
             break
         except FileExistsError:
             continue
+        except OSError as exc:  # named by the output path, not the temp name
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh

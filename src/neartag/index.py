@@ -248,13 +248,16 @@ class VectorIndex:
         self.max_norm = max_norm  # the largest row norm, in float64
         self.pivots = pivots  # (num_pivots, dim) float32 in perm-prefix mode
         self.prefixes = prefixes  # (prefix_len, count) C-order columns of pivot indices, nearest first
-        if prefixes is not None:
-            # A query's prefix ranks pivots in float64: the pivots and their squared norms, made once.
+        if pivots is not None:
+            # Prefixes rank pivots in float64: the pivots and their squared norms, made once for
+            # the stored rows at build, which passes no prefixes, and for every query.
             self._pivots64 = pivots.astype(np.float64)
             self._pivot_norms = np.einsum("ij,ij->i", self._pivots64, self._pivots64)
+            if prefixes is None:
+                self.prefixes = _assign_prefixes(vectors, self._pivots64, self._pivot_norms, config.prefix_len)
             # Bit p % 64 of word p // 64 is set when pivot p is in the row's prefix.
             self._words = np.zeros((-(-config.num_pivots // 64), len(ids)), dtype=np.uint64)
-            for column in prefixes:
+            for column in self.prefixes:
                 bit, word_of = np.left_shift(np.uint64(1), column & 63, dtype=np.uint64), column >> 6
                 for i, words in enumerate(self._words):
                     np.bitwise_or(words, bit, out=words, where=word_of == i)
@@ -298,8 +301,8 @@ class VectorIndex:
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
         radix = self.config.prefix_len + 1
-        q_prefix = _assign_prefixes(q[None, :], self._pivots64, self.config.prefix_len,
-                                    self._pivot_norms)[:, 0].tolist()
+        q_prefix = _assign_prefixes(q[None, :], self._pivots64, self._pivot_norms,
+                                    self.config.prefix_len)[:, 0].tolist()
         # Primary key: length of the exact positional prefix match. That
         # alone is coarse (deep positions rarely match exactly), so break
         # ties by how many pivots the prefixes share as sets, which keeps
@@ -404,7 +407,7 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
     if not ids[0]:  # the least id
         raise ValueError("image id must be non-empty")
 
-    pivots = prefixes = None
+    pivots = None
     if config.mode == MODE_PERM_PREFIX:
         count = len(ids)
         if config.num_pivots > count:
@@ -412,28 +415,22 @@ def build_index_from_arrays(ids: list[str], matrix: np.ndarray, config: IndexCon
         rng = np.random.default_rng(config.rng_seed)
         pivot_rows = rng.choice(count, size=config.num_pivots, replace=False)
         pivots = np.ascontiguousarray(matrix[pivot_rows])  # by input position
-        prefixes = _assign_prefixes(rows, pivots, config.prefix_len)
     with np.errstate(over="ignore"):
-        return VectorIndex(ids, rows, config, norms.astype(np.float32), float(np.sqrt(norms.max())),
-                           pivots, prefixes)
+        return VectorIndex(ids, rows, config, norms.astype(np.float32), float(np.sqrt(norms.max())), pivots)
 
 
-def _assign_prefixes(matrix: np.ndarray, pivots: np.ndarray, prefix_len: int,
-                     pivot_norms: np.ndarray | None = None) -> np.ndarray:
+def _assign_prefixes(matrix: np.ndarray, piv: np.ndarray, pivot_norms: np.ndarray, prefix_len: int) -> np.ndarray:
     """Each row's prefix_len nearest pivot indices, nearest first, by |x|^2 - 2 x.p + |p|^2 in
     float64, ties to the lower pivot, as (prefix_len, rows) columns of the narrowest unsigned type
     (bytes up to 256 pivots): the one rule that ranks pivots, for the stored rows at build and for
-    a query as a batch of one row. ``pivot_norms`` are the float64 pivots' squared norms, made here
-    when not given.
+    a query as a batch of one row. ``piv`` are the pivots in float64 and ``pivot_norms`` their
+    squared norms, as a perm index holds them.
 
     A row's L + 1 nearest pivots are selected with ``argpartition`` and ordered by (distance,
     pivot): the first L of them are its prefix unless its L-th and (L + 1)-th distances are equal,
     when a tied pivot left out could be a lower one, so such a row takes the first L of a stable
     argsort of all P distances instead. At L = P every pivot is selected. A block holds rows x
     (dim + pivots) float64, the rows and their pivot distances: about 4 MiB."""
-    piv = np.asarray(pivots, dtype=np.float64)
-    if pivot_norms is None:
-        pivot_norms = np.einsum("ij,ij->i", piv, piv)
     count, take = matrix.shape[0], min(prefix_len + 1, len(piv))
     out = np.empty((prefix_len, count), dtype=np.min_scalar_type(len(piv) - 1))
     chunk = max(1, (1 << 22) // (8 * (piv.shape[1] + piv.shape[0])))

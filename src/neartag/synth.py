@@ -171,7 +171,6 @@ def generate_corpus(config: SynthConfig, out_dir: str) -> CorpusPaths:
     _write_lines(paths.candidates, candidate_lines)
 
     _write_lines(paths.engine_config, [
-        f"dim = {config.dim}",
         "dataset.features = refs.fvec",
         "dataset.keywords = keywords.tsv",
         "dataset.index = refs.index",

@@ -135,6 +135,14 @@ MUTANTS = (
                _INDEX_TESTS + "test_prefixes_equal_the_exact_integer_ranking",
                _INDEX_TESTS + "test_perm_filter_equals_the_matrix_reference",
            )),
+    # A reference built in memory takes the queries' dimensionality, so a feature file of
+    # another is refused naming it; at its own, the search refuses the queries unnamed.
+    Mutant("in-memory-index-at-the-file-dim", "neartag/cli.py", "index = _build_index(feat_path, cfg, dim)",
+           "index = _build_index(feat_path, cfg)", (
+               "tests/test_cli.py::test_a_query_file_of_another_dimensionality_is_refused_naming_the_reference",
+               "tests/test_cli.py::test_bad_reference_file_is_named",
+               "tests/test_cli.py::test_queries_annotate_cannot_match_are_refused",
+           )),
     # A candidate the concept table lacks is marked -1 before the lookup.
     Mutant("unknown-candidate-unmasked", "neartag/annotator.py", "at = np.where(wanted < 0, -1, _find(",
            "at = np.where(False, -1, _find(",

@@ -62,7 +62,7 @@ def test_build_rebuild_byte_identical(corpus):
 
 
 def test_build_missing_feature_file_exit_nonzero(tmp_path, capsys):
-    rc = main(["build", "--dim", "4", "--features", str(tmp_path / "nope.fvec"),
+    rc = main(["build", "--features", str(tmp_path / "nope.fvec"),
                "--keywords", str(tmp_path / "nope.tsv"), "--index", str(tmp_path / "x.index")])
     assert rc != 0
     err = capsys.readouterr().err
@@ -338,7 +338,7 @@ def test_unknown_config_key_exit_nonzero(tmp_path, capsys):
 def test_no_partial_output_on_failure(corpus, tmp_path, capsys):
     # queries with a dimensionality that cannot match: annotate fails, no output file
     out_path = str(tmp_path / "should_not_exist.tsv")
-    rc = main(["annotate", "--config", conf(corpus), "--dim", "8",
+    rc = main(["annotate", "--config", conf(corpus),
                "--queries", os.path.join(corpus, "keywords.tsv"),  # not an fvec file
                "--candidates", os.path.join(corpus, "candidates.tsv"),
                "--output", out_path])
@@ -377,16 +377,14 @@ def test_generate_refuses_a_negative_seed_before_making_the_directory(tmp_path, 
 @pytest.mark.parametrize("command, flags, message", [
     ("annotate", ["--index-mode", "exact", "--pivots", "0"], "num_pivots must be an integer of at least 1, got 0"),
     ("build", ["--index-mode", "perm-prefix", "--seed", "-1"], "rng_seed must be an integer of at least 0, got -1"),
-    ("annotate", ["--dim", "-3"], "dim must be an integer of at least 0, got -3"),
-    ("evaluate", ["--dim", "-3"], "dim must be an integer of at least 0, got -3"),
     ("evaluate", ["--pivots", "0", "--budget", "-3"], "num_pivots must be an integer of at least 1, got 0"),
     ("evaluate", ["--index-mode", "perm-prefix", "--prefix-len", "100"],
      "prefix_len must be in [1, num_pivots=64], got 100"),
-], ids=["exact-pivots-0", "build-seed-negative", "annotate-dim-negative", "evaluate-dim-negative",
-        "evaluate-pivots-0", "evaluate-prefix-past-pivots"])
+], ids=["exact-pivots-0", "build-seed-negative", "evaluate-pivots-0", "evaluate-prefix-past-pivots"])
 def test_index_settings_and_dim_are_checked_in_every_command(corpus, tmp_path, capsys, command, flags, message):
-    """Index sizes and seed are refused in either mode, and a dim below 0 where it enters,
-    before any output; the feature file, which is fine, goes unnamed."""
+    """Index sizes and seed are refused in either mode before any output; the feature file,
+    which is fine, goes unnamed. The dimensionality is read from the files (see
+    ``test_a_query_file_of_another_dimensionality_is_refused_naming_the_reference``)."""
     index_path, out_path, given = tmp_path / "refs.index", tmp_path / "out.tsv", tmp_path / "given.tsv"
     given.write_text("q00000\tw000:0.5\n", encoding="utf-8")
     paths = {
@@ -471,8 +469,10 @@ def test_repeated_query_id_fails_before_the_search(corpus, tmp_path, monkeypatch
     assert not (tmp_path / "out.tsv").exists()
 
 
-@pytest.mark.parametrize("fault", ["repeated-id", "wrong-dim", "bad-index-setting"])
-@pytest.mark.parametrize("command", ["build", "annotate"])
+@pytest.mark.parametrize("command, fault", [
+    (command, fault) for command in ("build", "annotate") for fault in ("repeated-id", "wrong-dim", "bad-index-setting")
+    if (command, fault) != ("build", "wrong-dim")  # build indexes each file at its own dimensionality
+])
 def test_bad_reference_file_is_named(corpus, tmp_path, capsys, command, fault):
     """A vector set the index refuses names the feature file; an index setting it refuses does not."""
     from neartag.fvec import read_vectors, write_vectors
@@ -498,6 +498,62 @@ def test_bad_reference_file_is_named(corpus, tmp_path, capsys, command, fault):
     where = "" if settings else f"{refs}: "
     assert capsys.readouterr().err == f"error: {where}{message}\n"
     assert not index_path.exists() and not out_path.exists()
+
+
+@pytest.mark.parametrize("reference", ["saved-index", "features"])
+@pytest.mark.parametrize("command", ["annotate", "bench", "ablation"])
+def test_a_query_file_of_another_dimensionality_is_refused_naming_the_reference(corpus, tmp_path, capsys,
+                                                                                command, reference):
+    """Every index is loaded or built at the query file's dimensionality, so the index or feature
+    file that has another is named, before any output."""
+    from neartag.fvec import read_vectors
+
+    ids, matrix = read_vectors(os.path.join(corpus, "queries.fvec"))
+    queries, index_path = tmp_path / "queries.fvec", tmp_path / "refs.index"
+    write_vectors(str(queries), ids, matrix[:, :6])
+    if reference == "saved-index":
+        assert main(["build", "--config", conf(corpus), "--index", str(index_path)]) == 0
+        message = f"{index_path}: index dimensionality 8 does not match configured 6"
+    else:
+        message = f"{os.path.join(corpus, 'refs.fvec')}: vector lengths differ: 8 vs 6"
+    capsys.readouterr()
+    before = sorted(os.listdir(tmp_path))
+    inputs = ["--config", conf(corpus), "--index", str(index_path), "--queries", str(queries)]
+    argv = {
+        "annotate": ["annotate", *inputs, "--output", str(tmp_path / "out.tsv")],
+        "bench": ["bench", *inputs, "--json", str(tmp_path / "BENCH.json")],
+        "ablation": ["evaluate", *inputs, "--truth", os.path.join(corpus, "truth.tsv"), "--ablation"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_build_indexes_each_feature_file_at_its_own_dimensionality(corpus, tmp_path, capsys):
+    from neartag.fvec import read_vectors
+    from neartag.index import IndexConfig, load_index
+
+    ids, matrix = read_vectors(os.path.join(corpus, "refs.fvec"))
+    refs = [os.path.join(corpus, "refs.fvec"), str(tmp_path / "short.fvec")]
+    write_vectors(refs[1], ids[:40], matrix[:40, :5])
+    indexes = [str(tmp_path / "a.index"), str(tmp_path / "b.index")]
+    keywords = os.path.join(corpus, "keywords.tsv")
+    assert main(["build", "--features", refs[0], "--features", refs[1], "--keywords", keywords,
+                 "--keywords", keywords, "--index", indexes[0], "--index", indexes[1]]) == 0
+    out = capsys.readouterr().out
+    assert "dataset 1: 120 vectors, dim 8," in out and "dataset 2: 40 vectors, dim 5," in out
+    for path, dim, count in zip(indexes, (8, 5), (120, 40)):
+        assert len(load_index(path, IndexConfig(dim=dim))) == count
+
+
+@pytest.mark.parametrize("command", ["annotate", "bench"])
+def test_an_output_in_a_missing_directory_is_reported_by_its_own_path(corpus, tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.tsv"
+    argv = [command, "--config", conf(corpus), "--k", "10", "--queries", os.path.join(corpus, "queries.fvec")]
+    argv += ["--output", str(target)] if command == "annotate" else ["--json", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):
@@ -550,16 +606,14 @@ def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):
      "2 feature file(s) but 1 keyword file(s)"),
     (["build", "--features", "a.fvec", "--keywords", "a.tsv", "--index", "a.index", "--index", "b.index"],
      "1 feature file(s) but 2 index path(s)"),
-    (["build", "--features", "a.fvec", "--keywords", "a.tsv", "--index", "a.index"],
-     "feature dimensionality not set (dim / --dim)"),
-    (["build", "--dim", "8", "--features", "a.fvec", "--keywords", "a.tsv"],
+    (["build", "--features", "a.fvec", "--keywords", "a.tsv"],
      "no index output paths configured (dataset.index / --index)"),
-    (["annotate", "--dim", "8", "--features", "a.fvec", "--keywords", "a.tsv", "--queries", "q.fvec"],
+    (["annotate", "--features", "a.fvec", "--keywords", "a.tsv", "--queries", "q.fvec"],
      "no output path configured (output / --output)"),
     (["evaluate", "--truth", "truth.tsv"], "no lexicon configured (lexicon / --lexicon)"),
     (["evaluate", "--lexicon", "lexicon.tsv", "--truth", "truth.tsv"],
      "no concept file configured (concepts / --concepts)"),
-], ids=["lam-without-weight", "no-features", "keyword-count", "index-count", "no-dim", "build-no-index",
+], ids=["lam-without-weight", "no-features", "keyword-count", "index-count", "build-no-index",
         "annotate-no-output", "no-lexicon", "no-concepts"])
 def test_a_missing_or_mismatched_setting_is_refused_before_any_file_is_read(tmp_path, monkeypatch, capsys,
                                                                              argv, message):
@@ -594,9 +648,10 @@ def test_queries_annotate_cannot_match_are_refused(corpus, tmp_path, capsys, fau
     if fault == "no-records":
         write_vectors(str(queries), [], matrix[:0])
         message = f"no queries in {queries}"
-    elif fault == "other-dim":
+    elif fault == "other-dim":  # the references, built in memory at the queries' dimensionality
         write_vectors(str(queries), ids, matrix[:, :6])
-        message = "query dimensionality 6 does not match configured 8"
+        extra = ["--index", str(tmp_path / "none.index")]
+        message = f"{os.path.join(corpus, 'refs.fvec')}: vector lengths differ: 8 vs 6"
     elif fault == "no-concepts":
         write_vectors(str(queries), ids, matrix)
         concepts = tmp_path / "concepts.tsv"

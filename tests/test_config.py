@@ -62,7 +62,6 @@ def test_parse_config_rejects_duplicate_key(tmp_path):
 
 def test_load_engine_config_types_and_paths(tmp_path):
     path = write(tmp_path, "\n".join([
-        "dim = 16",
         "dataset.features = refs.fvec",
         "dataset.keywords = kw.tsv",
         "lexicon = lex.tsv",
@@ -78,15 +77,13 @@ def test_load_engine_config_types_and_paths(tmp_path):
     ]))
     cfg = load_engine_config(path)
     analysis = cfg.params.analysis
-    assert cfg.dim == 16
     assert cfg.params.k == 25
     assert analysis.alpha == 0.7
     assert analysis.neighbor_weighting == WEIGHTING_RECIPROCAL
     assert analysis.relation_set == frozenset({RelationType.HYPERNYM, RelationType.HYPONYM})
     assert analysis.lambdas[RelationType.HYPERNYM] == 2.0
     assert analysis.lambdas[RelationType.MERONYM] == 1.0
-    assert cfg.index_config().mode == "perm-prefix"
-    assert cfg.index_config().num_pivots == 32
+    assert cfg.index == {"mode": "perm-prefix", "num_pivots": 32}
     # relative paths resolve against the config file's directory
     assert cfg.feature_paths == (str(tmp_path / "refs.fvec"),)
     assert cfg.lexicon_path == str(tmp_path / "lex.tsv")
@@ -95,6 +92,13 @@ def test_load_engine_config_types_and_paths(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(EngineError, match="frobnicate"):
         load_engine_config(write(tmp_path, "frobnicate = 9\n"))
+
+
+def test_dim_is_refused_as_an_unknown_key(tmp_path, capsys):
+    # The feature files state their dimensionality; a config file that still sets it is refused.
+    path = write(tmp_path, "k = 25\ndim = 16\n")
+    assert main(["annotate", "--config", path, "--queries", "q.fvec"]) == 2
+    assert capsys.readouterr().err == f"error: unknown config file {path} key 'dim'\n"
 
 
 def test_bad_value_names_key(tmp_path):
@@ -146,23 +150,24 @@ def test_multi_dataset_lists(tmp_path):
 
 def test_analysis_and_index_config_assembly():
     cfg = apply_config_values(EngineConfig(), {
-        "dim": "8", "s": "3", "n": "50", "alpha": "0.4", "tol": "1e-10",
+        "s": "3", "n": "50", "alpha": "0.4", "tol": "1e-10",
         "index.mode": "perm-prefix", "index.pivots": "4", "index.prefix_len": "2",
         "index.budget": "10", "seed": "42",
     })
     analysis = cfg.params.analysis
     assert (analysis.s, analysis.n, analysis.alpha, analysis.tol) == (3, 50, 0.4, 1e-10)
-    index = cfg.index_config()
+    index = IndexConfig(dim=8, **cfg.index)
     assert (index.dim, index.mode, index.num_pivots, index.rng_seed) == (8, "perm-prefix", 4, 42)
 
 
 def test_split_index_settings_are_checked_once_combined(tmp_path):
-    cfg = load_engine_config(write(tmp_path, "dim = 8\nindex.mode = perm-prefix\nindex.pivots = 4\n"))
+    cfg = load_engine_config(write(tmp_path, "index.mode = perm-prefix\nindex.pivots = 4\n"))
     cfg = apply_config_values(cfg, {"index.prefix_len": "2"}, source="flag")
-    assert (cfg.index_config().num_pivots, cfg.index_config().prefix_len) == (4, 2)
+    index = IndexConfig(dim=8, **cfg.index)
+    assert (index.num_pivots, index.prefix_len) == (4, 2)
     cfg = apply_config_values(cfg, {"index.prefix_len": "5"}, source="flag")
     with pytest.raises(ValueError, match="prefix_len"):
-        cfg.index_config()
+        IndexConfig(dim=8, **cfg.index)
 
 
 def _field(cls, name, **others):
@@ -182,7 +187,6 @@ COUNTS = {
     "EngineParams.m": ("m", _field(EngineParams, "m"), 1),
     **{f"AnalysisConfig.{name}": (name, _field(AnalysisConfig, name), 1) for name in ("s", "n", "max_iters")},
     "AnalysisConfig.expansion_depth": ("expansion_depth", _field(AnalysisConfig, "expansion_depth"), 0),
-    "EngineConfig.dim": ("dim", _field(EngineConfig, "dim"), 0),
     "IndexConfig.dim": ("dim", _field(IndexConfig, "dim"), 1),
     "IndexConfig.rng_seed": ("rng_seed", _field(IndexConfig, "rng_seed", dim=2), 0),
     **{f"IndexConfig.{name}{label}": (name, _field(IndexConfig, name, **dict(_PERM, mode=mode)), 1)
@@ -236,7 +240,7 @@ def test_every_parameter_is_refused_where_it_enters(where):
 # The settings surface as the flat EngineConfig had it: every config key, each
 # engine flag with the key it sets (--lam sets lambda.<rel>), and the presets.
 SURFACE_KEYS = {
-    "dim", "dataset.features", "dataset.keywords", "dataset.index", "lexicon", "concepts", "output",
+    "dataset.features", "dataset.keywords", "dataset.index", "lexicon", "concepts", "output",
     "k", "m", "s", "n", "weighting", "relations", "alpha", "expansion_depth", "max_iters", "tol",
     "lambda.hypernym", "lambda.hyponym", "lambda.meronym", "lambda.holonym",
     "index.mode", "index.pivots", "index.prefix_len", "index.budget", "seed",
@@ -246,7 +250,7 @@ SURFACE_FLAGS = {
     "--features": ("dataset.features", "a.fvec"), "--keywords": ("dataset.keywords", "a.tsv"),
     "--index": ("dataset.index", "a.index"), "--lexicon": ("lexicon", "lex.tsv"),
     "--concepts": ("concepts", "con.tsv"), "--output": ("output", "out.tsv"),
-    "--dim": ("dim", "8"), "--k": ("k", "3"), "--m": ("m", "2"), "--s": ("s", "2"), "--n": ("n", "9"),
+    "--k": ("k", "3"), "--m": ("m", "2"), "--s": ("s", "2"), "--n": ("n", "9"),
     "--weighting": ("weighting", "reciprocal-rank"), "--relations": ("relations", "hypernym,meronym"),
     "--alpha": ("alpha", "0.25"), "--expansion-depth": ("expansion_depth", "0"),
     "--max-iters": ("max_iters", "7"), "--tol": ("tol", "1e-06"),
@@ -291,7 +295,7 @@ def test_lam_sets_the_lambda_keys(rel):
 
 def test_each_default_is_stated_once():
     assert EngineConfig().params == EngineParams()
-    assert EngineConfig(dim=8).index_config() == IndexConfig(dim=8)
+    assert EngineConfig().index == {}  # every index setting takes IndexConfig's default
     assert apply_preset(EngineConfig(), "decaf-style") == EngineConfig()
 
 

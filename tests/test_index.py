@@ -359,7 +359,8 @@ def test_prefixes_equal_the_exact_integer_ranking(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     matrix = rng.integers(-reach, reach + 1, size=(count, dim)).astype(np.float32)
     pivots = rng.integers(-reach, reach + 1, size=(num_pivots, dim)).astype(np.float32)
-    got = index_module._assign_prefixes(matrix, pivots, prefix_len)
+    piv = pivots.astype(np.float64)
+    got = index_module._assign_prefixes(matrix, piv, np.einsum("ij,ij->i", piv, piv), prefix_len)
     assert got.dtype == (np.uint8 if num_pivots <= 256 else np.uint16)
     assert np.array_equal(got, pivot_prefixes_by_integers(matrix, pivots, prefix_len))
 
@@ -941,7 +942,9 @@ def test_perm_pivots_and_prefixes_come_from_the_input_order():
     pivots = matrix[np.random.default_rng(3).choice(len(ids), size=16, replace=False)]
     assert order != list(range(len(ids))) and index.ids == [ids[i] for i in order]
     assert np.array_equal(index.vectors, matrix[order]) and np.array_equal(index.pivots, pivots)
-    assert np.array_equal(index.prefixes, index_module._assign_prefixes(matrix, pivots, 4)[:, order])
+    piv = pivots.astype(np.float64)
+    assert np.array_equal(index.prefixes,
+                          index_module._assign_prefixes(matrix, piv, np.einsum("ij,ij->i", piv, piv), 4)[:, order])
 
 
 # -- corrupted files --------------------------------------------------------

@@ -45,7 +45,7 @@ PINNED_DIGESTS = {
         "queries": "fcfb1e7fd4e8e408d12c3da709c4a8e97370b48c1fef467c97beb8177fa885b7",
         "candidates": "65b8a4c92d27c1afdec70a8885f7e6a3fe5b50ae20f98cb0fc57bcbc46196d0f",
         "truth": "20ca4dcbd72b8878e4d3700387a8307e585b7955b8649c6f6be9a978deab116e",
-        "engine_config": "b47d5b1727ace9b6ed397dfb9c4cfd0338d86a387b93d209ee61a37cd152329f",
+        "engine_config": "f45dd430124f2e827d02d26a4b42792cc9829331c91af343bb686892f21a55fe",
     },
     "no-variants": {
         "refs": "f282e757fc03eee74a5c6a08ed511d75e7b016d75489e093cc3c41a3ca1efd41",
@@ -55,7 +55,7 @@ PINNED_DIGESTS = {
         "queries": "c7ce657426fd75d7e990f0d5c9fc44d413dd2dc959440ddf14ca4be01e65cf99",
         "candidates": "2fa78e1020e2e942e8f73d76e0f56b0f2cd45906363582b325d7cf43d3f4e40b",
         "truth": "b166ef7f4ed8c59da6c99a2a7bff56a08f5f64c6536525e4f926b1a6fd60fc00",
-        "engine_config": "b47d5b1727ace9b6ed397dfb9c4cfd0338d86a387b93d209ee61a37cd152329f",
+        "engine_config": "f45dd430124f2e827d02d26a4b42792cc9829331c91af343bb686892f21a55fe",
     },
     "noisy-labels": {
         "refs": "0866e95ef4ce1037940f2e0ea6593f8d9fef663232dbc836c767288b73301d76",
@@ -65,7 +65,7 @@ PINNED_DIGESTS = {
         "queries": "a2b3698ad0a2ede23fe2726ba69f6a57359372b77359801c5c726042af60971a",
         "candidates": "700d51252a95a79e68ed95bcbb0b0296cb2dd8afcfac55727d181d02f03a53d0",
         "truth": "5b7441ea3375b8a1f3e6a11a00446d95fdc5f207464ea2c1863070001d5ff437",
-        "engine_config": "b47d5b1727ace9b6ed397dfb9c4cfd0338d86a387b93d209ee61a37cd152329f",
+        "engine_config": "f45dd430124f2e827d02d26a4b42792cc9829331c91af343bb686892f21a55fe",
     },
 }
 
