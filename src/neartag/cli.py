@@ -23,6 +23,7 @@ output files behind.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import platform
@@ -65,6 +66,7 @@ from .index import (
     MODE_EXACT,
     MODE_PERM_PREFIX,
     IndexConfig,
+    _usable_cpus,
     build_index_from_arrays,
     load_index,
     save_index,
@@ -129,6 +131,13 @@ def _check_exists(path: str, what: str) -> None:
         raise EngineError(f"missing {what}: {path}")
 
 
+def _check_output_directory(path: str) -> None:
+    """Refuse an output whose directory is missing before any input is read, with the error
+    ``fvec._replacing`` would give once the run was done."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _require_datasets(cfg: EngineConfig) -> None:
     if not cfg.feature_paths:
         raise EngineError("no dataset feature files configured (dataset.features / --features)")
@@ -166,7 +175,7 @@ def _load_datasets(cfg: EngineConfig, dim: int) -> tuple[list[Dataset], float, f
         index_path = cfg.index_paths[pos] if cfg.index_paths else None
         t0 = time.perf_counter()
         if index_path and os.path.exists(index_path):
-            index = load_index(index_path, IndexConfig(dim=dim, **cfg.index))
+            index = load_index(index_path, IndexConfig(dim=dim, **cfg.index), dim_source="the queries'")
         else:
             index = _build_index(feat_path, cfg, dim)
         t1 = time.perf_counter()
@@ -247,6 +256,9 @@ def _write_bench_record(path: str, datasets: list[Dataset], num_queries: int, k:
             # The thread counts BLAS reads at start-up; null where unset (BLAS then picks its own).
             "blas_threads": {var: os.environ.get(var)
                              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "usable_cpus": _usable_cpus(),
+            # The threads the search ranked a dataset's batch on, the most over the datasets.
+            "search_workers": max(d.index._ways(num_queries, k) for d in datasets),
         },
         "corpus": {"queries": num_queries, "k": k,
                    "datasets": [{"rows": len(d.index), "dim": d.index.dim, "index": asdict(d.index.config)}
@@ -282,6 +294,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     writes = args.command == "annotate"
     if writes and not cfg.output_path:
         raise EngineError("no output path configured (output / --output)")
+    for path in filter(None, [cfg.output_path if writes else args.json]):
+        _check_output_directory(path)
     t0 = time.perf_counter()
     lexicon, concepts = _load_semantics(cfg)
     t1 = time.perf_counter()

@@ -28,7 +28,13 @@ Two modes share one query interface and one exact top-k routine:
   Chunks shrink once k passes 512, so that a tile still holds k groups;
   with fewer, a query's limit stays infinite through the tile and it
   pools every row. A query whose slack or scores would not be finite in
-  float32 keeps every row without ranking.
+  float32 keeps every row without ranking. A batch of more than one
+  chunk over more rows than a full chunk's tile is ranked on W =
+  min(chunks, usable CPUs // BLAS threads) threads (``_search_ways``):
+  W contiguous shares of the queries, each in chunks of ``_CHUNK // W``
+  queries (fewer for a large k) and tiles of ``_TILE // W`` scores, so
+  the batch's scratch stays one tile's. An unpinned BLAS threads each
+  product itself, so W is then 1.
 * ``perm-prefix``: an approximate filter. Each stored vector is
   described by the permutation prefix of its L nearest pivots; queries
   scan only the ``candidate_budget`` rows whose prefixes agree most
@@ -72,7 +78,9 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, replace
 
@@ -104,6 +112,7 @@ _CHUNK = 256  # queries ranked together
 _TILE = 1 << 21  # float32 scores per tile: _TILE // (queries in the chunk) rows
 _GROUP = 16  # rows per group in a tile
 _GATHER = 1 << 17  # float32 values per gathered block of a row subset: 512 KiB, 512 rows at dim 256
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")  # the first set wins
 
 
 @dataclass(frozen=True)
@@ -155,18 +164,39 @@ def _rank_slack(dim: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
     return np.where((m + 2.0 * q_norms < _F32_SAFE_NORM) & (nu32 < 0.5), slack, np.inf)
 
 
-def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
-                slack: np.ndarray, subset: np.ndarray | None = None) -> list[np.ndarray]:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or ``os.cpu_count()`` where the
+    platform has no ``sched_getaffinity``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _search_ways() -> int:
+    """The threads an exact batch may rank on: the usable CPUs over the threads BLAS runs a
+    product on. BLAS reads its count as C's ``atoi`` reads the first of ``_BLAS_THREAD_VARS``
+    that gives a positive number, capped at the usable CPUs; with none, it takes them all."""
+    cpus = _usable_cpus()
+    for var in _BLAS_THREAD_VARS:
+        lead = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
+        if lead and int(lead.group()) > 0:
+            return cpus // min(int(lead.group()), cpus)
+    return 1
+
+
+def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int, slack: np.ndarray,
+                tile: int, subset: np.ndarray | None = None) -> list[np.ndarray]:
     """Per query of ``block``, in pool order, the rows of ``base`` (the
     positions in ``subset``, when given) whose float32 score is at most
     fl32(t + slack), t being the query's kk-th smallest score; every row
     for a query whose slack is infinite. ``norms`` holds the squared norms
     of those rows, in that order.
 
-    The rows go by in tiles, each read as the (nq, _GROUP, w) view of the
-    module docstring with a short tile padded by NaN, pooling the rows
-    that can still make the cut; a pool that outgrows a tile is trimmed
-    the way the last step trims it. A tile of ``base`` is one product over
+    The rows go by in tiles of about ``tile`` scores, each read as the
+    (nq, _GROUP, w) view of the module docstring with a short tile padded
+    by NaN, pooling the rows that can still make the cut; a pool that
+    outgrows a tile is trimmed the way the last step trims it. A tile of ``base`` is one product over
     its contiguous rows. A tile of ``subset`` is gathered ``_GATHER``
     values of rows at a time, each block's product written straight into
     its columns of the tile, so the subset's rows are never copied whole.
@@ -176,13 +206,13 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
     live = np.isfinite(slack)
     if not live.any():
         return [np.arange(count)] * nq
-    span = min(count, max(1, _TILE // nq))  # rows per tile
+    span = min(count, max(1, tile // nq))  # rows per tile
     width = -(-span // _GROUP)  # groups per tile
     neg2q = (block * -2.0).astype(np.float32)
     scores = np.empty((nq, _GROUP * width), dtype=np.float32)
     best = np.full((nq, kk + width), np.inf, dtype=np.float32)  # kk least minima so far, then a tile's
     cap = np.where(live, np.inf, np.nan).astype(np.float32)  # NaN: pool nothing
-    pool, pooled, budget = [], 0, _TILE
+    pool, pooled, budget = [], 0, tile
     step = max(1, _GATHER // base.shape[1])  # subset rows gathered at a time
     for t0 in range(0, count, span):
         n = min(span, count - t0)
@@ -213,7 +243,7 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
         if pooled > budget and t0 + n >= kk:  # a trim needs k rows seen
             qs, rs, ss, lim = _trim(pool, nq, kk, slack)
             pool, pooled, cap = [(qs, rs, ss)], len(qs), np.minimum(cap, lim)
-            budget = max(_TILE, 2 * pooled)  # k rows a query can fill a tile: trim again at twice that
+            budget = max(tile, 2 * pooled)  # k rows a query can fill a tile: trim again at twice that
     qs, rs, _, _ = _trim(pool, nq, kk, slack)
     ends = np.searchsorted(qs, np.arange(nq + 1))
     return [rs[ends[r] : ends[r + 1]] if live[r] else np.arange(count) for r in range(nq)]
@@ -271,26 +301,29 @@ class VectorIndex:
 
     # -- ranking ----------------------------------------------------------
 
-    def _topk(self, queries: np.ndarray, k: int, subset: np.ndarray | None = None) -> list[NeighborList]:
+    def _topk(self, queries: np.ndarray, k: int, subset: np.ndarray | None = None,
+              ways: int = 1) -> list[NeighborList]:
         """Exact top-k by (distance, id) per query, over all rows or a row subset.
 
-        Queries go in chunks of up to ``_CHUNK``, fewer for a large k (see
-        the module docstring). Each query re-scores the rows ``_candidates``
-        finds for it in float64, ordered by (distance, row), which is
-        (distance, id). The distance is the root of d², so rows whose d²
-        differ by an ulp can tie. A subset's rows are scored block by block
-        where they lie, never copied whole; only their float32 norms are
-        gathered, 4 bytes a row.
+        Queries go in chunks of up to ``_CHUNK // ways``, fewer for a large
+        k, and tiles of ``_TILE // ways`` scores (see the module docstring):
+        ``ways`` > 1 ranks one share of a batch split that many ways. Each
+        query re-scores the rows ``_candidates`` finds for it in float64,
+        ordered by (distance, row), which is (distance, id). The distance
+        is the root of d², so rows whose d² differ by an ulp can tie. A
+        subset's rows are scored block by block where they lie, never
+        copied whole; only their float32 norms are gathered, 4 bytes a row.
         """
         norms = self.norms if subset is None else self.norms[subset]
         kk = min(k, len(norms))
         out: list[NeighborList] = []
-        step = min(_CHUNK, max(1, _TILE // (_GROUP * kk)))  # a tile of k groups or more
+        tile = max(1, _TILE // ways)
+        step = min(max(1, _CHUNK // ways), max(1, tile // (_GROUP * kk)))  # a tile of k groups or more
         for start in range(0, len(queries), step):
             block = queries[start : start + step]
             with np.errstate(over="ignore", invalid="ignore"):
                 slack = _rank_slack(self.config.dim, self.max_norm, np.sqrt(np.einsum("ij,ij->i", block, block)))
-                pools = _candidates(block, self.vectors, norms, kk, slack, subset)
+                pools = _candidates(block, self.vectors, norms, kk, slack, tile, subset)
             for q, cand in zip(block, pools):
                 cand = cand if subset is None else subset[cand]
                 diff = self.vectors[cand] - q
@@ -298,6 +331,44 @@ class VectorIndex:
                 order = np.lexsort((cand, dist))[:kk]
                 out.append(list(zip(map(self.ids.__getitem__, cand[order].tolist()), dist[order].tolist())))
         return out
+
+    def _ways(self, count: int, k: int) -> int:
+        """The threads an exact batch of ``count`` queries at ``k`` ranks on: one a chunk, at most
+        ``_search_ways()``; 1 in perm-prefix mode, whose queries rank alone, and over a store of
+        at most one full chunk's tile of rows (8,192), where each query's re-scoring, which holds
+        the GIL, outweighs the products: two threads were up to 1.4x slower there."""
+        chunk = min(_CHUNK, max(1, _TILE // (_GROUP * min(k, len(self)))))  # ``_topk``'s at one way
+        if self.config.mode != MODE_EXACT or count <= chunk or len(self) <= _TILE // _CHUNK:
+            return 1
+        return min(-(-count // chunk), _search_ways())
+
+    def _split(self, queries: np.ndarray, k: int, ways: int) -> list[NeighborList]:
+        """``_topk`` of ``ways`` contiguous shares of a batch, the first on this thread and each
+        other on a thread started and joined here, the lists in query order. A share's exception
+        is raised here once every thread has ended."""
+        ends = [len(queries) * i // ways for i in range(ways + 1)]
+        parts: dict[int, list[NeighborList]] = {}
+        errors: list[BaseException] = []
+
+        def rank(i: int) -> None:
+            try:
+                parts[i] = self._topk(queries[ends[i] : ends[i + 1]], k, None, ways)
+            except BaseException as exc:  # raised on the calling thread
+                errors.append(exc)
+
+        threads = []
+        try:
+            for i in range(1, ways):
+                thread = threading.Thread(target=rank, args=(i,))
+                thread.start()
+                threads.append(thread)
+            rank(0)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+        return [hits for i in range(ways) for hits in parts[i]]
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
         radix = self.config.prefix_len + 1
@@ -348,7 +419,8 @@ class VectorIndex:
             if k > self.config.candidate_budget:
                 raise ValueError(f"k={k} exceeds candidate_budget={self.config.candidate_budget}")
             return [self._topk(q[None, :], int(k), self._perm_candidates(q))[0] for q in queries]
-        return self._topk(queries, int(k))
+        ways = self._ways(len(queries), k) if len(queries) > 1 else 1  # a lone query makes no call
+        return self._topk(queries, int(k)) if ways == 1 else self._split(queries, int(k), ways)
 
     def knn(self, query, k: int) -> NeighborList:
         """The k nearest stored vectors, closest first, ties by ascending id."""
@@ -361,7 +433,9 @@ class VectorIndex:
         """knn for many queries at once; identical per-query results.
 
         In exact mode up to 256 queries share each tile's matrix product,
-        where a lone ``knn`` call takes a product per query. In perm-prefix
+        where a lone ``knn`` call takes a product per query, and a batch of
+        more than one chunk is split over the CPUs BLAS leaves idle (the
+        module docstring's W), with the same lists. In perm-prefix
         mode each query is filtered and ranked on its own, as ``knn`` does,
         its candidates scored block by block and never copied whole.
         """
@@ -489,10 +563,12 @@ def save_index(index: VectorIndex, path: str) -> None:
             fh.write(data)
 
 
-def load_index(path: str, config: IndexConfig) -> VectorIndex:
+def load_index(path: str, config: IndexConfig, dim_source: str = "configured") -> VectorIndex:
     """Load an index saved by save_index, whose dim and mode must match ``config``.
 
-    The candidate budget, a query-time setting, comes from ``config``.
+    The candidate budget, a query-time setting, comes from ``config``. A
+    dimensionality refusal names ``config.dim`` after ``dim_source``, the
+    words saying where it came from ("the queries'", say).
     Every fault in the file, an older version included, raises FormatError
     naming ``path``; no size in it is used before it is checked.
     """
@@ -520,7 +596,7 @@ def load_index(path: str, config: IndexConfig) -> VectorIndex:
     if zlib.crc32(buf[:end]) != _CRC.unpack_from(buf, end)[0]:
         raise FormatError("index header checksum mismatch", path=path)
     if dim != config.dim:
-        raise EngineError(f"{path}: index dimensionality {dim} does not match configured {config.dim}")
+        raise EngineError(f"{path}: index dimensionality {dim} does not match {dim_source} {config.dim}")
     if mode != config.mode:
         raise EngineError(f"{path}: index mode {mode!r} does not match configured {config.mode!r}")
     if count < 1:

@@ -135,6 +135,21 @@ MUTANTS = (
                _INDEX_TESTS + "test_prefixes_equal_the_exact_integer_ranking",
                _INDEX_TESTS + "test_perm_filter_equals_the_matrix_reference",
            )),
+    # A split batch's lists come in share order, whichever share ends first; the caller's share,
+    # the first, mostly ends last, and one test makes it always do.
+    Mutant("split-parts-in-completion-order", _INDEX, "for hits in parts[i]]", "for hits in [*parts.values()][i]]", (
+        _STRESS + "test_split_lists_come_in_query_order_whatever_order_the_shares_end",
+    )),
+    # Each of W workers takes a tile of _TILE // W scores, so the batch's scratch stays one tile's.
+    Mutant("worker-tile-not-divided", _INDEX, "tile = max(1, _TILE // ways)", "tile = _TILE", (
+        _STRESS + "test_large_k_shrinks_the_chunk_to_a_tile_of_k_groups",
+        _STRESS + "test_split_batch_scratch_is_one_tile",
+    )),
+    # An unpinned BLAS threads each product itself, so W counts the CPUs it leaves idle.
+    Mutant("ways-ignore-blas-threads", _INDEX, "    cpus = _usable_cpus()\n", "    return _usable_cpus()\n", (
+        _STRESS + "test_the_ways_are_the_usable_cpus_over_the_blas_threads",
+        "tests/test_cli.py::test_bench_json_records_the_usable_cpus_and_the_search_workers",
+    )),
     # A reference built in memory takes the queries' dimensionality, so a feature file of
     # another is refused naming it; at its own, the search refuses the queries unnamed.
     Mutant("in-memory-index-at-the-file-dim", "neartag/cli.py", "index = _build_index(feat_path, cfg, dim)",

@@ -186,7 +186,7 @@ def test_bench_json_writes_the_figures_and_settings(corpus, tmp_path, capsys):
     record = json.loads(path.read_text(encoding="utf-8"))
     assert set(record) == {"commit", "machine", "corpus", "phases", "search_qps", "end_to_end_qps"}
     assert record["commit"] is None or re.fullmatch("[0-9a-f]{40}(-dirty)?", record["commit"])
-    assert set(record["machine"]) == {"cores", "python", "numpy", "blas_threads"}
+    assert set(record["machine"]) == {"cores", "python", "numpy", "blas_threads", "usable_cpus", "search_workers"}
     assert record["machine"]["numpy"] == np.__version__
     assert record["corpus"] == {"queries": 12, "k": 10, "datasets": [{"rows": 120, "dim": 8, "index": {
         "dim": 8, "mode": "perm-prefix", "num_pivots": 8, "prefix_len": 3, "candidate_budget": 50, "rng_seed": 3}}]}
@@ -513,7 +513,7 @@ def test_a_query_file_of_another_dimensionality_is_refused_naming_the_reference(
     write_vectors(str(queries), ids, matrix[:, :6])
     if reference == "saved-index":
         assert main(["build", "--config", conf(corpus), "--index", str(index_path)]) == 0
-        message = f"{index_path}: index dimensionality 8 does not match configured 6"
+        message = f"{index_path}: index dimensionality 8 does not match the queries' 6"
     else:
         message = f"{os.path.join(corpus, 'refs.fvec')}: vector lengths differ: 8 vs 6"
     capsys.readouterr()
@@ -554,6 +554,39 @@ def test_an_output_in_a_missing_directory_is_reported_by_its_own_path(corpus, tm
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["annotate", "bench"])
+def test_an_output_in_a_missing_directory_is_refused_before_any_input_is_read(corpus, tmp_path, monkeypatch,
+                                                                              capsys, command):
+    def no_input(*args, **kwargs):
+        raise AssertionError("an input was read before the output directory was checked")
+
+    monkeypatch.setattr(cli, "_load_semantics", no_input)
+    target = tmp_path / "missing" / "out.tsv"
+    argv = [command, "--config", conf(corpus), "--queries", os.path.join(corpus, "queries.fvec")]
+    argv += ["--output", str(target)] if command == "annotate" else ["--json", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(target)!r}\n")
+
+
+@pytest.mark.parametrize("blas, workers", [({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 2)], ids=["unset", "pinned"])
+def test_bench_json_records_the_usable_cpus_and_the_search_workers(corpus, tmp_path, monkeypatch, blas, workers):
+    from neartag import index as index_module
+
+    # The corpus's 12 queries make six chunks of 2 at k = 10, and its 120 rows pass a chunk's tile.
+    monkeypatch.setattr(index_module, "_CHUNK", 4)
+    monkeypatch.setattr(index_module, "_TILE", 400)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for var in index_module._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    path = tmp_path / "BENCH.json"
+    assert main(["bench", "--config", conf(corpus), "--k", "10", "--queries", os.path.join(corpus, "queries.fvec"),
+                 "--json", str(path)]) == 0
+    machine = json.loads(path.read_text(encoding="utf-8"))["machine"]
+    assert (machine["usable_cpus"], machine["search_workers"]) == (2, workers)
 
 
 def test_commands_share_one_pipeline(corpus, monkeypatch, capsys):

@@ -17,10 +17,17 @@ that shrink for a large ``k``. The perm-prefix re-rank, which scores its
 candidate rows in gathered blocks, is checked against the same oracle
 over each query's candidates, with blocks of a few rows that run ragged
 across tiles.
+
+A batch of more than one chunk is split over worker threads; the ``ways``
+fixture sets how many by the usable CPUs and the BLAS thread variables,
+as a process would find them, and the split cases check the split batch
+against the batch ranked on one thread.
 """
 
+import os
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -31,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import brute_force_knn
 
 from neartag import index as index_module
-from neartag.index import IndexConfig, build_index_from_arrays
+from neartag.index import IndexConfig, VectorIndex, build_index_from_arrays
 
 
 def shrink_tiles(mp, chunk, rows, group, gather=index_module._GATHER):
@@ -49,6 +56,21 @@ def tiles(monkeypatch):
     return lambda chunk, rows, group: shrink_tiles(monkeypatch, chunk, rows, group)
 
 
+def set_cpus(mp, cpus, **blas):
+    """Give the process ``cpus`` usable CPUs and only the BLAS thread variables in ``blas``."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in index_module._BLAS_THREAD_VARS:
+        mp.delenv(var, raising=False)
+    for var, value in blas.items():
+        mp.setenv(var, value)
+
+
+@pytest.fixture
+def ways(monkeypatch):
+    """Let an exact batch rank on up to ``cpus`` threads: that many CPUs, one BLAS thread."""
+    return lambda cpus: set_cpus(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
+
+
 def check_exact(matrix, queries, k, ids=None):
     matrix = np.asarray(matrix, dtype=np.float32)
     if ids is None:
@@ -60,6 +82,21 @@ def check_exact(matrix, queries, k, ids=None):
         assert [g[0] for g in got] == [w[0] for w in want]
         assert np.allclose([g[1] for g in got], [w[1] for w in want], rtol=1e-12, atol=1e-300)
     assert index.knn_batch(np.asarray(queries), k) == singles
+    return index
+
+
+def check_split(ways, matrix, queries, k, cpus, ids=None) -> int:
+    """check_exact on one thread, then the batch split over ``cpus`` CPUs equals it and each
+    ``knn``; returns how many threads ranked the split batch."""
+    ways(1)
+    index = check_exact(matrix, queries, k, ids)
+    serial = index.knn_batch(queries, k)
+    ways(cpus)
+    names, real = set(), index_module._candidates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(index_module, "_candidates", lambda *a: names.add(threading.current_thread().name) or real(*a))
+        assert index.knn_batch(queries, k) == serial
+    return len(names)
 
 
 def test_duplicate_rows_tie_by_id(tiles):
@@ -283,17 +320,24 @@ def test_pool_is_trimmed_before_the_last_tile(tiles, monkeypatch):
     assert calls["_trim"] > calls["_candidates"] > 0
 
 
-def test_large_k_shrinks_the_chunk_to_a_tile_of_k_groups(tiles, monkeypatch):
+def test_large_k_shrinks_the_chunk_to_a_tile_of_k_groups(tiles, ways, monkeypatch):
     """With fewer than k groups a tile, a query's limit stays infinite and
-    it pools the whole tile, so chunks shrink until a tile holds k groups."""
+    it pools the whole tile, so chunks shrink until a tile holds k groups;
+    split two ways, each worker's tile of half the scores still does."""
     tiles(chunk=8, rows=64, group=4)  # 16 groups a tile for a full chunk
-    blocks = []
+    calls = []  # (queries, tile) per chunk
     real = index_module._candidates
     monkeypatch.setattr(index_module, "_candidates",
-                        lambda block, *a: blocks.append(len(block)) or real(block, *a))
+                        lambda block, *a: calls.append((len(block), a[4])) or real(block, *a))
     rng = np.random.default_rng(115)
-    check_exact(rng.standard_normal((300, 4)), rng.standard_normal((8, 4)), 40)
-    assert blocks == [1] * 8 + [3, 3, 2]  # lone knn queries, then 512 // (4 * 40) = 3 a chunk
+    matrix, queries = rng.standard_normal((300, 4)), rng.standard_normal((8, 4))
+    ways(1)  # one thread, so the chunks come in order
+    index = check_exact(matrix, queries, 40)
+    assert calls == [(1, 512)] * 8 + [(3, 512), (3, 512), (2, 512)]  # lone knn queries, then 512 // 160
+    calls.clear()
+    ways(2)  # three chunks: two shares of 4 queries, each in chunks of 256 // 160 = 1
+    index.knn_batch(queries, 40)
+    assert sorted(calls) == [(1, 256)] * 8
 
 
 def test_overflow_chunk_memory_is_per_query(tiles):
@@ -361,3 +405,145 @@ def test_threads_share_one_index(tiles, mode):
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert results == [True] * 4
+
+
+@pytest.mark.parametrize("cpus, threads", [(2, 2), (3, 3), (16, 8)], ids=["two", "three", "more-cpus-than-chunks"])
+def test_split_batch_equals_the_serial_batch(tiles, ways, cpus, threads):
+    """30 queries in 8 chunks of 4, the last of 2: W is the CPUs, or the chunks past them."""
+    tiles(chunk=4, rows=40, group=2)
+    rng = np.random.default_rng(117)
+    matrix = rng.standard_normal((300, 6)).astype(np.float32)
+    matrix[150:] = matrix[:150]  # every row twice: ties by id
+    assert check_split(ways, matrix, rng.standard_normal((30, 6)), 9, cpus) == threads
+
+
+def test_split_keeps_ties_across_share_and_chunk_boundaries(tiles, ways):
+    """Two ways, 31 queries: shares 0-14 and 15-30, each in chunks of 2. The same query
+    sits on both sides of a worker's chunk boundary (13 | 14) and of the share boundary
+    (14 | 15), on a row stored three times."""
+    tiles(chunk=4, rows=30, group=2)
+    rng = np.random.default_rng(118)
+    matrix = rng.standard_normal((200, 5)).astype(np.float32)
+    matrix[[60, 120]] = matrix[7]
+    ids = [f"d{i:03d}" for i in rng.permutation(200)]
+    queries = rng.standard_normal((31, 5))
+    queries[13:17] = matrix[7]
+    assert check_split(ways, matrix, queries, 4, 2, ids=ids) == 2
+    got = build_index_from_arrays(ids, matrix, IndexConfig(dim=5)).knn_batch(queries, 4)
+    assert got[13] == got[14] == got[15] == got[16]
+
+
+def test_split_shrinks_each_share_for_a_large_k(tiles, ways):
+    tiles(chunk=8, rows=64, group=4)  # a serial chunk of 3 queries at k = 40, a worker's of 1
+    rng = np.random.default_rng(119)
+    assert check_split(ways, rng.standard_normal((300, 4)), rng.standard_normal((11, 4)), 40, 2) == 2
+
+
+def test_split_chunks_mix_finite_and_infinite_slack(tiles, ways):
+    tiles(chunk=4, rows=32, group=4)
+    rng = np.random.default_rng(111)
+    matrix = 1e16 * rng.standard_normal((120, 8))
+    queries = np.concatenate([1e16 * rng.standard_normal((7, 8)), 1e19 * rng.standard_normal((5, 8))])
+    queries = queries[rng.permutation(12)]
+    index = build_index_from_arrays([f"v{i}" for i in range(120)], matrix, IndexConfig(dim=8))
+    slack = index_module._rank_slack(8, index.max_norm, np.linalg.norm(queries, axis=1))
+    # Two ways: the first share's three chunks of 2 queries each hold both kinds, as does a serial chunk of 4.
+    assert all(np.isinf(s).any() and np.isfinite(s).any() for s in (slack[0:2], slack[2:4], slack[4:6], slack[:4]))
+    assert check_split(ways, matrix, queries, 7, 2) == 2
+
+
+@pytest.mark.parametrize("cpus, blas, want", [
+    (2, {}, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+    (2, {"OMP_NUM_THREADS": "1"}, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "auto"}, 1),
+    (4, {"OPENBLAS_NUM_THREADS": " 2 threads"}, 2),
+    (4, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+    (2, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+], ids=["unset", "openblas-1", "openblas-2-on-2", "omp-1-alone", "non-integer", "leading-integer",
+        "zero-is-unset", "capped-at-the-cpus"])
+def test_the_ways_are_the_usable_cpus_over_the_blas_threads(monkeypatch, cpus, blas, want):
+    set_cpus(monkeypatch, cpus, **blas)
+    assert index_module._search_ways() == want
+    rng = np.random.default_rng(120)
+    matrix = rng.standard_normal((8193, 2))  # one row more than a full chunk's tile
+    index = build_index_from_arrays([f"v{i}" for i in range(8193)], matrix, IndexConfig(dim=2))
+    assert [index._ways(n, 5) for n in (1, 256, 257, 2560)] == [1, 1, min(2, want), want]
+    small = build_index_from_arrays([f"v{i}" for i in range(8192)], matrix[:8192], IndexConfig(dim=2))
+    assert small._ways(2560, 5) == 1
+
+
+def test_the_cpu_count_stands_in_for_a_missing_affinity_call(monkeypatch):
+    set_cpus(monkeypatch, 1, OPENBLAS_NUM_THREADS="1")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert index_module._search_ways() == 3
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_share_that_raises_raises_in_the_caller_and_leaves_no_thread(tiles, ways, monkeypatch, where):
+    tiles(chunk=2, rows=20, group=2)
+    ways(3)
+    rng = np.random.default_rng(121)
+    index = build_index_from_arrays([f"v{i}" for i in range(100)], rng.standard_normal((100, 4)), IndexConfig(dim=4))
+    real = index_module._candidates
+
+    def candidates(*args):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            raise RuntimeError(f"fault in the {where}'s share")
+        return real(*args)
+
+    monkeypatch.setattr(index_module, "_candidates", candidates)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"fault in the {where}'s share"):
+        index.knn_batch(rng.standard_normal((12, 4)), 3)
+    assert threading.active_count() == before
+
+
+def test_split_lists_come_in_query_order_whatever_order_the_shares_end(tiles, ways, monkeypatch):
+    """The caller's share, the first, waits for every other thread to end before it returns."""
+    tiles(chunk=2, rows=20, group=2)
+    rng = np.random.default_rng(122)
+    index = build_index_from_arrays([f"v{i}" for i in range(100)], rng.standard_normal((100, 4)), IndexConfig(dim=4))
+    queries = rng.standard_normal((12, 4))
+    ways(1)
+    serial = index.knn_batch(queries, 5)
+    ways(3)
+    before, real = threading.active_count(), VectorIndex._topk
+
+    def topk(self, *args):
+        out = real(self, *args)
+        deadline = time.monotonic() + 30
+        while threading.current_thread() is threading.main_thread() and threading.active_count() > before:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        return out
+
+    monkeypatch.setattr(VectorIndex, "_topk", topk)
+    assert index.knn_batch(queries, 5) == serial
+
+
+def test_split_batch_scratch_is_one_tile(ways):
+    """Two workers each take half a tile, so the split batch peaks no higher than one thread's."""
+    rng = np.random.default_rng(123)
+    index = build_index_from_arrays([f"v{i:05d}" for i in range(20000)], rng.standard_normal((20000, 8)),
+                                    IndexConfig(dim=8))
+    queries = rng.standard_normal((512, 8))
+    index.knn_batch(queries[:2], 3)  # a first call, so that only the batch's own scratch is traced
+
+    def peak():
+        tracemalloc.start()
+        try:
+            found = index.knn_batch(queries, 70)
+            held, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return found, top - held
+
+    ways(1)
+    serial, one = peak()
+    ways(2)
+    split, two = peak()
+    assert split == serial
+    assert two < 1.15 * one, (two, one)
