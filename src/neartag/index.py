@@ -28,13 +28,20 @@ Two modes share one query interface and one exact top-k routine:
   Chunks shrink once k passes 512, so that a tile still holds k groups;
   with fewer, a query's limit stays infinite through the tile and it
   pools every row. A query whose slack or scores would not be finite in
-  float32 keeps every row without ranking. A batch of more than one
-  chunk over more rows than a full chunk's tile is ranked on W =
-  min(chunks, usable CPUs // BLAS threads) threads (``_search_ways``):
-  W contiguous shares of the queries, each in chunks of ``_CHUNK // W``
-  queries (fewer for a large k) and tiles of ``_TILE // W`` scores, so
-  the batch's scratch stays one tile's. An unpinned BLAS threads each
-  product itself, so W is then 1.
+  float32 keeps every row without ranking. Over more rows than a full
+  chunk's tile (8,192), the search runs on up to usable CPUs // BLAS
+  threads (``_search_ways``). A batch of more than one chunk is ranked on
+  W = min(chunks, that) threads: W contiguous shares of the queries, each
+  in chunks of ``_CHUNK // W`` queries (fewer for a large k) and tiles of
+  ``_TILE // W`` scores, so the batch's scratch stays one tile's. A lone
+  query cuts its tile's product into W = min(rows * dim // 2^21, that)
+  contiguous row ranges, one a thread, so that each range holds at least
+  2^21 float32 values (8 MiB) of rows; each writes straight into its own
+  columns of the one score tile, and the group minima, the pool and the
+  re-scoring then run on the calling thread as before. A range's product
+  may round apart from the whole one, but the slack holds for any
+  summation order, so the lists do not change. An unpinned BLAS threads
+  each product itself, so W is then 1.
 * ``perm-prefix``: an approximate filter. Each stored vector is
   described by the permutation prefix of its L nearest pivots; queries
   scan only the ``candidate_budget`` rows whose prefixes agree most
@@ -185,8 +192,45 @@ def _search_ways() -> int:
     return 1
 
 
+def _threads(work, ways: int) -> None:
+    """``work(i)`` for each i below ``ways``: 0 on this thread, each other on a thread started
+    and joined here. A call's exception is raised here once every thread has ended."""
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            work(i)
+        except BaseException as exc:  # raised on the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for i in range(1, ways):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _cut_product(neg2q: np.ndarray, rows: np.ndarray, out: np.ndarray, cuts: int) -> None:
+    """``out = neg2q @ rows.T`` on ``cuts`` threads (``_threads``), each taking one contiguous
+    range of the rows and writing its product straight into its own columns of ``out``."""
+    ends = [len(rows) * i // cuts for i in range(cuts + 1)]
+
+    def product(i: int) -> None:
+        lo, hi = ends[i], ends[i + 1]
+        np.matmul(neg2q, rows[lo:hi].T, out=out[:, lo:hi])
+
+    _threads(product, cuts)
+
+
 def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int, slack: np.ndarray,
-                tile: int, subset: np.ndarray | None = None) -> list[np.ndarray]:
+                tile: int, subset: np.ndarray | None = None, cuts: int = 1) -> list[np.ndarray]:
     """Per query of ``block``, in pool order, the rows of ``base`` (the
     positions in ``subset``, when given) whose float32 score is at most
     fl32(t + slack), t being the query's kk-th smallest score; every row
@@ -197,7 +241,8 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
     (nq, _GROUP, w) view of the module docstring with a short tile padded
     by NaN, pooling the rows that can still make the cut; a pool that
     outgrows a tile is trimmed the way the last step trims it. A tile of ``base`` is one product over
-    its contiguous rows. A tile of ``subset`` is gathered ``_GATHER``
+    its contiguous rows, cut into ``cuts`` row ranges on as many threads (``_cut_product``) when
+    ``cuts`` > 1. A tile of ``subset`` is gathered ``_GATHER``
     values of rows at a time, each block's product written straight into
     its columns of the tile, so the subset's rows are never copied whole.
     Every buffer belongs to this call, so threads may share the index.
@@ -217,8 +262,10 @@ def _candidates(block: np.ndarray, base: np.ndarray, norms: np.ndarray, kk: int,
     for t0 in range(0, count, span):
         n = min(span, count - t0)
         w = -(-n // _GROUP)
-        if subset is None:
+        if subset is None and cuts == 1:
             np.matmul(neg2q, base[t0 : t0 + n].T, out=scores[:, :n])
+        elif subset is None:
+            _cut_product(neg2q, base[t0 : t0 + n], scores[:, :n], cuts)
         else:
             for b in range(0, n, step):
                 e = min(b + step, n)
@@ -302,12 +349,14 @@ class VectorIndex:
     # -- ranking ----------------------------------------------------------
 
     def _topk(self, queries: np.ndarray, k: int, subset: np.ndarray | None = None,
-              ways: int = 1) -> list[NeighborList]:
+              ways: int = 1, cuts: int = 1) -> list[NeighborList]:
         """Exact top-k by (distance, id) per query, over all rows or a row subset.
 
         Queries go in chunks of up to ``_CHUNK // ways``, fewer for a large
         k, and tiles of ``_TILE // ways`` scores (see the module docstring):
-        ``ways`` > 1 ranks one share of a batch split that many ways. Each
+        ``ways`` > 1 ranks one share of a batch split that many ways, and
+        ``cuts`` > 1 cuts each tile's product of all rows into that many row
+        ranges, one a thread, for a lone query. Each
         query re-scores the rows ``_candidates`` finds for it in float64,
         ordered by (distance, row), which is (distance, id). The distance
         is the root of d², so rows whose d² differ by an ulp can tie. A
@@ -323,7 +372,7 @@ class VectorIndex:
             block = queries[start : start + step]
             with np.errstate(over="ignore", invalid="ignore"):
                 slack = _rank_slack(self.config.dim, self.max_norm, np.sqrt(np.einsum("ij,ij->i", block, block)))
-                pools = _candidates(block, self.vectors, norms, kk, slack, tile, subset)
+                pools = _candidates(block, self.vectors, norms, kk, slack, tile, subset, cuts)
             for q, cand in zip(block, pools):
                 cand = cand if subset is None else subset[cand]
                 diff = self.vectors[cand] - q
@@ -333,41 +382,32 @@ class VectorIndex:
         return out
 
     def _ways(self, count: int, k: int) -> int:
-        """The threads an exact batch of ``count`` queries at ``k`` ranks on: one a chunk, at most
-        ``_search_ways()``; 1 in perm-prefix mode, whose queries rank alone, and over a store of
-        at most one full chunk's tile of rows (8,192), where each query's re-scoring, which holds
-        the GIL, outweighs the products: two threads were up to 1.4x slower there."""
-        chunk = min(_CHUNK, max(1, _TILE // (_GROUP * min(k, len(self)))))  # ``_topk``'s at one way
-        if self.config.mode != MODE_EXACT or count <= chunk or len(self) <= _TILE // _CHUNK:
+        """The threads an exact search of ``count`` queries at ``k`` ranks on, at most
+        ``_search_ways()``: for a batch, one a chunk; for a lone query, whose tile's product is
+        cut by rows, one a range of at least ``_TILE`` float32 values (8 MiB), as a thread costs
+        about 0.1 ms to start and join and a product of 20,000 x 128 took 0.46 ms on one thread
+        and 0.50 on two. 1 in perm-prefix mode, whose queries rank gathered candidate blocks, and
+        over a store of at most a full chunk's tile of rows (8,192), where each query's
+        re-scoring, which holds the GIL, outweighs the products: two threads were up to 1.4x
+        slower there."""
+        rows = len(self.ids)
+        if self.config.mode != MODE_EXACT or rows <= _TILE // _CHUNK:
             return 1
-        return min(-(-count // chunk), _search_ways())
+        if count == 1:
+            return max(1, min(rows * self.config.dim // _TILE, _search_ways()))
+        chunk = min(_CHUNK, max(1, _TILE // (_GROUP * min(k, rows))))  # ``_topk``'s at one way
+        return 1 if count <= chunk else min(-(-count // chunk), _search_ways())
 
     def _split(self, queries: np.ndarray, k: int, ways: int) -> list[NeighborList]:
-        """``_topk`` of ``ways`` contiguous shares of a batch, the first on this thread and each
-        other on a thread started and joined here, the lists in query order. A share's exception
-        is raised here once every thread has ended."""
+        """``_topk`` of ``ways`` contiguous shares of a batch on as many threads (``_threads``),
+        the lists in query order."""
         ends = [len(queries) * i // ways for i in range(ways + 1)]
         parts: dict[int, list[NeighborList]] = {}
-        errors: list[BaseException] = []
 
         def rank(i: int) -> None:
-            try:
-                parts[i] = self._topk(queries[ends[i] : ends[i + 1]], k, None, ways)
-            except BaseException as exc:  # raised on the calling thread
-                errors.append(exc)
+            parts[i] = self._topk(queries[ends[i] : ends[i + 1]], k, None, ways)
 
-        threads = []
-        try:
-            for i in range(1, ways):
-                thread = threading.Thread(target=rank, args=(i,))
-                thread.start()
-                threads.append(thread)
-            rank(0)
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
+        _threads(rank, ways)
         return [hits for i in range(ways) for hits in parts[i]]
 
     def _perm_candidates(self, q: np.ndarray) -> np.ndarray:
@@ -419,8 +459,11 @@ class VectorIndex:
             if k > self.config.candidate_budget:
                 raise ValueError(f"k={k} exceeds candidate_budget={self.config.candidate_budget}")
             return [self._topk(q[None, :], int(k), self._perm_candidates(q))[0] for q in queries]
-        ways = self._ways(len(queries), k) if len(queries) > 1 else 1  # a lone query makes no call
-        return self._topk(queries, int(k)) if ways == 1 else self._split(queries, int(k), ways)
+        # ``_ways`` is 1 over a store of at most a full chunk's tile of rows: skip the call there.
+        ways = self._ways(len(queries), k) if len(self.ids) > _TILE // _CHUNK else 1
+        if ways == 1 or len(queries) == 1:
+            return self._topk(queries, int(k), cuts=ways)
+        return self._split(queries, int(k), ways)
 
     def knn(self, query, k: int) -> NeighborList:
         """The k nearest stored vectors, closest first, ties by ascending id."""
@@ -433,9 +476,10 @@ class VectorIndex:
         """knn for many queries at once; identical per-query results.
 
         In exact mode up to 256 queries share each tile's matrix product,
-        where a lone ``knn`` call takes a product per query, and a batch of
-        more than one chunk is split over the CPUs BLAS leaves idle (the
-        module docstring's W), with the same lists. In perm-prefix
+        where a lone ``knn`` call takes a product per query, cut by rows over
+        the CPUs BLAS leaves idle, and a batch of more than one chunk is
+        split over those CPUs by queries (the module docstring's W), with
+        the same lists either way. In perm-prefix
         mode each query is filtered and ranked on its own, as ``knn`` does,
         its candidates scored block by block and never copied whole.
         """

@@ -150,6 +150,19 @@ MUTANTS = (
         _STRESS + "test_the_ways_are_the_usable_cpus_over_the_blas_threads",
         "tests/test_cli.py::test_bench_json_records_the_usable_cpus_and_the_search_workers",
     )),
+    # A lone query's row ranges meet end to end: off by one at each cut, the first row of every
+    # range but the first goes unscored, and the scratch tile's stale value stands in for it.
+    Mutant("lone-ranges-leave-a-gap", _INDEX, "lo, hi = ends[i], ends[i + 1]",
+           "lo, hi = ends[i] + (i > 0), ends[i + 1]", (
+               _STRESS + "test_a_lone_query_cut_by_rows_equals_one_thread_and_the_oracle",
+               _STRESS + "test_a_row_stored_three_times_across_a_range_cut_keeps_id_order",
+           )),
+    # A lone query's ranges, too, count only the CPUs an unpinned BLAS leaves idle: none.
+    Mutant("lone-cuts-ignore-blas-threads", _INDEX, "min(rows * self.config.dim // _TILE, _search_ways())",
+           "min(rows * self.config.dim // _TILE, _usable_cpus())", (
+               _STRESS + "test_the_ways_are_the_usable_cpus_over_the_blas_threads",
+               "tests/test_cli.py::test_bench_json_records_the_usable_cpus_and_the_search_workers",
+           )),
     # A reference built in memory takes the queries' dimensionality, so a feature file of
     # another is refused naming it; at its own, the search refuses the queries unnamed.
     Mutant("in-memory-index-at-the-file-dim", "neartag/cli.py", "index = _build_index(feat_path, cfg, dim)",

@@ -570,21 +570,30 @@ def test_an_output_in_a_missing_directory_is_refused_before_any_input_is_read(co
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(target)!r}\n")
 
 
-@pytest.mark.parametrize("blas, workers", [({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 2)], ids=["unset", "pinned"])
-def test_bench_json_records_the_usable_cpus_and_the_search_workers(corpus, tmp_path, monkeypatch, blas, workers):
+@pytest.mark.parametrize("blas, workers, lone", [
+    ({}, 1, False), ({"OPENBLAS_NUM_THREADS": "1"}, 2, False), ({}, 1, True), ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+], ids=["unset", "pinned", "lone-unset", "lone-pinned"])
+def test_bench_json_records_the_usable_cpus_and_the_search_workers(corpus, tmp_path, monkeypatch, blas, workers,
+                                                                   lone):
     from neartag import index as index_module
+    from neartag.fvec import read_vectors
 
-    # The corpus's 12 queries make six chunks of 2 at k = 10, and its 120 rows pass a chunk's tile.
+    # The corpus's 12 queries make twelve chunks of 1 at k = 10, and its 120 rows pass a chunk's tile
+    # (60); a lone query's tile is cut into ranges of at least a tile's 240 values (30 rows at dim 8).
     monkeypatch.setattr(index_module, "_CHUNK", 4)
-    monkeypatch.setattr(index_module, "_TILE", 400)
+    monkeypatch.setattr(index_module, "_TILE", 240)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for var in index_module._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in blas.items():
         monkeypatch.setenv(var, value)
+    queries = os.path.join(corpus, "queries.fvec")
+    if lone:
+        ids, matrix = read_vectors(queries)
+        queries = str(tmp_path / "one.fvec")
+        write_vectors(queries, ids[:1], matrix[:1])
     path = tmp_path / "BENCH.json"
-    assert main(["bench", "--config", conf(corpus), "--k", "10", "--queries", os.path.join(corpus, "queries.fvec"),
-                 "--json", str(path)]) == 0
+    assert main(["bench", "--config", conf(corpus), "--k", "10", "--queries", queries, "--json", str(path)]) == 0
     machine = json.loads(path.read_text(encoding="utf-8"))["machine"]
     assert (machine["usable_cpus"], machine["search_workers"]) == (2, workers)
 

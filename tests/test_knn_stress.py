@@ -21,7 +21,9 @@ across tiles.
 A batch of more than one chunk is split over worker threads; the ``ways``
 fixture sets how many by the usable CPUs and the BLAS thread variables,
 as a process would find them, and the split cases check the split batch
-against the batch ranked on one thread.
+against the batch ranked on one thread. A lone query over a large enough
+store cuts each tile's product by rows over the same threads, and the
+lone cases check it against one thread and the linear-scan oracle.
 """
 
 import os
@@ -472,6 +474,9 @@ def test_the_ways_are_the_usable_cpus_over_the_blas_threads(monkeypatch, cpus, b
     assert [index._ways(n, 5) for n in (1, 256, 257, 2560)] == [1, 1, min(2, want), want]
     small = build_index_from_arrays([f"v{i}" for i in range(8192)], matrix[:8192], IndexConfig(dim=2))
     assert small._ways(2560, 5) == 1
+    # A lone query's tile is cut into ranges of at least 2^21 float32 values: two here, whatever the CPUs.
+    large = build_index_from_arrays([f"v{i}" for i in range(16384)], np.zeros((16384, 256)), IndexConfig(dim=256))
+    assert large._ways(1, 5) == min(2, want)
 
 
 def test_the_cpu_count_stands_in_for_a_missing_affinity_call(monkeypatch):
@@ -544,6 +549,166 @@ def test_split_batch_scratch_is_one_tile(ways):
     ways(1)
     serial, one = peak()
     ways(2)
+    split, two = peak()
+    assert split == serial
+    assert two < 1.15 * one, (two, one)
+
+
+def cut_counts(monkeypatch) -> list[int]:
+    """The ``cuts`` of each tile product a lone query cuts by rows, recorded as they happen."""
+    counts, real = [], index_module._cut_product
+    monkeypatch.setattr(index_module, "_cut_product", lambda *a: counts.append(a[3]) or real(*a))
+    return counts
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_a_lone_query_cut_by_rows_equals_one_thread_and_the_oracle(tiles, ways, monkeypatch, cpus):
+    """1,003 rows, which none of 2, 3 and 8 divide, in lone tiles of 160: six full tiles and a
+    ragged one of 43, each cut into ``cpus`` ranges; the store holds 37 ranges of 160 values."""
+    tiles(chunk=4, rows=40, group=2)
+    rng = np.random.default_rng(124)
+    matrix = rng.standard_normal((1003, 6)).astype(np.float32)
+    matrix[500:510] = matrix[:10]  # ties by id
+    ids = [f"v{i:05d}" for i in rng.permutation(1003)]
+    index = build_index_from_arrays(ids, matrix, IndexConfig(dim=6))
+    queries = np.concatenate([rng.standard_normal((6, 6)), matrix[:3]])
+    ways(cpus)
+    assert index._ways(1, 9) == cpus
+    counts = cut_counts(monkeypatch)
+    split = [index.knn(q, 9) for q in queries]  # first, so no earlier call left these scores in a buffer
+    assert counts == [cpus] * 7 * len(queries)
+    ways(1)
+    assert [index.knn(q, 9) for q in queries] == split
+    for q, got in zip(queries, split):
+        want = brute_force_knn(ids, matrix, q, 9)
+        assert [g[0] for g in got] == [w[0] for w in want]
+        assert np.allclose([g[1] for g in got], [w[1] for w in want], rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_row_stored_three_times_across_a_range_cut_keeps_id_order(tiles, ways, cpus):
+    """One lone tile of 160 rows cut into ranges at 160 // cpus (the store holds five ranges of
+    160 values): the row's copies sit just before, at and just after the first cut, so each
+    range ranks some of them."""
+    tiles(chunk=4, rows=40, group=2)
+    rng = np.random.default_rng(125)
+    matrix = rng.standard_normal((160, 5)).astype(np.float32)
+    cut = 160 // cpus
+    matrix[[cut - 1, cut + 1]] = matrix[cut]
+    ids = [f"v{i:03d}" for i in range(160)]
+    index = build_index_from_arrays(ids, matrix, IndexConfig(dim=5))
+    ways(cpus)
+    got = index.knn(matrix[cut], 5)
+    assert [h for h, _ in got[:3]] == ids[cut - 1 : cut + 2] and [d for _, d in got[:3]] == [0.0] * 3
+    assert [h for h, _ in got] == [w for w, _ in brute_force_knn(ids, matrix, matrix[cut], 5)]
+
+
+def test_a_lone_query_over_a_small_store_or_in_perm_mode_runs_on_one_thread(ways, monkeypatch):
+    """A lone query's ranges hold at least 2^21 float32 values each, and a store of at most
+    8,192 rows (a full chunk's tile) ranks on one thread whatever its dim: 8,192 x 1,024 and
+    16,384 x 128 make one range, 16,384 x 256 two. A perm query ranks its gathered candidates
+    on one thread however large the store."""
+    ways(2)
+    rng = np.random.default_rng(126)
+    ids = [f"v{i:05d}" for i in range(16384)]
+    counts = cut_counts(monkeypatch)
+    for rows, dim, want in [(8192, 1024, 1), (16384, 128, 1), (16384, 256, 2)]:
+        matrix = rng.standard_normal((rows, dim), dtype=np.float32)
+        index = build_index_from_arrays(ids[:rows], matrix, IndexConfig(dim=dim))
+        assert index._ways(1, 5) == want
+        assert index.knn(matrix[7], 5)[0] == (ids[7], 0.0)
+        assert counts == ([2] if want == 2 else [])
+    perm = build_index_from_arrays(ids, matrix, IndexConfig(dim=256, mode="perm-prefix", num_pivots=16, prefix_len=4,
+                                                            candidate_budget=500))
+    assert perm._ways(1, 5) == 1
+    assert perm.knn(matrix[7], 5)[0] == (ids[7], 0.0)
+    assert counts == [2]
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_row_range_that_raises_raises_in_the_caller_and_leaves_no_thread(tiles, ways, monkeypatch, where):
+    tiles(chunk=2, rows=20, group=2)
+    ways(3)
+    rng = np.random.default_rng(127)
+    index = build_index_from_arrays([f"v{i}" for i in range(100)], rng.standard_normal((100, 4)), IndexConfig(dim=4))
+    assert index._ways(1, 3) == 3
+    real = np.matmul
+
+    def matmul(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            raise RuntimeError(f"fault in the {where}'s range")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"fault in the {where}'s range"):
+        index.knn(rng.standard_normal(4), 3)
+    assert threading.active_count() == before
+
+
+def test_threads_making_lone_queries_on_one_index_each_cut_by_rows(tiles, ways):
+    """Four threads, each making lone queries cut two ways, get the oracle's lists."""
+    tiles(chunk=4, rows=40, group=4)
+    ways(2)
+    rng = np.random.default_rng(128)
+    matrix = rng.standard_normal((1500, 8)).astype(np.float32)
+    matrix[700:720] = matrix[:20]
+    ids = [f"v{i:05d}" for i in range(1500)]
+    index = build_index_from_arrays(ids, matrix, IndexConfig(dim=8))
+    assert index._ways(1, 12) == 2
+    queries = np.concatenate([rng.standard_normal((8, 8)), matrix[:4]])
+    want = [brute_force_knn(ids, matrix, q, 12) for q in queries]
+    results, errors = [None] * 4, []
+    barrier = threading.Barrier(4)
+
+    def worker(slot):
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(3):
+                for q, hits in zip(queries, want):
+                    got = index.knn(q, 12)
+                    assert [g[0] for g in got] == [w[0] for w in hits]
+                    assert np.allclose([g[1] for g in got], [w[1] for w in hits], rtol=1e-12)
+            results[slot] = True
+        except BaseException as exc:  # reported below, on the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert results == [True] * 4
+
+
+def test_a_lone_query_cut_by_rows_keeps_one_tile_of_scratch(ways):
+    """The ranges write into the call's one score tile, so two of them peak no higher than one."""
+    rng = np.random.default_rng(129)
+    index = build_index_from_arrays([f"v{i:05d}" for i in range(20000)],
+                                    rng.standard_normal((20000, 256), dtype=np.float32), IndexConfig(dim=256))
+    queries = rng.standard_normal((2, 256))
+    index.knn(queries[0], 3)  # a first call, so that only the query's own scratch is traced
+
+    def peak():
+        tracemalloc.start()
+        try:
+            found = index.knn(queries[1], 70)
+            held, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return found, top - held
+
+    ways(1)
+    serial, one = peak()
+    ways(2)
+    assert index._ways(1, 70) == 2
     split, two = peak()
     assert split == serial
     assert two < 1.15 * one, (two, one)
